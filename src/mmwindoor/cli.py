@@ -247,10 +247,12 @@ def synthesize_omni(ctx, record_json, csv_out):
 @click.option("-o", "--out-dir", type=click.Path(file_okay=False), default=None,
               help="Directory for campaign outputs (defaults to --output-dir).")
 @click.option("--workers", type=int, default=None,
-              help="Generate locations in parallel with this many threads.")
+              help="Ignored; generation is serial. Accepted for compatibility.")
 @click.pass_context
 def simulate_cmd(ctx, config_json, out_dir, workers):
     """Generate a synthetic campaign, then fit it back against its own parameters."""
+    if workers is not None:
+        click.echo("warning: --workers is ignored; generation is serial", err=True)
     config = _guarded(fileio.parse_campaign_config, _read_text(config_json))
     if ctx.obj["seed"] is not None:
         config = simulate.CampaignConfig(
@@ -260,7 +262,7 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
             pdp_synthesis=config.pdp_synthesis,
         )
 
-    samples = _guarded(simulate.generate_pathloss_campaign, config, workers=workers)
+    samples = _guarded(simulate.generate_pathloss_campaign, config)
     campaign_path = _out_path(ctx, "campaign.csv", out_dir)
     fileio.atomic_write(campaign_path, fileio.emit_pathloss_csv(samples))
     click.echo(f"wrote {campaign_path} ({len(samples)} locations)")

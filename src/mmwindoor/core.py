@@ -8,11 +8,14 @@ threads or processes.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+
+_MAX_FLOAT = sys.float_info.max
 
 #: T-R separation span covered by the underlying indoor measurement campaign.
 MEASURED_DISTANCE_RANGE_M = (3.9, 45.9)
@@ -202,14 +205,18 @@ class Pdp:
     noise_floor_mw: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "powers_mw", tuple(float(p) for p in self.powers_mw))
+        powers = tuple(map(float, self.powers_mw))
+        object.__setattr__(self, "powers_mw", powers)
         if self.bin_spacing_ns <= 0.0 or not math.isfinite(self.bin_spacing_ns):
             raise ValueError(f"bin_spacing_ns must be finite and > 0, got {self.bin_spacing_ns!r}")
-        if len(self.powers_mw) < 1:
+        if len(powers) < 1:
             raise ValueError("a Pdp needs at least one delay bin")
-        for k, p in enumerate(self.powers_mw):
-            if not (math.isfinite(p) and p >= 0.0):
-                raise ValueError(f"powers_mw[{k}] must be finite and >= 0, got {p!r}")
+        # One comparison pass rejects nan (every comparison is false), inf and
+        # negatives; the loop below only locates the first offender.
+        if not all(0.0 <= p <= _MAX_FLOAT for p in powers):
+            for k, p in enumerate(powers):
+                if not (math.isfinite(p) and p >= 0.0):
+                    raise ValueError(f"powers_mw[{k}] must be finite and >= 0, got {p!r}")
         if not (math.isfinite(self.noise_floor_mw) and self.noise_floor_mw >= 0.0):
             raise ValueError(f"noise_floor_mw must be finite and >= 0, got {self.noise_floor_mw!r}")
 

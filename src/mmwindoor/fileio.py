@@ -65,14 +65,40 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_field(value) -> str:
+    """One field as ``csv.writer`` writes it with ``lineterminator="\\n"``.
+
+    Minimal quoting: a field holding a comma, a quote or a line feed is
+    quoted, with quotes doubled; a carriage return does not trigger quoting.
+    """
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_number(x) -> str:
+    """A finite number as ``json.dumps`` writes it."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return int.__repr__(x) if isinstance(x, int) else float.__repr__(x)
+
+
 def atomic_write(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename into place."""
+    """Write via a temp file in the target directory, then rename into place.
+
+    The file gets the mode a plain ``open`` would create, ``0o666 & ~umask``,
+    not the owner-only mode of the temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)  # reading the mask means setting it; restore it at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -96,16 +122,14 @@ def _parse_float(token: str, field: str, line: int | None = None) -> float:
 
 
 def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PATHLOSS_CSV_HEADER.split(","))
+    lines = [PATHLOSS_CSV_HEADER]
     for r in rows:
         pl = "" if isinstance(r, OutageRow) else _fmt(r.path_loss_db)
-        writer.writerow(
-            [r.location_id, _fmt(r.band.ghz), r.env.value, r.pol.value, r.dir.value,
-             _fmt(r.distance_m), pl]
+        lines.append(
+            f"{_csv_field(r.location_id)},{_fmt(r.band.ghz)},{r.env.value},{r.pol.value},"
+            f"{r.dir.value},{_fmt(r.distance_m)},{pl}"
         )
-    return buf.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def parse_pathloss_csv(text: str) -> list[PathLossSample]:
@@ -169,7 +193,18 @@ def _pdp_from_obj(obj, where: str) -> Pdp:
 
 
 def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
-    return json.dumps([_pdp_to_obj(p) for p in pdps], indent=2) + "\n"
+    """The batch as ``json.dumps(..., indent=2)`` of ``_pdp_to_obj`` writes it."""
+    if not pdps:
+        return "[]\n"
+    # Pdp stores its powers as finite floats, so float repr is their JSON form.
+    objs = ",\n".join(
+        '  {\n    "bin_spacing_ns": %s,\n    "noise_floor_mw": %s,\n'
+        '    "powers_mw": [\n      %s\n    ]\n  }'
+        % (_json_number(p.bin_spacing_ns), _json_number(p.noise_floor_mw),
+           ",\n      ".join(map(float.__repr__, p.powers_mw)))
+        for p in pdps
+    )
+    return "[\n" + objs + "\n]\n"
 
 
 def parse_pdp_batch(text: str) -> list[Pdp]:
@@ -450,24 +485,20 @@ def emit_delay_stats_csv(
     per_pdp: Sequence[tuple[int, str, object]], summary: SpreadSummary | None
 ) -> str:
     """Rows of (index, status, DelayStats-or-None) plus one trailing summary row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DELAY_STATS_CSV_HEADER.split(","))
+    lines = [DELAY_STATS_CSV_HEADER]
     for index, status, stats in per_pdp:
         if stats is None:
-            writer.writerow([index, status, "", "", "", "", "", "", ""])
+            cells = ",,"
         else:
-            writer.writerow(
-                [index, status, _fmt(stats.mean_excess_delay_ns),
-                 _fmt(stats.rms_delay_spread_ns), _fmt(stats.total_power_mw),
-                 "", "", "", ""]
-            )
+            cells = (f"{_fmt(stats.mean_excess_delay_ns)},{_fmt(stats.rms_delay_spread_ns)},"
+                     f"{_fmt(stats.total_power_mw)}")
+        lines.append(f"{_csv_field(index)},{_csv_field(status)},{cells},,,,")
     if summary is not None:
-        writer.writerow(
-            ["summary", "", "", "", "", _fmt(summary.mean_ns), _fmt(summary.std_ns),
-             _fmt(summary.max_ns), _fmt(summary.p90_ns)]
+        lines.append(
+            f"summary,,,,,{_fmt(summary.mean_ns)},{_fmt(summary.std_ns)},"
+            f"{_fmt(summary.max_ns)},{_fmt(summary.p90_ns)}"
         )
-    return buf.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def parse_spread_values(text: str) -> list[float]:

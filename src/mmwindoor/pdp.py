@@ -78,11 +78,13 @@ def delay_stats(pdp: Pdp) -> DelayStats:
     """
     k0 = _first_positive_bin(pdp)
     dt = pdp.bin_spacing_ns
-    powers = pdp.powers_mw
+    # Zero bins add exact zeros to every sum, so summing positive bins only
+    # leaves each fsum bit-identical.
+    positive = [(k, p) for k, p in enumerate(pdp.powers_mw) if p > 0.0]
 
-    total = math.fsum(powers)
-    first = math.fsum(p * ((k - k0) * dt) for k, p in enumerate(powers))
-    second = math.fsum(p * ((k - k0) * dt) ** 2 for k, p in enumerate(powers))
+    total = math.fsum(p for _, p in positive)
+    first = math.fsum(p * ((k - k0) * dt) for k, p in positive)
+    second = math.fsum(p * ((k - k0) * dt) ** 2 for k, p in positive)
 
     mean_ns = first / total
     second_ns2 = second / total

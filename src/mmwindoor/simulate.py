@@ -2,8 +2,10 @@
 
 Path loss samples are drawn from a cataloged (or overridden) close-in model
 at uniformly random distances. Reproducibility contract: one root seed, split
-hierarchically into one stream per location, so results are identical across
-runs and independent of serial vs parallel scheduling.
+into one spawned stream per block of 4096 locations and per draw kind
+(distance, shadowing, profile shape). Each stream is consumed strictly in
+location order, so location i's values depend only on the seed and i: not on
+``n_locations``, and not on which other draw kinds a campaign uses.
 
 Synthetic PDPs use exponentially decaying mean tap power with per-tap
 lognormal variation. These shape parameters are artifact knobs for exercising
@@ -14,7 +16,6 @@ placement is drawn independently of distance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,22 +100,26 @@ class CampaignConfig:
         return catalog_lookup(self.band, self.env, self.pol, self.dir)
 
 
-def _location_rng(seed: int, index: int, branch: int | None = None) -> np.random.Generator:
-    # Equivalent to SeedSequence(seed).spawn(n)[index]: schedule-independent.
-    # A branch selects a spawned child of the location's stream, keeping
-    # different draw kinds (path loss vs profile shape) independent.
-    key = (index,) if branch is None else (index, branch)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+#: Locations per spawned stream. Part of the stream layout: changing it
+#: changes every campaign's output.
+_BLOCK = 4096
+_DISTANCE, _SHADOWING, _PROFILE = range(3)
 
 
-def generate_pathloss_campaign(
-    config: CampaignConfig, workers: int | None = None
-) -> list[PathLossSample]:
-    """Draw one path loss sample per location; deterministic for a fixed seed.
+def _block_streams(config: CampaignConfig, kind: int):
+    """Yield (location indices, generator) for each block, in location order.
 
-    ``workers`` > 1 distributes locations over a thread pool; the output is
-    identical either way because every location owns its own random stream.
+    The generator of block b is ``SeedSequence(seed).spawn(...)[b].spawn(3)[kind]``,
+    so it is the same whatever the campaign's size.
     """
+    n = config.n_locations
+    for b, start in enumerate(range(0, n, _BLOCK)):
+        seq = np.random.SeedSequence(config.seed, spawn_key=(b, kind))
+        yield range(start, min(start + _BLOCK, n)), np.random.default_rng(seq)
+
+
+def generate_pathloss_campaign(config: CampaignConfig) -> list[PathLossSample]:
+    """Draw one path loss sample per location; deterministic for a fixed seed."""
     params = config.params()
     lo, hi = config.distance_range_m
     if lo < params.d0_m:
@@ -122,25 +127,23 @@ def generate_pathloss_campaign(
             f"distance_range_m: minimum {lo} m is below the model anchor d0 = {params.d0_m} m"
         )
     width = len(str(max(config.n_locations - 1, 1)))
-
-    def one(i: int) -> PathLossSample:
-        rng = _location_rng(config.seed, i)
-        d = float(rng.uniform(lo, hi))
-        pl = sample_path_loss_db(params, d, rng)
-        return PathLossSample(
-            location_id=f"loc{i:0{width}d}",
-            band=config.band,
-            env=config.env,
-            pol=config.pol,
-            dir=config.dir,
-            distance_m=d,
-            path_loss_db=pl,
-        )
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(config.n_locations)))
-    return [one(i) for i in range(config.n_locations)]
+    samples = []
+    blocks = zip(_block_streams(config, _DISTANCE), _block_streams(config, _SHADOWING))
+    for (indices, distance_rng), (_, shadow_rng) in blocks:
+        distances = distance_rng.uniform(lo, hi, size=len(indices)).tolist()
+        for i, d in zip(indices, distances):
+            samples.append(
+                PathLossSample(
+                    location_id=f"loc{i:0{width}d}",
+                    band=config.band,
+                    env=config.env,
+                    pol=config.pol,
+                    dir=config.dir,
+                    distance_m=d,
+                    path_loss_db=sample_path_loss_db(params, d, shadow_rng),
+                )
+            )
+    return samples
 
 
 def generate_synthetic_pdp(config: CampaignConfig, rng: np.random.Generator) -> Pdp:
@@ -163,28 +166,32 @@ def generate_synthetic_pdp(config: CampaignConfig, rng: np.random.Generator) -> 
         n_taps = int(rng.integers(lo, hi + 1))
         span_bins = int(round(pcfg.span_ns / bin_ns))
         extra = min(n_taps - 1, span_bins)
-        picks = rng.choice(span_bins, size=extra, replace=False) + 1 if extra > 0 else []
-        delays = tuple(sorted([0.0] + [float(k) * bin_ns for k in picks]))
+        # a uniformly random subset of the span's bins, without replacement
+        picks = rng.permutation(span_bins)[:extra].tolist() if extra > 0 else []
+        delays = tuple(sorted([0.0] + [(k + 1) * bin_ns for k in picks]))
 
     n_bins = int(round(max(delays) / bin_ns)) + 1
     powers = [0.0] * n_bins
-    for tau in delays:
+    jitters_db = [0.0] * len(delays)
+    if pcfg.tap_power_sigma_db:
+        jitters_db = rng.normal(0.0, pcfg.tap_power_sigma_db, size=len(delays)).tolist()
+    for tau, jitter_db in zip(delays, jitters_db):
         k = int(round(tau / bin_ns))
         mean_mw = math.exp(-tau / pcfg.decay_ns)
-        jitter_db = float(rng.normal(0.0, pcfg.tap_power_sigma_db)) if pcfg.tap_power_sigma_db else 0.0
         powers[k] += mean_mw * 10.0 ** (jitter_db / 10.0)
     return Pdp(bin_spacing_ns=bin_ns, powers_mw=tuple(powers), noise_floor_mw=pcfg.noise_floor_mw)
 
 
 def generate_pdp_campaign(config: CampaignConfig) -> list[Pdp]:
-    """One synthetic PDP per location, under the per-location stream contract.
+    """One synthetic PDP per location, from the profile-shape streams.
 
-    Profile shape comes from a spawned child of each location's stream, so it
-    is independent of that location's distance and shadowing draws.
+    Those streams are separate from the distance and shadowing streams, so
+    profiles do not depend on the path loss model and vice versa.
     """
     return [
-        generate_synthetic_pdp(config, _location_rng(config.seed, i, branch=1))
-        for i in range(config.n_locations)
+        generate_synthetic_pdp(config, rng)
+        for indices, rng in _block_streams(config, _PROFILE)
+        for _ in indices
     ]
 
 

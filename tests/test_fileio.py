@@ -1,3 +1,5 @@
+import os
+import stat
 from importlib import resources
 
 import pytest
@@ -214,3 +216,15 @@ def test_atomic_write_replaces_content(tmp_path):
     atomic_write(target, "second")
     assert target.read_text() == "second"
     assert list(target.parent.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_atomic_write_mode_follows_umask(tmp_path, umask):
+    # a plain open() creates 0o666 & ~umask; the temp file starts at 0o600
+    target = tmp_path / "file.txt"
+    old = os.umask(umask)
+    try:
+        atomic_write(target, "text")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask

@@ -1,8 +1,12 @@
+import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from mmwindoor.cli import main as cli_main
 from mmwindoor.core import (
     BAND_28GHZ,
     BAND_73GHZ,
@@ -59,10 +63,14 @@ class TestCampaignGeneration:
         assert a != b
 
     def test_parallel_matches_serial(self):
-        cfg = _config(n_locations=500)
-        serial = generate_pathloss_campaign(cfg)
-        parallel = generate_pathloss_campaign(cfg, workers=8)
-        assert serial == parallel
+        # every call seeds its own streams, so campaigns generated
+        # concurrently from threads equal the serial ones
+        configs = [_config(n_locations=500, seed=seed) for seed in range(4)]
+        serial = [generate_pathloss_campaign(cfg) for cfg in configs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(generate_pathloss_campaign, cfg) for cfg in configs]
+            parallel = [f.result(timeout=60) for f in futures]
+        assert parallel == serial
 
     def test_distances_within_range(self):
         samples = generate_pathloss_campaign(_config(distance_range_m=(5.0, 6.0)))
@@ -150,13 +158,23 @@ class TestSyntheticPdp:
         assert generate_pdp_campaign(cfg) == generate_pdp_campaign(cfg)
 
     def test_profile_stream_distinct_from_pathloss_stream(self):
-        # profile shape must not be a deterministic replay of the distance draw
-        from mmwindoor.simulate import _location_rng
-
-        for i in range(10):
-            a = _location_rng(99, i).uniform()
-            b = _location_rng(99, i, branch=1).uniform()
-            assert a != b
+        # profile shape must not be a deterministic replay of the path loss
+        # draws: with one pinned tap and no decay, a profile's power is its
+        # jitter draw alone, which must differ from the location's shadowing
+        override = CiModelParams(
+            band=BAND_28GHZ, env=Environment.NLOS, pol=Polarization.VV,
+            dir=Directionality.OMNI, ple=2.7, shadow_sigma_db=3.0,
+        )
+        cfg = _config(
+            n_locations=200, seed=99, params_override=override,
+            pdp_synthesis=PdpSynthesisConfig(
+                fixed_tap_delays_ns=(0.0,), decay_ns=math.inf, tap_power_sigma_db=3.0
+            ),
+        )
+        chi_db = [s.path_loss_db - mean_path_loss_db(override, s.distance_m)
+                  for s in generate_pathloss_campaign(cfg)]
+        jitter_db = [10.0 * math.log10(p.powers_mw[0]) for p in generate_pdp_campaign(cfg)]
+        assert all(abs(a - b) > 1e-6 for a, b in zip(chi_db, jitter_db))
 
     def test_synthesis_config_validation(self):
         with pytest.raises(ValueError, match="tap_count_range"):
@@ -230,3 +248,49 @@ class TestMaxRange:
         decades1 = math.log10(max_range_m(p1, SOUNDER_28GHZ))
         decades2 = math.log10(max_range_m(p2, SOUNDER_28GHZ))
         assert decades2 == pytest.approx(decades1 / 2.0, rel=1e-12)
+
+
+class TestStreamLayout:
+    """Location i's outputs depend only on the seed and i, per draw kind."""
+
+    @staticmethod
+    def _simulate(tmp_path, name, **overrides):
+        cfg = {
+            "band_ghz": 28.0, "env": "NLOS", "pol": "VV", "dir": "omni",
+            "n_locations": 100, "seed": 5, "pdp_synthesis": {"tap_count_range": [1, 8]},
+        }
+        cfg.update(overrides)
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        result = CliRunner().invoke(cli_main, ["simulate", str(cfg_path), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        return out
+
+    def test_prefix_stable_across_block_edges(self, tmp_path):
+        rows, profiles = {}, {}
+        for n in (1, 4095, 4096, 4097, 8193):
+            out = self._simulate(tmp_path, f"n{n}", n_locations=n)
+            lines = (out / "campaign.csv").read_text().splitlines()[1:]
+            # the location id's zero padding follows n_locations; the index does not
+            rows[n] = [(int(line.split(",", 1)[0][3:]), line.split(",", 1)[1]) for line in lines]
+            profiles[n] = json.loads((out / "pdps.json").read_text())
+        for small, large in zip((1, 4095, 4096, 4097), (4095, 4096, 4097, 8193)):
+            assert rows[large][:small] == rows[small]
+            assert profiles[large][:small] == profiles[small]
+
+    def test_profiles_do_not_change_campaign(self, tmp_path):
+        a = self._simulate(tmp_path, "a")
+        b = self._simulate(tmp_path, "b", pdp_synthesis={"tap_count_range": [3, 10], "span_ns": 50.0})
+        c = self._simulate(tmp_path, "c", pdp_synthesis=None)
+        for name in ("campaign.csv", "fitback.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes() == (c / name).read_bytes()
+        assert (a / "pdps.json").read_bytes() != (b / "pdps.json").read_bytes()
+
+    def test_path_loss_model_does_not_change_profiles(self, tmp_path):
+        a = self._simulate(tmp_path, "a")
+        b = self._simulate(tmp_path, "b", params_override={"ple": 2.0, "sigma_db": 0.0})
+        c = self._simulate(tmp_path, "c", params_override={"ple": 3.1, "sigma_db": 4.0})
+        for name in ("pdps.json", "delay_stats.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes() == (c / name).read_bytes()
+        assert (a / "campaign.csv").read_bytes() != (c / "campaign.csv").read_bytes()

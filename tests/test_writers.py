@@ -1,0 +1,167 @@
+"""The schema-specific writers against the generic emitters they replaced.
+
+The reference emitters below are the ``json.dumps(indent=2)`` and
+``csv.writer`` implementations the byte-stable formats were defined with;
+every writer must reproduce their bytes exactly.
+"""
+
+import csv
+import io
+import json
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from mmwindoor.core import (
+    BAND_28GHZ,
+    BAND_73GHZ,
+    Directionality,
+    Environment,
+    PathLossSample,
+    Pdp,
+    Polarization,
+)
+from mmwindoor.estimation import SpreadSummary
+from mmwindoor.fileio import (
+    DELAY_STATS_CSV_HEADER,
+    PATHLOSS_CSV_HEADER,
+    OutageRow,
+    emit_delay_stats_csv,
+    emit_pathloss_csv,
+    emit_pdp_batch,
+)
+from mmwindoor.pdp import DelayStats
+
+SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def reference_emit_pdp_batch(pdps):
+    objs = [
+        {
+            "bin_spacing_ns": p.bin_spacing_ns,
+            "noise_floor_mw": p.noise_floor_mw,
+            "powers_mw": list(p.powers_mw),
+        }
+        for p in pdps
+    ]
+    return json.dumps(objs, indent=2) + "\n"
+
+
+def reference_emit_pathloss_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PATHLOSS_CSV_HEADER.split(","))
+    for r in rows:
+        pl = "" if isinstance(r, OutageRow) else _fmt(r.path_loss_db)
+        writer.writerow(
+            [r.location_id, _fmt(r.band.ghz), r.env.value, r.pol.value, r.dir.value,
+             _fmt(r.distance_m), pl]
+        )
+    return buf.getvalue()
+
+
+def reference_emit_delay_stats_csv(per_pdp, summary):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(DELAY_STATS_CSV_HEADER.split(","))
+    for index, status, stats in per_pdp:
+        if stats is None:
+            writer.writerow([index, status, "", "", "", "", "", "", ""])
+        else:
+            writer.writerow(
+                [index, status, _fmt(stats.mean_excess_delay_ns),
+                 _fmt(stats.rms_delay_spread_ns), _fmt(stats.total_power_mw),
+                 "", "", "", ""]
+            )
+    if summary is not None:
+        writer.writerow(
+            ["summary", "", "", "", "", _fmt(summary.mean_ns), _fmt(summary.std_ns),
+             _fmt(summary.max_ns), _fmt(summary.p90_ns)]
+        )
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308, sys.float_info.max]
+nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+#: Text that often holds the characters csv quoting depends on.
+texts = st.text(alphabet=st.sampled_from(',"\r\n a0é\x00\t') | st.characters(), max_size=12)
+
+pdps = st.builds(
+    Pdp,
+    bin_spacing_ns=positive | st.integers(min_value=1, max_value=10**6) | st.just(2.5),
+    powers_mw=st.lists(nonneg, min_size=1, max_size=40).map(tuple),
+    noise_floor_mw=nonneg | st.integers(min_value=0, max_value=10**6),
+)
+
+bands = st.sampled_from([BAND_28GHZ, BAND_73GHZ])
+envs, pols, dirs = (st.sampled_from(list(e)) for e in (Environment, Polarization, Directionality))
+samples = st.builds(
+    PathLossSample, location_id=texts, band=bands, env=envs, pol=pols, dir=dirs,
+    distance_m=positive, path_loss_db=positive,
+)
+outages = st.builds(
+    OutageRow, location_id=texts, band=bands, env=envs, pol=pols, dir=dirs, distance_m=positive,
+)
+
+delay_stats = st.builds(
+    DelayStats, mean_excess_delay_ns=nonneg, second_moment_ns2=nonneg,
+    rms_delay_spread_ns=nonneg, total_power_mw=nonneg,
+)
+per_pdp_rows = st.lists(
+    st.tuples(st.integers(min_value=-5, max_value=10**9),
+              st.sampled_from(["ok", "no-multipath"]) | texts,
+              st.none() | delay_stats),
+    max_size=20,
+)
+
+
+@st.composite
+def summaries(draw):
+    lo, mid, hi = sorted(draw(st.lists(nonneg, min_size=3, max_size=3)))
+    return SpreadSummary(mean_ns=mid, std_ns=draw(nonneg), max_ns=hi, p90_ns=lo)
+
+
+@SETTINGS
+@given(st.lists(pdps, max_size=6))
+def test_emit_pdp_batch_matches_json_dumps(batch):
+    assert emit_pdp_batch(batch) == reference_emit_pdp_batch(batch)
+
+
+@SETTINGS
+@given(st.lists(samples | outages, max_size=20))
+def test_emit_pathloss_csv_matches_csv_writer(rows):
+    assert emit_pathloss_csv(rows) == reference_emit_pathloss_csv(rows)
+
+
+@SETTINGS
+@given(per_pdp_rows, st.none() | summaries())
+def test_emit_delay_stats_csv_matches_csv_writer(per_pdp, summary):
+    assert emit_delay_stats_csv(per_pdp, summary) == reference_emit_delay_stats_csv(per_pdp, summary)
+
+
+def test_named_edge_cases():
+    batch = [Pdp(2, (5e-324, 1e308, -0.0, 0.0)), Pdp(2.5, (1.0,), 0)]
+    assert emit_pdp_batch(batch) == reference_emit_pdp_batch(batch)
+    assert emit_pdp_batch([]) == reference_emit_pdp_batch([]) == "[]\n"
+
+    rows = [
+        PathLossSample(loc, BAND_28GHZ, Environment.LOS, Polarization.VV,
+                       Directionality.OMNI, 3.9, 61.4)
+        for loc in ("a,b", 'say "hi"', "cr\rlf", "line\nfeed", " padded ", "")
+    ]
+    rows.append(OutageRow("x", BAND_73GHZ, Environment.NLOS, Polarization.VH,
+                          Directionality.OMNI, 12.0))
+    assert emit_pathloss_csv(rows) == reference_emit_pathloss_csv(rows)
+    assert emit_pathloss_csv([]) == reference_emit_pathloss_csv([])
+
+    stats = DelayStats(1.5, 4.0, 1.3228756555322954, 2.0)
+    per_pdp = [(0, "ok", stats), (1, "no-multipath", None)]
+    summary = SpreadSummary(mean_ns=1.0, std_ns=0.0, max_ns=1.0, p90_ns=1.0)
+    for s in (summary, None):
+        assert emit_delay_stats_csv(per_pdp, s) == reference_emit_delay_stats_csv(per_pdp, s)
+    assert emit_delay_stats_csv([], None) == reference_emit_delay_stats_csv([], None)
