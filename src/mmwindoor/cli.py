@@ -43,7 +43,7 @@ def _guarded(fn, *args, **kwargs):
         _fail(EXIT_EMPTY, f"no samples: {exc}")
     except fileio.ParseError as exc:
         _fail(EXIT_PARSE, str(exc))
-    except ValueError as exc:
+    except (ValueError, core.UnknownCombinationError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
 

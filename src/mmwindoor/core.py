@@ -8,14 +8,11 @@ threads or processes.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
-
-_MAX_FLOAT = sys.float_info.max
 
 #: T-R separation span covered by the underlying indoor measurement campaign.
 MEASURED_DISTANCE_RANGE_M = (3.9, 45.9)
@@ -211,9 +208,10 @@ class Pdp:
             raise ValueError(f"bin_spacing_ns must be finite and > 0, got {self.bin_spacing_ns!r}")
         if len(powers) < 1:
             raise ValueError("a Pdp needs at least one delay bin")
-        # One comparison pass rejects nan (every comparison is false), inf and
-        # negatives; the loop below only locates the first offender.
-        if not all(0.0 <= p <= _MAX_FLOAT for p in powers):
+        # A C-level screen: nan and +inf make the sum non-finite, negatives and
+        # -inf fail the min. A valid profile whose sum overflows takes the loop,
+        # which alone judges and names the first offender.
+        if not (min(powers) >= 0.0 and math.isfinite(sum(powers))):
             for k, p in enumerate(powers):
                 if not (math.isfinite(p) and p >= 0.0):
                     raise ValueError(f"powers_mw[{k}] must be finite and >= 0, got {p!r}")

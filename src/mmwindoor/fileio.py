@@ -7,11 +7,13 @@ reproduces a file exactly.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
 import tempfile
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,6 +28,7 @@ from .core import (
     Pdp,
     Polarization,
     SweepEntry,
+    UnknownCombinationError,
     band_from_ghz,
     sounder_lookup,
 )
@@ -39,6 +42,15 @@ DELAY_STATS_CSV_HEADER = (
     "pdp_index,status,mean_excess_delay_ns,rms_delay_spread_ns,total_power_mw,"
     "sigma_tau_mean_ns,sigma_tau_std_ns,sigma_tau_max_ns,sigma_tau_p90_ns"
 )
+
+
+#: JSON number types; ``bool`` is not one of them.
+_NUMBER_TYPES = frozenset({float, int})
+_ANGLE_KEYS = ("theta_tx_deg", "phi_tx_deg", "theta_rx_deg", "phi_rx_deg")
+_angles_of = itemgetter(*_ANGLE_KEYS)
+_ENTRY_KEYS = frozenset(_ANGLE_KEYS + ("pdp",))
+_SWEEP_KEYS = frozenset({"sweep_id", "pol", "entries"})
+_PDP_KEYS = frozenset({"bin_spacing_ns", "powers_mw"})
 
 
 class ParseError(ValueError):
@@ -179,16 +191,22 @@ def _pdp_to_obj(pdp: Pdp) -> dict:
 def _pdp_from_obj(obj, where: str) -> Pdp:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    missing = {"bin_spacing_ns", "powers_mw"} - obj.keys()
-    if missing:
-        raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
+    if not obj.keys() >= _PDP_KEYS:
+        raise ParseError(f"{where}: missing key(s) {sorted(_PDP_KEYS - obj.keys())}")
+    powers = obj["powers_mw"]
+    if type(powers) is not list:
+        raise ParseError(f"{where}: powers_mw must be an array of numbers, "
+                         f"got {type(powers).__name__}")
+    if not _NUMBER_TYPES.issuperset(map(type, powers)):
+        k = next(k for k, p in enumerate(powers) if type(p) not in _NUMBER_TYPES)
+        raise ParseError(f"{where}: powers_mw[{k}] must be a number, got {powers[k]!r}")
     try:
         return Pdp(
             bin_spacing_ns=float(obj["bin_spacing_ns"]),
-            powers_mw=tuple(float(p) for p in obj["powers_mw"]),
+            powers_mw=powers,
             noise_floor_mw=float(obj.get("noise_floor_mw", 0.0)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
@@ -207,19 +225,34 @@ def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
     return "[\n" + objs + "\n]\n"
 
 
+def _parse_json_items(text: str, what: str, build, item: str) -> list:
+    """Build each element of a JSON array (a single object is an array of one).
+
+    The cyclic garbage collector is paused meanwhile: loading creates no
+    cycles, yet every collection it would trigger walks each list of powers.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+        if isinstance(data, dict):
+            data = [data]
+        if not isinstance(data, list):
+            raise ParseError(f"{what} must be a JSON array or object")
+        if not data:
+            raise EmptyInputError(f"{what} is empty")
+        return [build(obj, f"{item}[{i}]") for i, obj in enumerate(data)]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def parse_pdp_batch(text: str) -> list[Pdp]:
     """Parse a batch (array) of PDP objects; a single object counts as a batch of one."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list):
-        raise ParseError("PDP batch must be a JSON array or object")
-    if not data:
-        raise EmptyInputError("PDP batch is empty")
-    return [_pdp_from_obj(obj, f"pdp[{i}]") for i, obj in enumerate(data)]
+    return _parse_json_items(text, "PDP batch", _pdp_from_obj, "pdp")
 
 
 def _record_to_obj(record: CampaignRecord) -> dict:
@@ -254,6 +287,29 @@ def emit_campaign_records(records: Sequence[CampaignRecord]) -> str:
     return json.dumps([_record_to_obj(r) for r in records], indent=2) + "\n"
 
 
+def _entry_from_obj(obj) -> SweepEntry:
+    """One sweep entry; a ParseError's text is the path below the entry, then the problem."""
+    if not isinstance(obj, dict):
+        raise ParseError(": expected an object")
+    if not obj.keys() >= _ENTRY_KEYS:
+        raise ParseError(f": missing key(s) {sorted(_ENTRY_KEYS - obj.keys())}")
+    angles = _angles_of(obj)
+    if not _NUMBER_TYPES.issuperset(map(type, angles)):
+        key = next(k for k, a in zip(_ANGLE_KEYS, angles) if type(a) not in _NUMBER_TYPES)
+        raise ParseError(f".{key}: must be a number, got {obj[key]!r}")
+    try:
+        angles = tuple(map(float, angles))
+    except OverflowError as exc:
+        raise ParseError(f": {exc}") from None
+    return SweepEntry(*angles, pdp=_pdp_from_obj(obj["pdp"], ".pdp"))
+
+
+def _array(obj, where: str, field: str) -> list:
+    if type(obj) is not list:
+        raise ParseError(f"{where}{field}: expected an array, got {type(obj).__name__}")
+    return obj
+
+
 def _record_from_obj(obj, where: str) -> CampaignRecord:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -263,29 +319,16 @@ def _record_from_obj(obj, where: str) -> CampaignRecord:
         raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
     band = band_from_ghz(_parse_float(str(obj["band_ghz"]), f"{where}.band_ghz"))
     sweeps = []
-    for i, s in enumerate(obj["sweeps"]):
+    for i, s in enumerate(_array(obj["sweeps"], where, ".sweeps")):
         sw_where = f"{where}.sweeps[{i}]"
-        if not isinstance(s, dict) or not {"sweep_id", "pol", "entries"} <= s.keys():
+        if not isinstance(s, dict) or not s.keys() >= _SWEEP_KEYS:
             raise ParseError(f"{sw_where}: needs sweep_id, pol and entries")
         entries = []
-        for j, e in enumerate(s["entries"]):
-            e_where = f"{sw_where}.entries[{j}]"
-            if not isinstance(e, dict):
-                raise ParseError(f"{e_where}: expected an object")
-            missing = {
-                "theta_tx_deg", "phi_tx_deg", "theta_rx_deg", "phi_rx_deg", "pdp"
-            } - e.keys()
-            if missing:
-                raise ParseError(f"{e_where}: missing key(s) {sorted(missing)}")
-            entries.append(
-                SweepEntry(
-                    theta_tx_deg=float(e["theta_tx_deg"]),
-                    phi_tx_deg=float(e["phi_tx_deg"]),
-                    theta_rx_deg=float(e["theta_rx_deg"]),
-                    phi_rx_deg=float(e["phi_rx_deg"]),
-                    pdp=_pdp_from_obj(e["pdp"], f"{e_where}.pdp"),
-                )
-            )
+        for j, e in enumerate(_array(s["entries"], sw_where, ".entries")):
+            try:
+                entries.append(_entry_from_obj(e))
+            except ParseError as exc:
+                raise ParseError(f"{sw_where}.entries[{j}]{exc}") from None
         try:
             sweeps.append(
                 DirectionalSweep(
@@ -310,22 +353,14 @@ def _record_from_obj(obj, where: str) -> CampaignRecord:
         )
     except ParseError:
         raise
-    except ValueError as exc:
+    except UnknownCombinationError as exc:
+        raise UnknownCombinationError(f"{where}: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
 def parse_campaign_records(text: str) -> list[CampaignRecord]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list):
-        raise ParseError("sweep-record file must be a JSON array or object")
-    if not data:
-        raise EmptyInputError("sweep-record file is empty")
-    return [_record_from_obj(obj, f"record[{i}]") for i, obj in enumerate(data)]
+    return _parse_json_items(text, "sweep-record file", _record_from_obj, "record")
 
 
 def config_to_obj(config: CampaignConfig) -> dict:

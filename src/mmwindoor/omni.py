@@ -87,11 +87,12 @@ def unique_angle_powers_mw(
             p = integrate_power_mw(
                 threshold_pdp(entry.pdp, threshold_db_above_noise, dynamic_range_db)
             )
-            if entry.angle in powers:
+            angle = entry.angle
+            if angle in powers:
                 duplicates += 1
-                powers[entry.angle] = max(powers[entry.angle], p)
+                powers[angle] = max(powers[angle], p)
             else:
-                powers[entry.angle] = p
+                powers[angle] = p
     if duplicates:
         warnings.warn(
             f"record {record.location_id!r}: {duplicates} pointing angle(s) were "

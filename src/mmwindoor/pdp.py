@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .core import NoMultipathError, Pdp
 
@@ -46,10 +47,10 @@ def threshold_pdp(
         pdp.noise_floor_mw * 10.0 ** (threshold_db_above_noise / 10.0),
         peak * 10.0 ** (-dynamic_range_db / 10.0),
     )
-    kept = tuple(
-        p if (p >= cutoff or (p == peak and p > 0.0)) else 0.0 for p in pdp.powers_mw
-    )
-    return Pdp(pdp.bin_spacing_ns, kept, pdp.noise_floor_mw)
+    # Every bin is <= peak, so "reaches the cutoff or is the positive peak" is one cut.
+    lo = min(cutoff, peak) if peak > 0.0 else cutoff
+    return Pdp(pdp.bin_spacing_ns, [p if p >= lo else 0.0 for p in pdp.powers_mw],
+               pdp.noise_floor_mw)
 
 
 def integrate_power_mw(pdp: Pdp) -> float:
@@ -58,9 +59,8 @@ def integrate_power_mw(pdp: Pdp) -> float:
 
 
 def _first_positive_bin(pdp: Pdp) -> int:
-    for k, p in enumerate(pdp.powers_mw):
-        if p > 0.0:
-            return k
+    for k in compress(count(), pdp.powers_mw):  # powers are >= 0: truthy means positive
+        return k
     raise NoMultipathError("PDP has no positive-power bin")
 
 
@@ -78,13 +78,14 @@ def delay_stats(pdp: Pdp) -> DelayStats:
     """
     k0 = _first_positive_bin(pdp)
     dt = pdp.bin_spacing_ns
-    # Zero bins add exact zeros to every sum, so summing positive bins only
-    # leaves each fsum bit-identical.
-    positive = [(k, p) for k, p in enumerate(pdp.powers_mw) if p > 0.0]
-
-    total = math.fsum(p for _, p in positive)
-    first = math.fsum(p * ((k - k0) * dt) for k, p in positive)
-    second = math.fsum(p * ((k - k0) * dt) ** 2 for k, p in positive)
+    # Zero bins add exact zeros to every sum, so summing positive bins only leaves
+    # each fsum bit-identical; powers are >= 0, so those are the truthy bins.
+    powers = pdp.powers_mw
+    positive = list(compress(powers, powers))
+    delays = [(k - k0) * dt for k in compress(count(), powers)]
+    total = math.fsum(positive)
+    first = math.fsum(map(float.__mul__, positive, delays))
+    second = math.fsum([p * d ** 2 for p, d in zip(positive, delays)])
 
     mean_ns = first / total
     second_ns2 = second / total

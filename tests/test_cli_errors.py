@@ -1,0 +1,68 @@
+"""Malformed and out-of-catalog inputs end in their documented exit codes, not tracebacks."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from mmwindoor.cli import EXIT_PARSE, EXIT_VALIDATION, main
+
+ENTRY = {"theta_tx_deg": 0.0, "phi_tx_deg": 0.0, "theta_rx_deg": 0.0, "phi_rx_deg": 0.0,
+         "pdp": {"bin_spacing_ns": 2.5, "noise_floor_mw": 1e-9, "powers_mw": [1e-6, 2e-6]}}
+
+
+def _records(tmp_path, band_ghz=28.0, sweeps=None, **entry_edits):
+    entry = {**ENTRY, **entry_edits}
+    record = {"location_id": "R1", "band_ghz": band_ghz, "env": "LOS", "distance_m": 10.0,
+              "sweeps": [{"sweep_id": "M1", "pol": "VV", "entries": [entry]}]
+              if sweeps is None else sweeps}
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([record]))
+    return str(path)
+
+
+def _invoke(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    return res
+
+
+def test_synthesize_omni_uncataloged_band_exits_3(tmp_path):
+    res = _invoke(["synthesize-omni", _records(tmp_path, band_ghz=60.0)])
+    assert res.exit_code == EXIT_VALIDATION
+    assert "record[0]: no cataloged sounder for 60 GHz" in res.output
+
+
+def test_simulate_uncataloged_band_exits_3(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"band_ghz": 60.0, "env": "LOS", "pol": "VV", "dir": "omni", "n_locations": 10}
+    ))
+    res = _invoke(["simulate", str(config), "-o", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_VALIDATION
+    assert "no cataloged model for (60 GHz, LOS, VV, omni)" in res.output
+
+
+@pytest.mark.parametrize(
+    "edits, where",
+    [
+        ({"theta_tx_deg": "abc"}, "record[0].sweeps[0].entries[0].theta_tx_deg"),
+        ({"sweeps": 5}, "record[0].sweeps"),
+        ({"sweeps": [{"sweep_id": "M1", "pol": "VV", "entries": None}]},
+         "record[0].sweeps[0].entries"),
+        ({"pdp": {"bin_spacing_ns": 2.5, "powers_mw": "123"}},
+         "record[0].sweeps[0].entries[0].pdp"),
+    ],
+)
+def test_synthesize_omni_malformed_record_exits_2(tmp_path, edits, where):
+    res = _invoke(["synthesize-omni", _records(tmp_path, **edits)])
+    assert res.exit_code == EXIT_PARSE
+    assert f"error: {where}" in res.output
+
+
+def test_pdp_stats_string_powers_exit_2(tmp_path):
+    path = tmp_path / "pdps.json"
+    path.write_text('[{"bin_spacing_ns": 2.5, "powers_mw": ["1.0", "2.0"]}]')
+    res = _invoke(["pdp-stats", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert "error: pdp[0]: powers_mw[0] must be a number, got '1.0'" in res.output

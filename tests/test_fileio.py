@@ -1,3 +1,5 @@
+import gc
+import json
 import os
 import stat
 from importlib import resources
@@ -12,6 +14,7 @@ from mmwindoor.core import (
     PathLossSample,
     Pdp,
     Polarization,
+    UnknownCombinationError,
 )
 from mmwindoor.fileio import (
     OutageRow,
@@ -108,6 +111,28 @@ class TestPdpJson:
         with pytest.raises(ParseError):
             parse_pdp_batch('{"bin_spacing_ns": 2.5, "powers_mw": [-1.0]}')
 
+    def test_integer_powers_become_floats(self):
+        (pdp,) = parse_pdp_batch('{"bin_spacing_ns": 2.5, "powers_mw": [0, 3]}')
+        assert pdp.powers_mw == (0.0, 3.0)
+        assert all(type(p) is float for p in pdp.powers_mw)
+
+    @pytest.mark.parametrize(
+        "powers, problem",
+        [
+            ('"123"', "powers_mw must be an array of numbers, got str"),
+            ("true", "powers_mw must be an array of numbers, got bool"),
+            ('{"0": 1.0}', "powers_mw must be an array of numbers, got dict"),
+            ("[1.0, true]", "powers_mw[1] must be a number, got True"),
+            ('[1.0, 2.0, "3.0"]', "powers_mw[2] must be a number, got '3.0'"),
+            ("[null]", "powers_mw[0] must be a number, got None"),
+        ],
+    )
+    def test_powers_must_be_an_array_of_numbers(self, powers, problem):
+        text = '[{"bin_spacing_ns": 2.5, "powers_mw": [1.0]}, {"bin_spacing_ns": 2.5, "powers_mw": %s}]'
+        with pytest.raises(ParseError) as got:
+            parse_pdp_batch(text % powers)
+        assert str(got.value) == f"pdp[1]: {problem}"
+
 
 class TestRecordJson:
     def test_bundled_round_trip(self):
@@ -127,6 +152,55 @@ class TestRecordJson:
     def test_empty_file(self):
         with pytest.raises(EmptyInputError):
             parse_campaign_records("[]")
+
+    @staticmethod
+    def _record(edit=None):
+        entry = {"theta_tx_deg": 0, "phi_tx_deg": 0.0, "theta_rx_deg": 180.0, "phi_rx_deg": 0.0,
+                 "pdp": {"bin_spacing_ns": 2.5, "powers_mw": [1e-6, 2e-6]}}
+        sweep = {"sweep_id": "M1", "pol": "VV", "entries": [entry]}
+        record = {"location_id": "R1", "band_ghz": 28.0, "env": "LOS", "distance_m": 10.0,
+                  "sweeps": [sweep]}
+        if edit is not None:
+            target, key, value = edit
+            {"record": record, "sweep": sweep, "entry": entry, "pdp": entry["pdp"]}[target][key] = value
+        return json.dumps([record])
+
+    def test_integer_angles_become_floats(self):
+        (record,) = parse_campaign_records(self._record())
+        assert record.sweeps[0].entries[0].angle == (0.0, 0.0, 180.0, 0.0)
+        assert type(record.sweeps[0].entries[0].theta_tx_deg) is float
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("pdp", "powers_mw", "123"),
+             "record[0].sweeps[0].entries[0].pdp: powers_mw must be an array of numbers, got str"),
+            (("pdp", "powers_mw", [1.0, True]),
+             "record[0].sweeps[0].entries[0].pdp: powers_mw[1] must be a number, got True"),
+            (("pdp", "powers_mw", ["1e-6"]),
+             "record[0].sweeps[0].entries[0].pdp: powers_mw[0] must be a number, got '1e-6'"),
+            (("entry", "theta_tx_deg", "abc"),
+             "record[0].sweeps[0].entries[0].theta_tx_deg: must be a number, got 'abc'"),
+            (("entry", "phi_rx_deg", "10"),
+             "record[0].sweeps[0].entries[0].phi_rx_deg: must be a number, got '10'"),
+            (("entry", "theta_rx_deg", None),
+             "record[0].sweeps[0].entries[0].theta_rx_deg: must be a number, got None"),
+            (("record", "sweeps", 5), "record[0].sweeps: expected an array, got int"),
+            (("record", "sweeps", {}), "record[0].sweeps: expected an array, got dict"),
+            (("sweep", "entries", None), "record[0].sweeps[0].entries: expected an array, got NoneType"),
+            (("record", "distance_m", None),
+             "record[0]: float() argument must be a string or a real number, not 'NoneType'"),
+        ],
+    )
+    def test_malformed_values_are_parse_errors_with_path(self, edit, message):
+        with pytest.raises(ParseError) as got:
+            parse_campaign_records(self._record(edit=edit))
+        assert str(got.value) == message
+
+    def test_uncataloged_band_names_the_record(self):
+        with pytest.raises(UnknownCombinationError) as got:
+            parse_campaign_records(self._record(edit=("record", "band_ghz", 60.0)))
+        assert str(got.value) == "record[0]: no cataloged sounder for 60 GHz"
 
 
 class TestConfigJson:
@@ -208,6 +282,28 @@ def test_cdf_csv_layout():
     text = emit_cdf_csv([(1.0, 0.5), (2.0, 1.0)])
     assert text.splitlines()[0] == "value,cumulative_probability"
     assert text.splitlines()[1] == "1.0,0.5"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_pdp_batch, '{"bin_spacing_ns": 2.5, "powers_mw": [1.0]}'),
+        (parse_pdp_batch, '{"bin_spacing_ns": 2.5, "powers_mw": "1"}'),
+        (parse_campaign_records, "[]"),
+        (parse_campaign_records, "[{"),
+    ],
+)
+def test_loaders_leave_the_garbage_collector_as_found(parse, text, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            parse(text)
+        except ValueError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_atomic_write_replaces_content(tmp_path):

@@ -1,16 +1,45 @@
-"""The per-profile kernels against the element-by-element versions they replaced.
+"""The per-profile kernels and loaders against the versions they replaced.
 
-``Pdp`` validates its powers in one comparison pass and ``delay_stats`` sums
-positive bins only; both must behave exactly as the loops below: the same
-``DelayStats`` bit for bit, and the same ``ValueError`` text for bad powers.
+``Pdp`` screens its powers with ``min`` and ``sum`` and falls back to the
+element loop only to judge a profile the screen does not pass;
+``threshold_pdp`` keeps bins with one cut and ``delay_stats`` sums positive
+bins only. All must behave exactly as the loops below: the same
+``DelayStats`` and thresholded powers bit for bit, and the same
+``ValueError`` text for bad powers. The JSON loaders must build the same
+objects as the loaders kept below, and fail with the same text wherever the
+old ones did, except for the type checks added since.
 """
 
+import copy
+import json
 import math
+import re
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmwindoor.core import NoMultipathError, Pdp
+from mmwindoor.core import (
+    CampaignRecord,
+    DirectionalSweep,
+    EmptyInputError,
+    Environment,
+    NoMultipathError,
+    Pdp,
+    Polarization,
+    SweepEntry,
+    UnknownCombinationError,
+    band_from_ghz,
+    sounder_lookup,
+)
+from mmwindoor.fileio import (
+    ParseError,
+    _parse_enum,
+    _parse_float,
+    parse_campaign_records,
+    parse_pdp_batch,
+)
 from mmwindoor.pdp import delay_stats, threshold_pdp
 
 SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -80,6 +109,13 @@ def test_delay_stats_bit_identical(pdp, threshold_db, dynamic_range_db):
     assert _bits(cleaned) == _bits(reference_threshold(pdp, threshold_db, dynamic_range_db))
 
 
+@pytest.mark.parametrize("powers", [(-0.0,), (0.0, -0.0, 0.0), (-0.0, -0.0)])
+@pytest.mark.parametrize("noise_floor_mw", [0.0, 1e-9])
+def test_silent_profile_keeps_the_loops_signed_zeros(powers, noise_floor_mw):
+    pdp = Pdp(2.5, powers, noise_floor_mw)
+    assert _bits(threshold_pdp(pdp).powers_mw) == _bits(reference_threshold(pdp, 5.0, 30.0))
+
+
 #: Any float: nan, infinities and negatives must be rejected like the loop did.
 any_power = st.one_of(
     st.floats(),
@@ -112,3 +148,256 @@ def test_bad_power_names_first_offender(bad, index):
         reference_validate_powers(powers)
     assert str(got.value) == str(want.value)
     assert f"powers_mw[{index}]" in str(got.value)
+
+
+_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "powers",
+    [
+        [_MAX, _MAX],
+        [0.0, _MAX, 1.0, _MAX / 2, _MAX / 2],
+        [_MAX / 3] * 4 + [5e-324, -0.0],
+    ],
+)
+def test_valid_powers_whose_sum_overflows_are_accepted(powers):
+    assert math.isinf(sum(powers))
+    assert _bits(Pdp(2.5, tuple(powers)).powers_mw) == _bits(reference_validate_powers(powers))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_bad_power_after_an_overflowing_sum_is_named(bad):
+    powers = [_MAX, _MAX, 1.0, bad, math.nan]
+    with pytest.raises(ValueError) as got:
+        Pdp(2.5, tuple(powers))
+    with pytest.raises(ValueError) as want:
+        reference_validate_powers(powers)
+    assert str(got.value) == str(want.value)
+    assert "powers_mw[3]" in str(got.value)
+
+
+def test_list_powers_are_stored_as_a_tuple_of_floats():
+    powers = [0.0, 1, 2.5, -0.0]
+    pdp = Pdp(2.5, powers)
+    assert type(pdp.powers_mw) is tuple
+    assert _bits(pdp.powers_mw) == _bits(Pdp(2.5, tuple(powers)).powers_mw)
+    assert all(type(p) is float for p in pdp.powers_mw)
+    powers[0] = 9.0  # the profile holds its own copy
+    assert pdp.powers_mw[0] == 0.0
+
+
+# The JSON loaders as they were before the number-type checks, kept as reference.
+
+
+def reference_pdp_from_obj(obj, where: str) -> Pdp:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
+    missing = {"bin_spacing_ns", "powers_mw"} - obj.keys()
+    if missing:
+        raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
+    try:
+        return Pdp(
+            bin_spacing_ns=float(obj["bin_spacing_ns"]),
+            powers_mw=tuple(float(p) for p in obj["powers_mw"]),
+            noise_floor_mw=float(obj.get("noise_floor_mw", 0.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def reference_parse_pdp_batch(text: str) -> list[Pdp]:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    if isinstance(data, dict):
+        data = [data]
+    if not isinstance(data, list):
+        raise ParseError("PDP batch must be a JSON array or object")
+    if not data:
+        raise EmptyInputError("PDP batch is empty")
+    return [reference_pdp_from_obj(obj, f"pdp[{i}]") for i, obj in enumerate(data)]
+
+
+def reference_record_from_obj(obj, where: str) -> CampaignRecord:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
+    required = {"location_id", "band_ghz", "env", "distance_m", "sweeps"}
+    missing = required - obj.keys()
+    if missing:
+        raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
+    band = band_from_ghz(_parse_float(str(obj["band_ghz"]), f"{where}.band_ghz"))
+    sweeps = []
+    for i, s in enumerate(obj["sweeps"]):
+        sw_where = f"{where}.sweeps[{i}]"
+        if not isinstance(s, dict) or not {"sweep_id", "pol", "entries"} <= s.keys():
+            raise ParseError(f"{sw_where}: needs sweep_id, pol and entries")
+        entries = []
+        for j, e in enumerate(s["entries"]):
+            e_where = f"{sw_where}.entries[{j}]"
+            if not isinstance(e, dict):
+                raise ParseError(f"{e_where}: expected an object")
+            missing = {
+                "theta_tx_deg", "phi_tx_deg", "theta_rx_deg", "phi_rx_deg", "pdp"
+            } - e.keys()
+            if missing:
+                raise ParseError(f"{e_where}: missing key(s) {sorted(missing)}")
+            entries.append(
+                SweepEntry(
+                    theta_tx_deg=float(e["theta_tx_deg"]),
+                    phi_tx_deg=float(e["phi_tx_deg"]),
+                    theta_rx_deg=float(e["theta_rx_deg"]),
+                    phi_rx_deg=float(e["phi_rx_deg"]),
+                    pdp=reference_pdp_from_obj(e["pdp"], f"{e_where}.pdp"),
+                )
+            )
+        try:
+            sweeps.append(
+                DirectionalSweep(
+                    sweep_id=str(s["sweep_id"]),
+                    pol=_parse_enum(Polarization, str(s["pol"]), f"{sw_where}.pol"),
+                    entries=tuple(entries),
+                )
+            )
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(f"{sw_where}: {exc}") from None
+    try:
+        return CampaignRecord(
+            location_id=str(obj["location_id"]),
+            distance_m=float(obj["distance_m"]),
+            env=_parse_enum(Environment, str(obj["env"]), f"{where}.env"),
+            sweeps=tuple(sweeps),
+            spec=sounder_lookup(band),
+            tx_height_m=float(obj.get("tx_height_m", 2.5)),
+            rx_height_m=float(obj.get("rx_height_m", 1.5)),
+        )
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def reference_parse_campaign_records(text: str) -> list[CampaignRecord]:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    if isinstance(data, dict):
+        data = [data]
+    if not isinstance(data, list):
+        raise ParseError("sweep-record file must be a JSON array or object")
+    if not data:
+        raise EmptyInputError("sweep-record file is empty")
+    return [reference_record_from_obj(obj, f"record[{i}]") for i, obj in enumerate(data)]
+
+
+_ANGLES = ("theta_tx_deg", "phi_tx_deg", "theta_rx_deg", "phi_rx_deg")
+
+json_power = st.one_of(
+    st.floats(min_value=0.0, max_value=1e3), st.integers(0, 5), st.sampled_from([0.0, -0.0, 1e-300])
+)
+json_pdp = st.fixed_dictionaries(
+    {"bin_spacing_ns": st.sampled_from([2.5, 1, 0.1]),
+     "powers_mw": st.lists(json_power, min_size=1, max_size=6)},
+    optional={"noise_floor_mw": st.sampled_from([0.0, 1e-9, 0])},
+)
+json_entry = st.fixed_dictionaries(
+    {**{k: st.sampled_from([0, 30.0, 90, -30.0, 360.0]) for k in _ANGLES}, "pdp": json_pdp}
+)
+json_sweep = st.fixed_dictionaries(
+    {"sweep_id": st.sampled_from(["M1", "M8"]), "pol": st.sampled_from(["VV", "VH"]),
+     "entries": st.lists(json_entry, max_size=3)}
+)
+json_record = st.fixed_dictionaries(
+    {"location_id": st.sampled_from(["L1", "x,y"]), "band_ghz": st.sampled_from([28.0, 73.5, 28, 60.0]),
+     "env": st.sampled_from(["LOS", "NLOS"]), "distance_m": st.sampled_from([10.0, 4, 50.0]),
+     "sweeps": st.lists(json_sweep, max_size=2)},
+    optional={"tx_height_m": st.sampled_from([2.5, 3]), "rx_height_m": st.just(1.5)},
+)
+#: Values a malformed file may hold anywhere.
+junk = st.sampled_from([
+    None, True, False, "abc", "1.5", "", [], [1.0], ["2"], {}, {"a": 1}, 5, -1.0, 0.0,
+    10**400, math.inf, "M9", "XX", "VV", "LOS", 60.0,
+])
+
+
+def _slots(node, name):
+    """Every place in a JSON document a value sits: (container, key, field name)."""
+    if isinstance(node, dict):
+        for key in list(node):
+            yield node, key, key
+            yield from _slots(node[key], key)
+    elif isinstance(node, list):
+        for i in range(len(node)):
+            yield node, i, f"{name}[]"
+            yield from _slots(node[i], name)
+
+
+def _newly_rejected(field, value):
+    """Whether the loaders' number and array type checks reject this value here."""
+    if field in _ANGLES or field == "powers_mw[]":
+        return type(value) not in (int, float)
+    if field == "powers_mw":
+        return type(value) is not list or any(type(v) not in (int, float) for v in value)
+    if field in ("sweeps", "entries"):
+        return type(value) is not list
+    return False
+
+
+def _outcome(load, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return repr(load(text)), None
+        except Exception as exc:  # noqa: BLE001 - the reference may raise anything
+            return None, exc
+
+
+def _mutated(data, doc):
+    """The document as JSON with one value replaced or one key removed, and whether
+    the loaders' type checks reject the edit."""
+    holder = {"root": copy.deepcopy(doc)}
+    container, key, field = data.draw(st.sampled_from(list(_slots(holder, None))))
+    removable = isinstance(container, dict) and container is not holder
+    value = data.draw(st.one_of(st.just(KeyError), junk) if removable else junk)
+    if value is KeyError:
+        del container[key]
+        return json.dumps(holder["root"]), False
+    container[key] = value
+    return json.dumps(holder["root"]), _newly_rejected(field, value)
+
+
+def _assert_same_outcome(reference, load, text, newly):
+    want, old_exc = _outcome(reference, text)
+    got, new_exc = _outcome(load, text)
+    # Every failure is one the CLI maps to a documented exit code.
+    assert new_exc is None or isinstance(new_exc, (ValueError, UnknownCombinationError)), new_exc
+    if newly:
+        assert isinstance(new_exc, ParseError)
+    elif old_exc is None:
+        assert new_exc is None and got == want
+    elif isinstance(old_exc, UnknownCombinationError):
+        assert type(new_exc) is UnknownCombinationError
+        assert re.fullmatch(rf"record\[\d\]: {re.escape(str(old_exc))}", str(new_exc))
+    elif isinstance(old_exc, ValueError):
+        assert type(new_exc) is type(old_exc) and str(new_exc) == str(old_exc)
+    else:  # TypeError or OverflowError escaped the old loader
+        assert isinstance(new_exc, ParseError)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(json_record, min_size=1, max_size=2), st.data())
+def test_record_loader_matches_reference(records, data):
+    doc = records[0] if len(records) == 1 and data.draw(st.booleans()) else records
+    text, newly = (json.dumps(doc), False) if data.draw(st.booleans()) else _mutated(data, doc)
+    _assert_same_outcome(reference_parse_campaign_records, parse_campaign_records, text, newly)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(json_pdp, min_size=1, max_size=3), st.data())
+def test_pdp_loader_matches_reference(pdps, data):
+    text, newly = (json.dumps(pdps), False) if data.draw(st.booleans()) else _mutated(data, pdps)
+    _assert_same_outcome(reference_parse_pdp_batch, parse_pdp_batch, text, newly)
