@@ -113,18 +113,16 @@ def catalog(full, output):
 def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     """Fit close-in models to path-loss samples, one fit per stratum."""
     samples = _guarded(fileio.parse_pathloss_csv, _read_text(input_csv))
-    samples = [
-        s for s in samples
-        if (band_ghz is None or s.band.ghz == band_ghz)
-        and (env_filter is None or s.env.value == env_filter)
-        and (pol_filter is None or s.pol.value == pol_filter)
-        and (dir_filter is None or s.dir.value == dir_filter)
-    ]
-    if not samples:
+    strata = {
+        (band, env, pol, dir_): group
+        for (band, env, pol, dir_), group in _group_by_stratum(samples).items()
+        if (band_ghz is None or band.ghz == band_ghz)
+        and (env_filter is None or env.value == env_filter)
+        and (pol_filter is None or pol.value == pol_filter)
+        and (dir_filter is None or dir_.value == dir_filter)
+    }
+    if not strata:
         _fail(EXIT_EMPTY, f"no samples: {input_csv} has no fittable rows after filtering")
-    strata: dict = {}
-    for s in samples:
-        strata.setdefault(s.stratum, []).append(s)
 
     d0_m = ctx.obj["d0_m"]
     rows = []
@@ -149,6 +147,27 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     if csv_out:
         fileio.atomic_write(csv_out, fileio.emit_fit_csv(rows))
         click.echo(f"wrote {csv_out}")
+
+
+def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
+    """Samples per stratum, each group in input order.
+
+    Rows are bucketed by the identities of their band and enum members, which
+    hash in C; a stratum's own hash calls their Python-level ``__hash__``. An
+    uncataloged band spelled two ways gives two equal band objects: such a
+    stratum is gathered again by equality.
+    """
+    buckets: dict = {}
+    for s in samples:
+        buckets.setdefault((id(s.band), id(s.env), id(s.pol), id(s.dir)), []).append(s)
+    keys_of: dict = {}
+    for key, group in buckets.items():
+        keys_of.setdefault(group[0].stratum, []).append(key)
+    return {
+        stratum: buckets[keys[0]] if len(keys) == 1
+        else [s for s in samples if s.stratum == stratum]
+        for stratum, keys in keys_of.items()
+    }
 
 
 @main.command(name="pdp-stats")

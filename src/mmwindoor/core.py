@@ -160,9 +160,9 @@ class PathLossSample:
     path_loss_db: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.distance_m) and self.distance_m > 0.0):
+        if not 0.0 < self.distance_m < math.inf:
             raise ValueError(f"distance_m must be finite and > 0, got {self.distance_m!r}")
-        if not (math.isfinite(self.path_loss_db) and self.path_loss_db > 0.0):
+        if not 0.0 < self.path_loss_db < math.inf:
             raise ValueError(f"path_loss_db must be finite and > 0, got {self.path_loss_db!r}")
 
     @property

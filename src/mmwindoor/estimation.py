@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,8 @@ from .core import (
     StratumMismatchError,
 )
 from .pathloss import free_space_pl_db
+
+_stratum_of = attrgetter("band", "env", "pol", "dir")
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,10 @@ def fit_ci_model(
     samples = list(samples)
     if not samples:
         raise EmptyInputError("cannot fit a model to zero samples")
-    strata = {s.stratum for s in samples}
-    if len(strata) > 1:
+    # Tuple equality compares members by identity first, so this check runs in
+    # C; hashing a stratum would call the members' Python-level __hash__.
+    if not all(map(_stratum_of(samples[0]).__eq__, map(_stratum_of, samples))):
+        strata = {s.stratum for s in samples}
         raise StratumMismatchError(
             f"samples span {len(strata)} strata; fit one (band, env, pol, dir) at a time"
         )
@@ -100,7 +105,7 @@ def fit_ci_model(
         ple_hat=ple_hat,
         sigma_hat_db=sigma_hat,
         n_samples=len(samples),
-        residuals_db=tuple(float(r) for r in residuals),
+        residuals_db=tuple(residuals.tolist()),
         d0_m=d0_m,
         band=band,
     )

@@ -10,6 +10,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -51,6 +52,11 @@ _angles_of = itemgetter(*_ANGLE_KEYS)
 _ENTRY_KEYS = frozenset(_ANGLE_KEYS + ("pdp",))
 _SWEEP_KEYS = frozenset({"sweep_id", "pol", "entries"})
 _PDP_KEYS = frozenset({"bin_spacing_ns", "powers_mw"})
+_ENVIRONMENTS = {m.value: m for m in Environment}
+_POLARIZATIONS = {m.value: m for m in Polarization}
+_DIRECTIONALITIES = {m.value: m for m in Directionality}
+#: A UTF-8 byte order mark, as some editors write it before a CSV header.
+_BOM = "\ufeff"
 
 
 class ParseError(ValueError):
@@ -133,6 +139,13 @@ def _parse_float(token: str, field: str, line: int | None = None) -> float:
         raise ParseError(f"{field}: not a number: {token!r}", line) from None
 
 
+def _parse_finite(token: str, field: str, line: int | None = None) -> float:
+    x = _parse_float(token, field, line)
+    if not math.isfinite(x):
+        raise ParseError(f"{field}: not a finite number: {token!r}", line)
+    return x
+
+
 def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
     lines = [PATHLOSS_CSV_HEADER]
     for r in rows:
@@ -144,39 +157,63 @@ def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_pathloss_row(row: list[str], line_no: int, bands: dict) -> PathLossSample | None:
+    """One row, field by field: its sample, None for a blank or outage row, or a
+    ParseError naming the first bad field. A band token that parses joins ``bands``."""
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return None
+    if len(row) != 7:
+        raise ParseError(f"expected 7 fields, found {len(row)}", line=line_no)
+    loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = row
+    if pl_s.strip() == "":
+        return None  # outage row: nothing to fit
+    try:
+        if band_s not in bands:
+            bands[band_s] = band_from_ghz(_parse_float(band_s, "band_ghz", line_no))
+        return PathLossSample(
+            location_id=loc,
+            band=bands[band_s],
+            env=_parse_enum(Environment, env_s, "env", line_no),
+            pol=_parse_enum(Polarization, pol_s, "pol", line_no),
+            dir=_parse_enum(Directionality, dir_s, "dir", line_no),
+            distance_m=_parse_float(dist_s, "distance_m", line_no),
+            path_loss_db=_parse_float(pl_s, "path_loss_db", line_no),
+        )
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line_no) from None
+
+
 def parse_pathloss_csv(text: str) -> list[PathLossSample]:
-    """Parse a path-loss CSV; outage rows (blank loss) are skipped."""
-    reader = csv.reader(io.StringIO(text))
+    """Parse a path-loss CSV; outage rows (blank loss) are skipped.
+
+    Each row is first read with table lookups and plain ``float()``. A row
+    those reject (blank, outage, malformed, or a band token not yet seen) is
+    parsed again field by field, which skips it or names its first bad field.
+    """
+    reader = csv.reader(io.StringIO(text.removeprefix(_BOM)))
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyInputError("empty path-loss CSV: no header row") from None
     if [h.strip() for h in header] != PATHLOSS_CSV_HEADER.split(","):
         raise ParseError(f"unexpected header {','.join(header)!r}", line=1)
+    envs, pols, dirs = _ENVIRONMENTS, _POLARIZATIONS, _DIRECTIONALITIES
+    bands: dict[str, FrequencyBand] = {}  # band token -> band, filled field by field
     samples: list[PathLossSample] = []
+    append = samples.append
     for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 7:
-            raise ParseError(f"expected 7 fields, found {len(row)}", line=line_no)
-        loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = row
-        if pl_s.strip() == "":
-            continue  # outage row: nothing to fit
         try:
-            sample = PathLossSample(
-                location_id=loc,
-                band=band_from_ghz(_parse_float(band_s, "band_ghz", line_no)),
-                env=_parse_enum(Environment, env_s, "env", line_no),
-                pol=_parse_enum(Polarization, pol_s, "pol", line_no),
-                dir=_parse_enum(Directionality, dir_s, "dir", line_no),
-                distance_m=_parse_float(dist_s, "distance_m", line_no),
-                path_loss_db=_parse_float(pl_s, "path_loss_db", line_no),
-            )
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(str(exc), line=line_no) from None
-        samples.append(sample)
+            loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = row
+            append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s], dirs[dir_s],
+                                  float(dist_s), float(pl_s)))
+            continue
+        except (KeyError, ValueError):
+            pass
+        sample = _parse_pathloss_row(row, line_no, bands)
+        if sample is not None:
+            append(sample)
     return samples
 
 
@@ -186,6 +223,13 @@ def _pdp_to_obj(pdp: Pdp) -> dict:
         "noise_floor_mw": pdp.noise_floor_mw,
         "powers_mw": list(pdp.powers_mw),
     }
+
+
+def _check_numbers(where: str, *fields: tuple[str, object]) -> None:
+    """Raise a ParseError naming the first (key, value) field that is not a JSON number."""
+    for key, value in fields:
+        if type(value) not in _NUMBER_TYPES:
+            raise ParseError(f"{where}: {key} must be a number, got {value!r}")
 
 
 def _pdp_from_obj(obj, where: str) -> Pdp:
@@ -200,12 +244,11 @@ def _pdp_from_obj(obj, where: str) -> Pdp:
     if not _NUMBER_TYPES.issuperset(map(type, powers)):
         k = next(k for k, p in enumerate(powers) if type(p) not in _NUMBER_TYPES)
         raise ParseError(f"{where}: powers_mw[{k}] must be a number, got {powers[k]!r}")
+    spacing, floor = obj["bin_spacing_ns"], obj.get("noise_floor_mw", 0.0)
+    if type(spacing) not in _NUMBER_TYPES or type(floor) not in _NUMBER_TYPES:
+        _check_numbers(where, ("bin_spacing_ns", spacing), ("noise_floor_mw", floor))
     try:
-        return Pdp(
-            bin_spacing_ns=float(obj["bin_spacing_ns"]),
-            powers_mw=powers,
-            noise_floor_mw=float(obj.get("noise_floor_mw", 0.0)),
-        )
+        return Pdp(bin_spacing_ns=float(spacing), powers_mw=powers, noise_floor_mw=float(floor))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -317,7 +360,14 @@ def _record_from_obj(obj, where: str) -> CampaignRecord:
     missing = required - obj.keys()
     if missing:
         raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
-    band = band_from_ghz(_parse_float(str(obj["band_ghz"]), f"{where}.band_ghz"))
+    band_ghz, distance_m = obj["band_ghz"], obj["distance_m"]
+    tx_height_m, rx_height_m = obj.get("tx_height_m", 2.5), obj.get("rx_height_m", 1.5)
+    _check_numbers(where, ("band_ghz", band_ghz), ("distance_m", distance_m),
+                   ("tx_height_m", tx_height_m), ("rx_height_m", rx_height_m))
+    try:
+        band = band_from_ghz(float(band_ghz))
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
     sweeps = []
     for i, s in enumerate(_array(obj["sweeps"], where, ".sweeps")):
         sw_where = f"{where}.sweeps[{i}]"
@@ -344,12 +394,12 @@ def _record_from_obj(obj, where: str) -> CampaignRecord:
     try:
         return CampaignRecord(
             location_id=str(obj["location_id"]),
-            distance_m=float(obj["distance_m"]),
+            distance_m=float(distance_m),
             env=_parse_enum(Environment, str(obj["env"]), f"{where}.env"),
             sweeps=tuple(sweeps),
             spec=sounder_lookup(band),
-            tx_height_m=float(obj.get("tx_height_m", 2.5)),
-            rx_height_m=float(obj.get("rx_height_m", 1.5)),
+            tx_height_m=float(tx_height_m),
+            rx_height_m=float(rx_height_m),
         )
     except ParseError:
         raise
@@ -478,7 +528,7 @@ def emit_fit_csv(rows: Iterable[tuple[Environment, Polarization, Directionality,
 
 
 def parse_fit_csv(text: str) -> list[dict]:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix(_BOM)))
     try:
         header = next(reader)
     except StopIteration:
@@ -537,7 +587,8 @@ def emit_delay_stats_csv(
 
 
 def parse_spread_values(text: str) -> list[float]:
-    """Delay-spread values from either a delay-stats CSV or a one-column file."""
+    """Finite delay-spread values from either a delay-stats CSV or a one-column file."""
+    text = text.removeprefix(_BOM)
     stripped = text.strip()
     if not stripped:
         raise EmptyInputError("spread-values file is empty")
@@ -554,14 +605,14 @@ def parse_spread_values(text: str) -> list[float]:
                 continue
             if row[col].strip() == "":
                 continue  # flagged no-multipath row
-            values.append(_parse_float(row[col], "rms_delay_spread_ns", line_no))
+            values.append(_parse_finite(row[col], "rms_delay_spread_ns", line_no))
     else:
         values = []
         for line_no, line in enumerate(stripped.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
-            values.append(_parse_float(line, "value", line_no))
+            values.append(_parse_finite(line, "value", line_no))
     if not values:
         raise EmptyInputError("no delay-spread values found")
     return values

@@ -95,7 +95,7 @@ def unique_angle_powers_mw(
                 powers[angle] = p
     if duplicates:
         warnings.warn(
-            f"record {record.location_id!r}: {duplicates} pointing angle(s) were "
+            f"record {record.location_id!r} ({pol.value}): {duplicates} pointing angle(s) were "
             "re-measured across sweeps; keeping the strongest acquisition of each",
             DuplicateAngleWarning,
             stacklevel=2,

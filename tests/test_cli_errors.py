@@ -1,4 +1,5 @@
-"""Malformed and out-of-catalog inputs end in their documented exit codes, not tracebacks."""
+"""Malformed and out-of-catalog inputs end in their documented exit codes, not
+tracebacks, and warnings say which record and polarization they concern."""
 
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from mmwindoor.cli import EXIT_PARSE, EXIT_VALIDATION, main
+from mmwindoor.fileio import PATHLOSS_CSV_HEADER
 
 ENTRY = {"theta_tx_deg": 0.0, "phi_tx_deg": 0.0, "theta_rx_deg": 0.0, "phi_rx_deg": 0.0,
          "pdp": {"bin_spacing_ns": 2.5, "noise_floor_mw": 1e-9, "powers_mw": [1e-6, 2e-6]}}
@@ -66,3 +68,57 @@ def test_pdp_stats_string_powers_exit_2(tmp_path):
     res = _invoke(["pdp-stats", str(path)])
     assert res.exit_code == EXIT_PARSE
     assert "error: pdp[0]: powers_mw[0] must be a number, got '1.0'" in res.output
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"band_ghz": "28"}, "record[0]: band_ghz must be a number, got '28'"),
+        ({"band_ghz": -28.0}, "record[0]: band_ghz must be finite and > 0, got -28.0"),
+        ({"distance_m": True}, "record[0]: distance_m must be a number, got True"),
+    ],
+)
+def test_synthesize_omni_bad_record_number_exits_2(tmp_path, edits, message):
+    record = {"location_id": "R1", "band_ghz": 28.0, "env": "LOS", "distance_m": 10.0,
+              "sweeps": [{"sweep_id": "M1", "pol": "VV", "entries": [ENTRY]}], **edits}
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([record]))
+    res = _invoke(["synthesize-omni", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert f"error: {message}" in res.output
+
+
+def test_pdp_stats_string_bin_spacing_exits_2(tmp_path):
+    path = tmp_path / "pdps.json"
+    path.write_text('[{"bin_spacing_ns": "2.5", "powers_mw": [1.0, 2.0]}]')
+    res = _invoke(["pdp-stats", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert "error: pdp[0]: bin_spacing_ns must be a number, got '2.5'" in res.output
+
+
+def test_report_non_finite_spread_exits_2(tmp_path):
+    path = tmp_path / "spreads.txt"
+    path.write_text("1.0\nnan\ninf\n")
+    res = _invoke(["report", "--spreads", str(path), "-o", str(tmp_path)])
+    assert res.exit_code == EXIT_PARSE
+    assert "error: line 2: value: not a finite number: 'nan'" in res.output
+
+
+def test_fit_accepts_a_bom_before_the_header(tmp_path):
+    path = tmp_path / "pathloss.csv"
+    path.write_text("\ufeff" + PATHLOSS_CSV_HEADER + "\na,28.0,LOS,VV,omni,10.0,70.0\n"
+                    "b,28.0,LOS,VV,omni,20.0,78.0\n", encoding="utf-8")
+    res = _invoke(["fit", str(path)])
+    assert res.exit_code == 0, res.output
+    assert "28 GHz" in res.output
+
+
+def test_duplicate_angle_warnings_name_the_polarization(tmp_path):
+    sweeps = [{"sweep_id": sweep_id, "pol": pol, "entries": [ENTRY]}
+              for pol in ("VV", "VH") for sweep_id in ("M1", "M7")]
+    res = _invoke(["synthesize-omni", _records(tmp_path, sweeps=sweeps)])
+    assert res.exit_code == 0, res.output
+    lines = [line for line in res.stderr.splitlines() if "re-measured" in line]
+    assert len(lines) == 2 and lines[0] != lines[1]
+    assert "record 'R1' (VH): 1 pointing angle(s) were re-measured" in lines[0]
+    assert "record 'R1' (VV): 1 pointing angle(s) were re-measured" in lines[1]

@@ -75,6 +75,10 @@ class TestPathlossCsv:
         with pytest.raises(EmptyInputError):
             parse_pathloss_csv("")
 
+    def test_leading_bom_is_ignored(self):
+        text = bundled("campaign_28ghz_nlos_vv_omni.csv")
+        assert parse_pathloss_csv("\ufeff" + text) == parse_pathloss_csv(text)
+
     def test_outage_rows_skipped(self):
         sample = PathLossSample("a", BAND_28GHZ, Environment.NLOS, Polarization.VV,
                                 Directionality.OMNI, 10.0, 90.0)
@@ -134,6 +138,21 @@ class TestPdpJson:
         assert str(got.value) == f"pdp[1]: {problem}"
 
 
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ('"bin_spacing_ns": "2.5"', "bin_spacing_ns must be a number, got '2.5'"),
+            ('"bin_spacing_ns": true', "bin_spacing_ns must be a number, got True"),
+            ('"bin_spacing_ns": 2.5, "noise_floor_mw": "0"', "noise_floor_mw must be a number, got '0'"),
+            ('"bin_spacing_ns": 2.5, "noise_floor_mw": null', "noise_floor_mw must be a number, got None"),
+        ],
+    )
+    def test_numeric_fields_must_be_numbers(self, fields, problem):
+        with pytest.raises(ParseError) as got:
+            parse_pdp_batch('[{%s, "powers_mw": [1.0]}]' % fields)
+        assert str(got.value) == f"pdp[0]: {problem}"
+
+
 class TestRecordJson:
     def test_bundled_round_trip(self):
         text = bundled("sweep_records_28ghz.json")
@@ -188,8 +207,17 @@ class TestRecordJson:
             (("record", "sweeps", 5), "record[0].sweeps: expected an array, got int"),
             (("record", "sweeps", {}), "record[0].sweeps: expected an array, got dict"),
             (("sweep", "entries", None), "record[0].sweeps[0].entries: expected an array, got NoneType"),
-            (("record", "distance_m", None),
-             "record[0]: float() argument must be a string or a real number, not 'NoneType'"),
+            (("record", "distance_m", None), "record[0]: distance_m must be a number, got None"),
+            (("record", "distance_m", True), "record[0]: distance_m must be a number, got True"),
+            (("record", "tx_height_m", "2.5"), "record[0]: tx_height_m must be a number, got '2.5'"),
+            (("record", "rx_height_m", False), "record[0]: rx_height_m must be a number, got False"),
+            (("record", "band_ghz", "28"), "record[0]: band_ghz must be a number, got '28'"),
+            (("record", "band_ghz", -28.0), "record[0]: band_ghz must be finite and > 0, got -28.0"),
+            (("record", "band_ghz", 10**400), "record[0]: int too large to convert to float"),
+            (("pdp", "bin_spacing_ns", "2.5"),
+             "record[0].sweeps[0].entries[0].pdp: bin_spacing_ns must be a number, got '2.5'"),
+            (("pdp", "noise_floor_mw", True),
+             "record[0].sweeps[0].entries[0].pdp: noise_floor_mw must be a number, got True"),
         ],
     )
     def test_malformed_values_are_parse_errors_with_path(self, edit, message):
@@ -257,6 +285,10 @@ class TestFitCsv:
         with pytest.raises(EmptyInputError):
             parse_fit_csv("band_ghz,env,pol,dir,ple,sigma_db,d0_m\n")
 
+    def test_leading_bom_is_ignored(self):
+        text = "band_ghz,env,pol,dir,ple,sigma_db,d0_m\n28.0,LOS,VV,omni,1.1,1.7,1.0\n"
+        assert parse_fit_csv("\ufeff" + text) == parse_fit_csv(text)
+
 
 class TestSpreadValues:
     def test_plain_values(self):
@@ -276,6 +308,34 @@ class TestSpreadValues:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             parse_spread_values("\n\n")
+
+    @staticmethod
+    def _stats_csv(rms):
+        from mmwindoor.estimation import SpreadSummary
+        from mmwindoor.pdp import DelayStats
+
+        text = emit_delay_stats_csv([(0, "ok", DelayStats(5.0, 50.0, 5.0, 2.0))],
+                                    SpreadSummary(5.0, 0.0, 5.0, 5.0))
+        return text.replace(",5.0,5.0,2.0,", f",5.0,{rms},2.0,")
+
+    @pytest.mark.parametrize("form", ["column", "delay-stats"])
+    def test_leading_bom_is_ignored(self, form):
+        text = "1.0\n2.5\n" if form == "column" else self._stats_csv("2.5")
+        assert parse_spread_values("\ufeff" + text) == parse_spread_values(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.0\nnan\ninf\n", "line 2: value: not a finite number: 'nan'"),
+            ("1.0\n\n2.0\n -inf\n", "line 4: value: not a finite number: '-inf'"),
+            ("1e999\n", "line 1: value: not a finite number: '1e999'"),
+            (None, "line 2: rms_delay_spread_ns: not a finite number: 'inf'"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, text, message):
+        with pytest.raises(ParseError) as got:
+            parse_spread_values(self._stats_csv("inf") if text is None else text)
+        assert str(got.value) == message
 
 
 def test_cdf_csv_layout():

@@ -7,7 +7,8 @@ bins only. All must behave exactly as the loops below: the same
 ``DelayStats`` and thresholded powers bit for bit, and the same
 ``ValueError`` text for bad powers. The JSON loaders must build the same
 objects as the loaders kept below, and fail with the same text wherever the
-old ones did, except for the type checks added since.
+old ones did, except for the type checks added since and the record path
+that an out-of-domain ``band_ghz`` now carries.
 """
 
 import copy
@@ -336,9 +337,14 @@ def _slots(node, name):
             yield from _slots(node[i], name)
 
 
+#: Scalar fields the loaders now require to be JSON numbers.
+_NUMBER_FIELDS = ("bin_spacing_ns", "noise_floor_mw", "distance_m", "tx_height_m",
+                  "rx_height_m", "band_ghz")
+
+
 def _newly_rejected(field, value):
     """Whether the loaders' number and array type checks reject this value here."""
-    if field in _ANGLES or field == "powers_mw[]":
+    if field in _ANGLES or field in _NUMBER_FIELDS or field == "powers_mw[]":
         return type(value) not in (int, float)
     if field == "powers_mw":
         return type(value) is not list or any(type(v) not in (int, float) for v in value)
@@ -382,6 +388,9 @@ def _assert_same_outcome(reference, load, text, newly):
     elif isinstance(old_exc, UnknownCombinationError):
         assert type(new_exc) is UnknownCombinationError
         assert re.fullmatch(rf"record\[\d\]: {re.escape(str(old_exc))}", str(new_exc))
+    elif type(old_exc) is ValueError:  # an out-of-domain band_ghz, which had no record path
+        assert str(old_exc).startswith("band_ghz must be finite and > 0")
+        assert type(new_exc) is ParseError and re.match(r"record\[\d\]: ", str(new_exc))
     elif isinstance(old_exc, ValueError):
         assert type(new_exc) is type(old_exc) and str(new_exc) == str(old_exc)
     else:  # TypeError or OverflowError escaped the old loader
