@@ -40,12 +40,9 @@ from .core import (
     ci_model_rows,
     delay_spread_lookup,
     full_catalog_dump,
-    mw_to_dbm,
-    dbm_to_mw,
     sounder_lookup,
     to_db,
     to_linear,
-    wavelength_m,
 )
 from .estimation import (
     FitResult,
@@ -62,7 +59,6 @@ from .omni import (
     unique_angle_powers_mw,
 )
 from .pathloss import (
-    ShadowingDraw,
     draw_shadowing,
     free_space_pl_db,
     mean_path_loss_db,

@@ -8,6 +8,7 @@ directory comes from ``MMWINDOOR_OUTPUT_DIR`` when set.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -43,7 +44,7 @@ def _guarded(fn, *args, **kwargs):
         _fail(EXIT_EMPTY, f"no samples: {exc}")
     except fileio.ParseError as exc:
         _fail(EXIT_PARSE, str(exc))
-    except (ValueError, core.UnknownCombinationError) as exc:
+    except (ValueError, OverflowError, core.UnknownCombinationError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
 
@@ -178,27 +179,16 @@ def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
 def pdp_stats(ctx, input_json, csv_out):
     """Delay statistics for a batch of PDPs: one row per PDP plus a summary."""
     profiles = _guarded(fileio.parse_pdp_batch, _read_text(input_json))
-    threshold = ctx.obj["threshold_db"]
-    dyn_range = ctx.obj["dynamic_range_db"]
-
-    per_pdp = []
-    spreads = []
+    per_pdp, summary = _guarded(_delay_table, ctx, profiles)
     click.echo(f"{'pdp':>5} {'status':>14} {'mean_ns':>10} {'rms_ns':>10} {'power_mw':>12}")
-    for i, profile in enumerate(profiles):
-        cleaned = pdp.threshold_pdp(profile, threshold, dyn_range)
-        try:
-            stats = pdp.delay_stats(cleaned)
-        except core.NoMultipathError:
-            per_pdp.append((i, "no-multipath", None))
-            click.echo(f"{i:>5d} {'no-multipath':>14} {'-':>10} {'-':>10} {'-':>12}")
-            continue
-        per_pdp.append((i, "ok", stats))
-        spreads.append(stats.rms_delay_spread_ns)
-        click.echo(
-            f"{i:>5d} {'ok':>14} {stats.mean_excess_delay_ns:>10.3f} "
-            f"{stats.rms_delay_spread_ns:>10.3f} {stats.total_power_mw:>12.6g}"
-        )
-    summary = estimation.summarize_spreads(spreads) if spreads else None
+    for i, status, stats in per_pdp:
+        if stats is None:
+            click.echo(f"{i:>5d} {status:>14} {'-':>10} {'-':>10} {'-':>12}")
+        else:
+            click.echo(
+                f"{i:>5d} {status:>14} {stats.mean_excess_delay_ns:>10.3f} "
+                f"{stats.rms_delay_spread_ns:>10.3f} {stats.total_power_mw:>12.6g}"
+            )
     if summary is not None:
         click.echo(
             f"summary: mean {summary.mean_ns:.3f} ns, std {summary.std_ns:.3f} ns, "
@@ -209,6 +199,26 @@ def pdp_stats(ctx, input_json, csv_out):
     if csv_out:
         fileio.atomic_write(csv_out, fileio.emit_delay_stats_csv(per_pdp, summary))
         click.echo(f"wrote {csv_out}")
+
+
+def _delay_table(ctx: click.Context, profiles: list[core.Pdp]) -> tuple[list, object]:
+    """One ``(index, status, DelayStats or None)`` row per thresholded profile, and the
+    summary of their RMS delay spreads (None when no profile had detectable multipath)."""
+    threshold, dyn_range = ctx.obj["threshold_db"], ctx.obj["dynamic_range_db"]
+    per_pdp = []
+    spreads = []
+    for i, profile in enumerate(profiles):
+        cleaned = pdp.threshold_pdp(profile, threshold, dyn_range)
+        try:
+            stats = pdp.delay_stats(cleaned)
+        except core.NoMultipathError:
+            per_pdp.append((i, "no-multipath", None))
+            continue
+        except (OverflowError, ValueError) as exc:  # finite inputs, non-finite sums or moments
+            raise ValueError(f"pdp[{i}]: {exc}") from None
+        per_pdp.append((i, "ok", stats))
+        spreads.append(stats.rms_delay_spread_ns)
+    return per_pdp, estimation.summarize_spreads(spreads) if spreads else None
 
 
 @main.command(name="synthesize-omni")
@@ -222,9 +232,18 @@ def synthesize_omni(ctx, record_json, csv_out):
         warnings.simplefilter("always")
         records = _guarded(fileio.parse_campaign_records, _read_text(record_json))
     _echo_warnings(caught)  # e.g. distances outside the measured span
-    threshold = ctx.obj["threshold_db"]
-    dyn_range = ctx.obj["dynamic_range_db"]
+    text = fileio.emit_pathloss_csv(_guarded(_omni_rows, ctx, records))
+    if csv_out:
+        fileio.atomic_write(csv_out, text)
+        click.echo(f"wrote {csv_out}")
+    else:
+        click.echo(text, nl=False)
 
+
+def _omni_rows(ctx: click.Context, records: list[core.CampaignRecord]
+               ) -> list[core.PathLossSample | fileio.OutageRow]:
+    """One omni path-loss sample, or outage row, per record and polarization."""
+    threshold, dyn_range = ctx.obj["threshold_db"], ctx.obj["dynamic_range_db"]
     rows: list[core.PathLossSample | fileio.OutageRow] = []
     for record in records:
         pols = sorted({s.pol for s in record.sweeps}, key=lambda p: p.value)
@@ -241,6 +260,9 @@ def synthesize_omni(ctx, record_json, csv_out):
                     )
                     _echo_warnings(caught)
                     continue
+                except OverflowError as exc:  # finite powers whose sums are not
+                    raise OverflowError(
+                        f"record {record.location_id!r} ({pol.value}): {exc}") from None
             _echo_warnings(caught)
             rows.append(
                 core.PathLossSample(
@@ -253,12 +275,7 @@ def synthesize_omni(ctx, record_json, csv_out):
                     path_loss_db=pl_db,
                 )
             )
-    text = fileio.emit_pathloss_csv(rows)
-    if csv_out:
-        fileio.atomic_write(csv_out, text)
-        click.echo(f"wrote {csv_out}")
-    else:
-        click.echo(text, nl=False)
+    return rows
 
 
 @main.command(name="simulate")
@@ -274,12 +291,7 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
         click.echo("warning: --workers is ignored; generation is serial", err=True)
     config = _guarded(fileio.parse_campaign_config, _read_text(config_json))
     if ctx.obj["seed"] is not None:
-        config = simulate.CampaignConfig(
-            band=config.band, env=config.env, pol=config.pol, dir=config.dir,
-            n_locations=config.n_locations, distance_range_m=config.distance_range_m,
-            seed=ctx.obj["seed"], params_override=config.params_override,
-            pdp_synthesis=config.pdp_synthesis,
-        )
+        config = dataclasses.replace(config, seed=ctx.obj["seed"])
 
     samples = _guarded(simulate.generate_pathloss_campaign, config)
     campaign_path = _out_path(ctx, "campaign.csv", out_dir)
@@ -317,18 +329,7 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
         pdps_path = _out_path(ctx, "pdps.json", out_dir)
         fileio.atomic_write(pdps_path, fileio.emit_pdp_batch(profiles))
         click.echo(f"wrote {pdps_path}")
-        per_pdp = []
-        spreads = []
-        for i, profile in enumerate(profiles):
-            cleaned = pdp.threshold_pdp(profile, ctx.obj["threshold_db"], ctx.obj["dynamic_range_db"])
-            try:
-                stats = pdp.delay_stats(cleaned)
-            except core.NoMultipathError:
-                per_pdp.append((i, "no-multipath", None))
-                continue
-            per_pdp.append((i, "ok", stats))
-            spreads.append(stats.rms_delay_spread_ns)
-        summary = estimation.summarize_spreads(spreads) if spreads else None
+        per_pdp, summary = _guarded(_delay_table, ctx, profiles)
         stats_path = _out_path(ctx, "delay_stats.csv", out_dir)
         fileio.atomic_write(stats_path, fileio.emit_delay_stats_csv(per_pdp, summary))
         click.echo(f"wrote {stats_path}")

@@ -63,10 +63,6 @@ def to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-# Powers in this package are mW / dBm; these aliases keep link-budget code readable.
-mw_to_dbm = to_db
-dbm_to_mw = to_linear
-
 
 class Environment(Enum):
     LOS = "LOS"
@@ -119,11 +115,6 @@ def band_from_ghz(band_ghz: float) -> FrequencyBand:
     return FrequencyBand(band_ghz * 1e9, f"{band_ghz:g} GHz")
 
 
-def wavelength_m(band: FrequencyBand) -> float:
-    """Carrier wavelength in meters."""
-    return band.wavelength_m
-
-
 @dataclass(frozen=True)
 class CiModelParams:
     """One close-in free-space reference path loss model: exponent + shadow factor."""
@@ -139,8 +130,8 @@ class CiModelParams:
     def __post_init__(self) -> None:
         if self.ple <= 0.0:
             raise ValueError(f"ple must be > 0, got {self.ple!r}")
-        if self.shadow_sigma_db < 0.0:
-            raise ValueError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db!r}")
+        if not 0.0 <= self.shadow_sigma_db < math.inf:  # so every shadowing draw is finite
+            raise ValueError(f"shadow_sigma_db must be finite and >= 0, got {self.shadow_sigma_db!r}")
         if self.d0_m <= 0.0:
             raise ValueError(f"d0_m must be > 0, got {self.d0_m!r}")
         if self.env is Environment.NLOS_BEST and self.dir is not Directionality.DIRECTIONAL:

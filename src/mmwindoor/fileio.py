@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .core import (
     CampaignRecord,
+    CiModelParams,
     Directionality,
     DirectionalSweep,
     EmptyInputError,
@@ -52,6 +53,10 @@ _angles_of = itemgetter(*_ANGLE_KEYS)
 _ENTRY_KEYS = frozenset(_ANGLE_KEYS + ("pdp",))
 _SWEEP_KEYS = frozenset({"sweep_id", "pol", "entries"})
 _PDP_KEYS = frozenset({"bin_spacing_ns", "powers_mw"})
+_CONFIG_KEYS = frozenset({"band_ghz", "env", "pol", "dir", "n_locations", "distance_range_m",
+                          "seed", "params_override", "pdp_synthesis"})
+_PDP_SYNTHESIS_KEYS = frozenset({"tap_count_range", "decay_ns", "span_ns", "tap_power_sigma_db",
+                                 "noise_floor_mw", "fixed_tap_delays_ns"})
 _ENVIRONMENTS = {m.value: m for m in Environment}
 _POLARIZATIONS = {m.value: m for m in Polarization}
 _DIRECTIONALITIES = {m.value: m for m in Directionality}
@@ -146,6 +151,21 @@ def _parse_finite(token: str, field: str, line: int | None = None) -> float:
     return x
 
 
+def _csv_body(text: str, header: str, empty_message: str):
+    """A reader past the checked header of ``text`` (one leading BOM ignored); an
+    empty text is an EmptyInputError(empty_message), a bad header a ParseError."""
+    reader = csv.reader(io.StringIO(text.removeprefix(_BOM)))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise EmptyInputError(empty_message) from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=1) from None
+    if [h.strip() for h in first] != header.split(","):
+        raise ParseError(f"unexpected header {','.join(first)!r}", line=1)
+    return reader
+
+
 def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
     lines = [PATHLOSS_CSV_HEADER]
     for r in rows:
@@ -192,28 +212,25 @@ def parse_pathloss_csv(text: str) -> list[PathLossSample]:
     those reject (blank, outage, malformed, or a band token not yet seen) is
     parsed again field by field, which skips it or names its first bad field.
     """
-    reader = csv.reader(io.StringIO(text.removeprefix(_BOM)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError("empty path-loss CSV: no header row") from None
-    if [h.strip() for h in header] != PATHLOSS_CSV_HEADER.split(","):
-        raise ParseError(f"unexpected header {','.join(header)!r}", line=1)
+    reader = _csv_body(text, PATHLOSS_CSV_HEADER, "empty path-loss CSV: no header row")
     envs, pols, dirs = _ENVIRONMENTS, _POLARIZATIONS, _DIRECTIONALITIES
     bands: dict[str, FrequencyBand] = {}  # band token -> band, filled field by field
     samples: list[PathLossSample] = []
     append = samples.append
-    for line_no, row in enumerate(reader, start=2):
-        try:
-            loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = row
-            append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s], dirs[dir_s],
-                                  float(dist_s), float(pl_s)))
-            continue
-        except (KeyError, ValueError):
-            pass
-        sample = _parse_pathloss_row(row, line_no, bands)
-        if sample is not None:
-            append(sample)
+    try:  # a csv.Error ends the parse, so one handler around the loop keeps rows cheap
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = row
+                append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s], dirs[dir_s],
+                                      float(dist_s), float(pl_s)))
+                continue
+            except (KeyError, ValueError):
+                pass
+            sample = _parse_pathloss_row(row, line_no, bands)
+            if sample is not None:
+                append(sample)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(str(exc), line=reader.line_num) from None
     return samples
 
 
@@ -225,11 +242,12 @@ def _pdp_to_obj(pdp: Pdp) -> dict:
     }
 
 
-def _check_numbers(where: str, *fields: tuple[str, object]) -> None:
-    """Raise a ParseError naming the first (key, value) field that is not a JSON number."""
+def _check_types(where: str, *fields: tuple[str, object],
+                 types=_NUMBER_TYPES, kind: str = "a number") -> None:
+    """Raise a ParseError naming the first (key, value) field whose JSON type is not in ``types``."""
     for key, value in fields:
-        if type(value) not in _NUMBER_TYPES:
-            raise ParseError(f"{where}: {key} must be a number, got {value!r}")
+        if type(value) not in types:
+            raise ParseError(f"{where}: {key} must be {kind}, got {value!r}")
 
 
 def _pdp_from_obj(obj, where: str) -> Pdp:
@@ -246,7 +264,7 @@ def _pdp_from_obj(obj, where: str) -> Pdp:
         raise ParseError(f"{where}: powers_mw[{k}] must be a number, got {powers[k]!r}")
     spacing, floor = obj["bin_spacing_ns"], obj.get("noise_floor_mw", 0.0)
     if type(spacing) not in _NUMBER_TYPES or type(floor) not in _NUMBER_TYPES:
-        _check_numbers(where, ("bin_spacing_ns", spacing), ("noise_floor_mw", floor))
+        _check_types(where, ("bin_spacing_ns", spacing), ("noise_floor_mw", floor))
     try:
         return Pdp(bin_spacing_ns=float(spacing), powers_mw=powers, noise_floor_mw=float(floor))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -268,26 +286,37 @@ def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
     return "[\n" + objs + "\n]\n"
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # an integer over 4300 digits; deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
+
+
 def _parse_json_items(text: str, what: str, build, item: str) -> list:
     """Build each element of a JSON array (a single object is an array of one).
 
     The cyclic garbage collector is paused meanwhile: loading creates no
     cycles, yet every collection it would trigger walks each list of powers.
+    Each decoded element is released once its objects are built.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+        data = _load_json(text)
         if isinstance(data, dict):
             data = [data]
         if not isinstance(data, list):
             raise ParseError(f"{what} must be a JSON array or object")
         if not data:
             raise EmptyInputError(f"{what} is empty")
-        return [build(obj, f"{item}[{i}]") for i, obj in enumerate(data)]
+        built = []
+        for i in range(len(data)):
+            obj, data[i] = data[i], None
+            built.append(build(obj, f"{item}[{i}]"))
+        return built
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -362,8 +391,8 @@ def _record_from_obj(obj, where: str) -> CampaignRecord:
         raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
     band_ghz, distance_m = obj["band_ghz"], obj["distance_m"]
     tx_height_m, rx_height_m = obj.get("tx_height_m", 2.5), obj.get("rx_height_m", 1.5)
-    _check_numbers(where, ("band_ghz", band_ghz), ("distance_m", distance_m),
-                   ("tx_height_m", tx_height_m), ("rx_height_m", rx_height_m))
+    _check_types(where, ("band_ghz", band_ghz), ("distance_m", distance_m),
+                 ("tx_height_m", tx_height_m), ("rx_height_m", rx_height_m))
     try:
         band = band_from_ghz(float(band_ghz))
     except (ValueError, OverflowError) as exc:
@@ -445,70 +474,95 @@ def emit_campaign_config(config: CampaignConfig) -> str:
     return json.dumps(config_to_obj(config), indent=2) + "\n"
 
 
-def parse_campaign_config(text: str) -> CampaignConfig:
-    """Parse and validate a campaign config; error messages name the bad field."""
+def _config_float(key: str, value) -> float:
+    """A config field that must be a JSON number, as a float."""
+    _check_types("campaign config", (key, value))
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(f"campaign config: {key}: {exc}") from None
+
+
+def _config_int(key: str, value) -> int:
+    """A config field that must be a JSON integer (``true`` is not one)."""
+    _check_types("campaign config", (key, value), types=(int,), kind="an integer")
+    return value
+
+
+def _config_pair(key: str, value, element) -> tuple:
+    if type(value) is not list or len(value) != 2:
+        raise ParseError(f"campaign config: {key} must be a [min, max] pair, got {value!r}")
+    return (element(f"{key}[0]", value[0]), element(f"{key}[1]", value[1]))
+
+
+def _check_keys(where: str, obj: dict, known: frozenset) -> None:
+    unknown = obj.keys() - known
+    if unknown:
+        raise ParseError(f"{where}: unknown key(s) {sorted(unknown)}")
+
+
+def parse_campaign_config(text: str) -> CampaignConfig:
+    """Parse and validate a campaign config; error messages name the bad field.
+
+    A field of the wrong JSON type or an unknown key is a ParseError; a value
+    of the right type outside its domain is a ValueError.
+    """
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise ParseError("campaign config must be a JSON object")
     required = {"band_ghz", "env", "pol", "dir", "n_locations"}
     missing = required - obj.keys()
     if missing:
         raise ValueError(f"campaign config: missing key(s) {sorted(missing)}")
+    _check_keys("campaign config", obj, _CONFIG_KEYS)
+    _check_types("campaign config", ("env", obj["env"]), ("pol", obj["pol"]),
+                 ("dir", obj["dir"]), types=(str,), kind="a string")
 
-    band = band_from_ghz(_parse_float(str(obj["band_ghz"]), "band_ghz"))
-    env = _parse_enum(Environment, str(obj["env"]), "env")
-    pol = _parse_enum(Polarization, str(obj["pol"]), "pol")
-    dir_ = _parse_enum(Directionality, str(obj["dir"]), "dir")
-    if not isinstance(obj["n_locations"], int):
-        raise ValueError(f"n_locations: must be an integer, got {obj['n_locations']!r}")
+    band = band_from_ghz(_config_float("band_ghz", obj["band_ghz"]))
+    env = _parse_enum(Environment, obj["env"], "env")
+    pol = _parse_enum(Polarization, obj["pol"], "pol")
+    dir_ = _parse_enum(Directionality, obj["dir"], "dir")
+    n_locations = _config_int("n_locations", obj["n_locations"])
 
     params_override = None
     if obj.get("params_override") is not None:
         po = obj["params_override"]
-        if not isinstance(po, dict) or "ple" not in po or "sigma_db" not in po:
+        _check_types("campaign config", ("params_override", po), types=(dict,), kind="an object")
+        if "ple" not in po or "sigma_db" not in po:
             raise ValueError("params_override: needs ple and sigma_db")
-        from .core import CiModelParams
-
         params_override = CiModelParams(
             band=band, env=env, pol=pol, dir=dir_,
-            ple=float(po["ple"]),
-            shadow_sigma_db=float(po["sigma_db"]),
-            d0_m=float(po.get("d0_m", 1.0)),
+            ple=_config_float("params_override.ple", po["ple"]),
+            shadow_sigma_db=_config_float("params_override.sigma_db", po["sigma_db"]),
+            d0_m=_config_float("params_override.d0_m", po.get("d0_m", 1.0)),
         )
 
     pdp_synthesis = None
     if obj.get("pdp_synthesis") is not None:
         ps = obj["pdp_synthesis"]
-        if not isinstance(ps, dict):
-            raise ValueError("pdp_synthesis: must be an object")
-        known = {
-            "tap_count_range", "decay_ns", "span_ns", "tap_power_sigma_db",
-            "noise_floor_mw", "fixed_tap_delays_ns",
-        }
-        unknown = ps.keys() - known
-        if unknown:
-            raise ValueError(f"pdp_synthesis: unknown key(s) {sorted(unknown)}")
+        _check_types("campaign config", ("pdp_synthesis", ps), types=(dict,), kind="an object")
+        _check_keys("pdp_synthesis", ps, _PDP_SYNTHESIS_KEYS)
         kwargs = {}
         if "tap_count_range" in ps:
-            kwargs["tap_count_range"] = tuple(int(v) for v in ps["tap_count_range"])
+            kwargs["tap_count_range"] = _config_pair(
+                "pdp_synthesis.tap_count_range", ps["tap_count_range"], _config_int)
         for key in ("decay_ns", "span_ns", "tap_power_sigma_db", "noise_floor_mw"):
             if key in ps:
-                kwargs[key] = float(ps[key])
-        if ps.get("fixed_tap_delays_ns") is not None:
-            kwargs["fixed_tap_delays_ns"] = tuple(float(v) for v in ps["fixed_tap_delays_ns"])
+                kwargs[key] = _config_float(f"pdp_synthesis.{key}", ps[key])
+        delays = ps.get("fixed_tap_delays_ns")
+        if delays is not None:
+            key = "pdp_synthesis.fixed_tap_delays_ns"
+            _check_types("campaign config", (key, delays), types=(list,), kind="an array")
+            kwargs["fixed_tap_delays_ns"] = tuple(
+                _config_float(f"{key}[{i}]", v) for i, v in enumerate(delays))
         pdp_synthesis = PdpSynthesisConfig(**kwargs)
 
-    dr = obj.get("distance_range_m", [3.9, 45.9])
-    if not (isinstance(dr, (list, tuple)) and len(dr) == 2):
-        raise ValueError(f"distance_range_m: must be a [min, max] pair, got {dr!r}")
     return CampaignConfig(
         band=band, env=env, pol=pol, dir=dir_,
-        n_locations=obj["n_locations"],
-        distance_range_m=(float(dr[0]), float(dr[1])),
-        seed=int(obj.get("seed", 0)),
+        n_locations=n_locations,
+        distance_range_m=_config_pair(
+            "distance_range_m", obj.get("distance_range_m", [3.9, 45.9]), _config_float),
+        seed=_config_int("seed", obj.get("seed", 0)),
         params_override=params_override,
         pdp_synthesis=pdp_synthesis,
     )
@@ -516,54 +570,44 @@ def parse_campaign_config(text: str) -> CampaignConfig:
 
 def emit_fit_csv(rows: Iterable[tuple[Environment, Polarization, Directionality, FitResult]]) -> str:
     """Fitted models in the catalog's column layout, for direct diffing."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FIT_CSV_HEADER.split(","))
-    for env, pol, dir_, fit in rows:
-        writer.writerow(
-            [_fmt(fit.band.ghz), env.value, pol.value, dir_.value,
-             _fmt(fit.ple_hat), _fmt(fit.sigma_hat_db), _fmt(fit.d0_m)]
-        )
-    return buf.getvalue()
+    lines = [FIT_CSV_HEADER]
+    for env, pol, dir_, fit in rows:  # enum values and float reprs never need quoting
+        lines.append(f"{_fmt(fit.band.ghz)},{env.value},{pol.value},{dir_.value},"
+                     f"{_fmt(fit.ple_hat)},{_fmt(fit.sigma_hat_db)},{_fmt(fit.d0_m)}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_fit_csv(text: str) -> list[dict]:
-    reader = csv.reader(io.StringIO(text.removeprefix(_BOM)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError("empty fitted-table CSV") from None
-    if [h.strip() for h in header] != FIT_CSV_HEADER.split(","):
-        raise ParseError(f"unexpected header {','.join(header)!r}", line=1)
+    reader = _csv_body(text, FIT_CSV_HEADER, "empty fitted-table CSV")
     rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 7:
-            raise ParseError(f"expected 7 fields, found {len(row)}", line=line_no)
-        rows.append(
-            {
-                "band_ghz": _parse_float(row[0], "band_ghz", line_no),
-                "env": _parse_enum(Environment, row[1], "env", line_no),
-                "pol": _parse_enum(Polarization, row[2], "pol", line_no),
-                "dir": _parse_enum(Directionality, row[3], "dir", line_no),
-                "ple": _parse_float(row[4], "ple", line_no),
-                "sigma_db": _parse_float(row[5], "sigma_db", line_no),
-                "d0_m": _parse_float(row[6], "d0_m", line_no),
-            }
-        )
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 7:
+                raise ParseError(f"expected 7 fields, found {len(row)}", line=line_no)
+            rows.append(
+                {
+                    "band_ghz": _parse_float(row[0], "band_ghz", line_no),
+                    "env": _parse_enum(Environment, row[1], "env", line_no),
+                    "pol": _parse_enum(Polarization, row[2], "pol", line_no),
+                    "dir": _parse_enum(Directionality, row[3], "dir", line_no),
+                    "ple": _parse_float(row[4], "ple", line_no),
+                    "sigma_db": _parse_float(row[5], "sigma_db", line_no),
+                    "d0_m": _parse_float(row[6], "d0_m", line_no),
+                }
+            )
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not rows:
         raise EmptyInputError("fitted-table CSV has no rows")
     return rows
 
 
 def emit_cdf_csv(pairs: Sequence[tuple[float, float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CDF_CSV_HEADER.split(","))
-    for value, prob in pairs:
-        writer.writerow([_fmt(value), _fmt(prob)])
-    return buf.getvalue()
+    lines = [CDF_CSV_HEADER]
+    lines += (f"{_fmt(value)},{_fmt(prob)}" for value, prob in pairs)
+    return "\n".join(lines) + "\n"
 
 
 def emit_delay_stats_csv(
@@ -588,26 +632,23 @@ def emit_delay_stats_csv(
 
 def parse_spread_values(text: str) -> list[float]:
     """Finite delay-spread values from either a delay-stats CSV or a one-column file."""
-    text = text.removeprefix(_BOM)
-    stripped = text.strip()
+    stripped = text.removeprefix(_BOM).strip()
     if not stripped:
         raise EmptyInputError("spread-values file is empty")
-    first_line = stripped.splitlines()[0]
-    if "," in first_line:
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if [h.strip() for h in header] != DELAY_STATS_CSV_HEADER.split(","):
-            raise ParseError(f"unexpected header {','.join(header)!r}", line=1)
+    values = []
+    if "," in stripped.splitlines()[0]:
+        reader = _csv_body(text, DELAY_STATS_CSV_HEADER, "spread-values file is empty")
         col = DELAY_STATS_CSV_HEADER.split(",").index("rms_delay_spread_ns")
-        values = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or row[0] == "summary":
-                continue
-            if row[col].strip() == "":
-                continue  # flagged no-multipath row
-            values.append(_parse_finite(row[col], "rms_delay_spread_ns", line_no))
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if not row or row[0] == "summary":
+                    continue
+                if row[col].strip() == "":
+                    continue  # flagged no-multipath row
+                values.append(_parse_finite(row[col], "rms_delay_spread_ns", line_no))
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
     else:
-        values = []
         for line_no, line in enumerate(stripped.splitlines(), start=1):
             line = line.strip()
             if not line:

@@ -20,7 +20,9 @@ from .core import (
     NoMultipathError,
     Pdp,
     Polarization,
+    SounderSpec,
     SweepSpacingWarning,
+    to_db,
 )
 from .pdp import integrate_power_mw, threshold_pdp
 
@@ -58,6 +60,13 @@ def _check_azimuth_spacing(record: CampaignRecord, pol: Polarization) -> None:
                     stacklevel=3,
                 )
                 break
+
+
+def _link_budget_pl_db(spec: SounderSpec, pr_mw: float, outage_message: str) -> float:
+    """``P_TX + G_t + G_r - 10*log10(Pr)``; NoMultipathError(outage_message) when Pr <= 0."""
+    if pr_mw <= 0.0:
+        raise NoMultipathError(outage_message)
+    return spec.max_tx_power_dbm + spec.tx_antenna_gain_dbi + spec.rx_antenna_gain_dbi - to_db(pr_mw)
 
 
 def unique_angle_powers_mw(
@@ -125,18 +134,10 @@ def omni_path_loss_db(
     Raises :class:`NoMultipathError` when no angle detected any power (the
     location is in outage at every pointing).
     """
+    pol = _record_pol(record, pol)
     pr_omni = omni_received_power_mw(record, pol, threshold_db_above_noise, dynamic_range_db)
-    if pr_omni <= 0.0:
-        raise NoMultipathError(
-            f"record {record.location_id!r}: no detectable multipath at any pointing angle"
-        )
-    spec = record.spec
-    return (
-        spec.max_tx_power_dbm
-        + spec.tx_antenna_gain_dbi
-        + spec.rx_antenna_gain_dbi
-        - 10.0 * math.log10(pr_omni)
-    )
+    return _link_budget_pl_db(record.spec, pr_omni, f"record {record.location_id!r} "
+                              f"({pol.value}): no detectable multipath at any pointing angle")
 
 
 def directional_path_loss_db(record: CampaignRecord, pdp: Pdp,
@@ -144,12 +145,4 @@ def directional_path_loss_db(record: CampaignRecord, pdp: Pdp,
                              dynamic_range_db: float = 30.0) -> float:
     """Path loss of a single pointing's PDP under the record's link budget."""
     p = integrate_power_mw(threshold_pdp(pdp, threshold_db_above_noise, dynamic_range_db))
-    if p <= 0.0:
-        raise NoMultipathError("no detectable multipath in this PDP")
-    spec = record.spec
-    return (
-        spec.max_tx_power_dbm
-        + spec.tx_antenna_gain_dbi
-        + spec.rx_antenna_gain_dbi
-        - 10.0 * math.log10(p)
-    )
+    return _link_budget_pl_db(record.spec, p, "no detectable multipath in this PDP")

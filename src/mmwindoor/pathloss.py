@@ -8,22 +8,10 @@ zero-mean Gaussian shadowing term in dB (lognormal in linear units).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CiModelParams, FrequencyBand
-
-
-@dataclass(frozen=True)
-class ShadowingDraw:
-    """One realization of the lognormal shadowing term, in dB."""
-
-    chi_db: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.chi_db):
-            raise ValueError(f"chi_db must be finite, got {self.chi_db!r}")
 
 
 def _as_rng(rng_seed_or_stream) -> np.random.Generator:
@@ -50,10 +38,10 @@ def mean_path_loss_db(params: CiModelParams, distance_m: float) -> float:
     )
 
 
-def draw_shadowing(params: CiModelParams, rng_seed_or_stream=None) -> ShadowingDraw:
-    """Draw one zero-mean shadowing realization with the model's standard deviation."""
+def draw_shadowing(params: CiModelParams, rng_seed_or_stream=None) -> float:
+    """Draw one zero-mean shadowing realization, in dB, with the model's standard deviation."""
     rng = _as_rng(rng_seed_or_stream)
-    return ShadowingDraw(float(rng.normal(0.0, params.shadow_sigma_db)))
+    return float(rng.normal(0.0, params.shadow_sigma_db))
 
 
 def sample_path_loss_db(
@@ -67,7 +55,7 @@ def sample_path_loss_db(
     mean = mean_path_loss_db(params, distance_m)
     if params.shadow_sigma_db == 0.0:
         return mean
-    return mean + draw_shadowing(params, rng_seed_or_stream).chi_db
+    return mean + draw_shadowing(params, rng_seed_or_stream)
 
 
 def xpd_per_decade_db(co: CiModelParams, cross: CiModelParams) -> float:

@@ -122,3 +122,63 @@ def test_duplicate_angle_warnings_name_the_polarization(tmp_path):
     assert len(lines) == 2 and lines[0] != lines[1]
     assert "record 'R1' (VH): 1 pointing angle(s) were re-measured" in lines[0]
     assert "record 'R1' (VV): 1 pointing angle(s) were re-measured" in lines[1]
+
+
+def test_fit_oversized_field_exits_2_naming_the_line(tmp_path):
+    path = tmp_path / "pathloss.csv"
+    path.write_text(PATHLOSS_CSV_HEADER + "\na,28.0,LOS,VV,omni,10.0,70.0\n"
+                    + "x" * 140_000 + ",28.0,LOS,VV,omni,20.0,78.0\n")
+    res = _invoke(["fit", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert "error: line 3: field larger than field limit (131072)" in res.output
+
+
+OVERFLOWING_PDP = {"bin_spacing_ns": 2.5, "powers_mw": [1e308, 1e308]}
+
+
+def test_pdp_stats_power_overflow_exits_3_naming_the_pdp(tmp_path):
+    path = tmp_path / "pdps.json"
+    path.write_text(json.dumps([ENTRY["pdp"], OVERFLOWING_PDP]))
+    res = _invoke(["pdp-stats", str(path)])
+    assert res.exit_code == EXIT_VALIDATION
+    assert "error: pdp[1]: intermediate overflow in fsum" in res.output
+
+
+def test_synthesize_omni_power_overflow_exits_3_naming_the_record(tmp_path):
+    res = _invoke(["synthesize-omni", _records(tmp_path, pdp=OVERFLOWING_PDP)])
+    assert res.exit_code == EXIT_VALIDATION
+    assert "error: record 'R1' (VV): intermediate overflow in fsum" in res.output
+
+
+def test_outage_warnings_name_the_polarization(tmp_path):
+    silent = {**ENTRY, "pdp": {"bin_spacing_ns": 2.5, "powers_mw": [0.0, 0.0]}}
+    sweeps = [{"sweep_id": "M1", "pol": pol, "entries": [silent]} for pol in ("VV", "VH")]
+    res = _invoke(["synthesize-omni", _records(tmp_path, sweeps=sweeps)])
+    assert res.exit_code == 0, res.output
+    lines = [line for line in res.stderr.splitlines() if "outage row" in line]
+    assert lines == [
+        "warning: record 'R1' (VH): no detectable multipath at any pointing angle; "
+        "emitting outage row",
+        "warning: record 'R1' (VV): no detectable multipath at any pointing angle; "
+        "emitting outage row",
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"band_ghz": "28"}, {"n_locations": True}, {"seed": 1.7}, {"env": 1}, {"sed": 7},
+     {"pdp_synthesis": {"tap_count_range": [1.0, 10]}},
+     {"params_override": {"ple": "1.5", "sigma_db": 2.0}},
+     {"distance_range_m": [3.9, "45.9"]}],
+    ids=lambda edit: next(iter(edit)),
+)
+def test_simulate_mistyped_config_exits_2(tmp_path, edit):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni", "n_locations": 10, **edit}
+    ))
+    res = _invoke(["simulate", str(config), "-o", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE
+    error = next(line for line in res.output.splitlines() if line.startswith("error: "))
+    assert error.startswith("error: campaign config: ") and next(iter(edit)) in error
+    assert not (tmp_path / "out").exists()

@@ -27,7 +27,6 @@ from mmwindoor.core import (
     sounder_lookup,
     to_db,
     to_linear,
-    wavelength_m,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "catalog_golden.json"
@@ -36,14 +35,14 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "catalog_golden.json"
 class TestWavelength:
     def test_28ghz(self):
         # oracle: c / f evaluated directly
-        assert wavelength_m(BAND_28GHZ) == pytest.approx(0.0107069, abs=1e-7)
+        assert BAND_28GHZ.wavelength_m == pytest.approx(0.0107069, abs=1e-7)
 
     def test_73ghz(self):
-        assert wavelength_m(BAND_73GHZ) == pytest.approx(0.0040788, abs=1e-7)
+        assert BAND_73GHZ.wavelength_m == pytest.approx(0.0040788, abs=1e-7)
 
     def test_one_meter(self):
         band = FrequencyBand(299_792_458.0, "c Hz")
-        assert wavelength_m(band) == 1.0
+        assert band.wavelength_m == 1.0
 
     def test_positive_carrier_required(self):
         with pytest.raises(ValueError):

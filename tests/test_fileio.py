@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import stat
+import sys
 from importlib import resources
 
 import pytest
@@ -16,7 +17,10 @@ from mmwindoor.core import (
     Polarization,
     UnknownCombinationError,
 )
+from mmwindoor import fileio
 from mmwindoor.fileio import (
+    FIT_CSV_HEADER,
+    PATHLOSS_CSV_HEADER,
     OutageRow,
     ParseError,
     atomic_write,
@@ -260,6 +264,69 @@ class TestConfigJson:
                 ' "n_locations": 5, "pdp_synthesis": {"bogus": 1}}'
             )
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"band_ghz": "28"}, "band_ghz must be a number, got '28'"),
+            ({"band_ghz": True}, "band_ghz must be a number, got True"),
+            ({"n_locations": True}, "n_locations must be an integer, got True"),
+            ({"n_locations": 5.0}, "n_locations must be an integer, got 5.0"),
+            ({"seed": 1.7}, "seed must be an integer, got 1.7"),
+            ({"seed": False}, "seed must be an integer, got False"),
+            ({"seed": "7"}, "seed must be an integer, got '7'"),
+            ({"env": 1}, "env must be a string, got 1"),
+            ({"pol": None}, "pol must be a string, got None"),
+            ({"dir": ["omni"]}, "dir must be a string, got ['omni']"),
+            ({"distance_range_m": [3.9, "45.9"]},
+             "distance_range_m[1] must be a number, got '45.9'"),
+            ({"distance_range_m": 45.9}, "distance_range_m must be a [min, max] pair, got 45.9"),
+            ({"pdp_synthesis": {"tap_count_range": [1, 2, 3]}},
+             "pdp_synthesis.tap_count_range must be a [min, max] pair, got [1, 2, 3]"),
+            ({"params_override": {"ple": "1.5", "sigma_db": 2.0}},
+             "params_override.ple must be a number, got '1.5'"),
+            ({"params_override": {"ple": 1.5, "sigma_db": 2.0, "d0_m": True}},
+             "params_override.d0_m must be a number, got True"),
+            ({"params_override": [1.5, 2.0]}, "params_override must be an object, got [1.5, 2.0]"),
+            ({"pdp_synthesis": {"decay_ns": "25"}},
+             "pdp_synthesis.decay_ns must be a number, got '25'"),
+            ({"pdp_synthesis": {"tap_count_range": [1.0, 10]}},
+             "pdp_synthesis.tap_count_range[0] must be an integer, got 1.0"),
+            ({"pdp_synthesis": {"tap_count_range": [1, True]}},
+             "pdp_synthesis.tap_count_range[1] must be an integer, got True"),
+            ({"pdp_synthesis": {"fixed_tap_delays_ns": [0.0, "5"]}},
+             "pdp_synthesis.fixed_tap_delays_ns[1] must be a number, got '5'"),
+            ({"pdp_synthesis": {"fixed_tap_delays_ns": 5.0}},
+             "pdp_synthesis.fixed_tap_delays_ns must be an array, got 5.0"),
+            ({"pdp_synthesis": {"span_ns": 10**400}},
+             "pdp_synthesis.span_ns: int too large to convert to float"),
+            ({"sed": 7}, "unknown key(s) ['sed']"),
+        ],
+    )
+    def test_wrong_json_types_and_unknown_keys_are_parse_errors(self, edit, message):
+        config = {"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni", "n_locations": 5,
+                  **edit}
+        with pytest.raises(ParseError) as got:
+            parse_campaign_config(json.dumps(config))
+        assert str(got.value) == f"campaign config: {message}"
+
+    def test_unknown_pdp_key_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"pdp_synthesis: unknown key\(s\) \['bogus'\]"):
+            parse_campaign_config(
+                '{"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni",'
+                ' "n_locations": 5, "pdp_synthesis": {"bogus": 1}}'
+            )
+
+    def test_integer_numbers_become_floats(self):
+        cfg = parse_campaign_config(
+            '{"band_ghz": 28, "env": "LOS", "pol": "VV", "dir": "omni", "n_locations": 5,'
+            ' "distance_range_m": [4, 40], "params_override": {"ple": 2, "sigma_db": 3},'
+            ' "pdp_synthesis": {"decay_ns": 25, "fixed_tap_delays_ns": [0, 5]}}'
+        )
+        assert cfg.band == BAND_28GHZ
+        assert cfg.distance_range_m == (4.0, 40.0)
+        assert type(cfg.params().ple) is float
+        assert cfg.pdp_synthesis.fixed_tap_delays_ns == (0.0, 5.0)
+
     def test_params_override(self):
         cfg = parse_campaign_config(
             '{"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni",'
@@ -323,6 +390,12 @@ class TestSpreadValues:
         text = "1.0\n2.5\n" if form == "column" else self._stats_csv("2.5")
         assert parse_spread_values("\ufeff" + text) == parse_spread_values(text)
 
+    @pytest.mark.parametrize("form", ["column", "delay-stats"])
+    def test_only_one_leading_bom_is_ignored(self, form):
+        text = "1.0\n2.5\n" if form == "column" else self._stats_csv("2.5")
+        with pytest.raises(ParseError, match="^line 1: "):
+            parse_spread_values("\ufeff\ufeff" + text)
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -336,6 +409,55 @@ class TestSpreadValues:
         with pytest.raises(ParseError) as got:
             parse_spread_values(self._stats_csv("inf") if text is None else text)
         assert str(got.value) == message
+
+
+BIG_FIELD = "x" * 140_000  # over csv.field_size_limit(), 131 072 by default
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_pathloss_csv, f"{PATHLOSS_CSV_HEADER}\na,28.0,LOS,VV,omni,10.0,70.0\n"
+                             f"{BIG_FIELD},28.0,LOS,VV,omni,10.0,70.0\n", 3),
+        (parse_pathloss_csv, f"{BIG_FIELD}\n", 1),
+        (parse_fit_csv, f"{FIT_CSV_HEADER}\n28.0,LOS,VV,omni,1.1,{BIG_FIELD},1.0\n", 2),
+        (parse_spread_values,
+         TestSpreadValues._stats_csv("2.0").replace("\n0,ok", f"\n0,{BIG_FIELD}"), 2),
+    ],
+    ids=["pathloss-row", "pathloss-header", "fit-row", "spreads-row"],
+)
+def test_oversized_csv_field_is_a_parse_error_naming_the_line(parse, text, line):
+    with pytest.raises(ParseError) as got:
+        parse(text)
+    assert got.value.line == line
+    assert "field larger than field limit" in str(got.value)
+
+
+@pytest.mark.parametrize("parse", [parse_pdp_batch, parse_campaign_records, parse_campaign_config])
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+     ("[" + "1" * 5000 + "]", "Exceeds the limit (4300 digits)")],
+    ids=["deep-nesting", "huge-integer"],
+)
+def test_undecodable_json_is_a_parse_error(parse, text, message):
+    with pytest.raises(ParseError, match=r"^invalid JSON: ") as got:
+        parse(text)
+    assert message in str(got.value)
+
+
+def test_json_loader_releases_each_element_once_built():
+    built = []
+
+    def build(obj, where):
+        if built:  # the previous element is held by `built` and getrefcount's argument only
+            refs = sys.getrefcount(built[-1][0])
+            assert refs == 2
+        built.append((obj, where))
+        return where
+
+    assert fileio._parse_json_items("[{}, {}, {}]", "batch", build, "item") == [
+        "item[0]", "item[1]", "item[2]"]
 
 
 def test_cdf_csv_layout():

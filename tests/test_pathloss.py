@@ -13,7 +13,6 @@ from mmwindoor.core import (
     catalog_lookup,
 )
 from mmwindoor.pathloss import (
-    ShadowingDraw,
     draw_shadowing,
     free_space_pl_db,
     mean_path_loss_db,
@@ -119,9 +118,10 @@ class TestSamplePathLoss:
 
     def test_draw_shadowing_type(self):
         d = draw_shadowing(_params(2.0, sigma=5.0), 0)
-        assert isinstance(d, ShadowingDraw)
-        with pytest.raises(ValueError):
-            ShadowingDraw(math.nan)
+        assert isinstance(d, float)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="shadow_sigma_db"):
+                _params(2.0, sigma=sigma)
 
 
 class TestXpd:

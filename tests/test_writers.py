@@ -21,12 +21,16 @@ from mmwindoor.core import (
     Pdp,
     Polarization,
 )
-from mmwindoor.estimation import SpreadSummary
+from mmwindoor.estimation import FitResult, SpreadSummary
 from mmwindoor.fileio import (
+    CDF_CSV_HEADER,
     DELAY_STATS_CSV_HEADER,
+    FIT_CSV_HEADER,
     PATHLOSS_CSV_HEADER,
     OutageRow,
+    emit_cdf_csv,
     emit_delay_stats_csv,
+    emit_fit_csv,
     emit_pathloss_csv,
     emit_pdp_batch,
 )
@@ -85,6 +89,27 @@ def reference_emit_delay_stats_csv(per_pdp, summary):
     return buf.getvalue()
 
 
+def reference_emit_fit_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FIT_CSV_HEADER.split(","))
+    for env, pol, dir_, fit in rows:
+        writer.writerow(
+            [_fmt(fit.band.ghz), env.value, pol.value, dir_.value,
+             _fmt(fit.ple_hat), _fmt(fit.sigma_hat_db), _fmt(fit.d0_m)]
+        )
+    return buf.getvalue()
+
+
+def reference_emit_cdf_csv(pairs):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CDF_CSV_HEADER.split(","))
+    for value, prob in pairs:
+        writer.writerow([_fmt(value), _fmt(prob)])
+    return buf.getvalue()
+
+
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308, sys.float_info.max]
 nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
@@ -118,6 +143,14 @@ per_pdp_rows = st.lists(
               st.none() | delay_stats),
     max_size=20,
 )
+
+
+any_float = st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers(-10**6, 10**6)
+fits = st.builds(
+    FitResult, ple_hat=any_float, sigma_hat_db=any_float, n_samples=st.just(2),
+    residuals_db=st.just(()), d0_m=any_float, band=bands,
+)
+fit_rows = st.lists(st.tuples(envs, pols, dirs, fits), max_size=20)
 
 
 @st.composite
@@ -165,3 +198,18 @@ def test_named_edge_cases():
     for s in (summary, None):
         assert emit_delay_stats_csv(per_pdp, s) == reference_emit_delay_stats_csv(per_pdp, s)
     assert emit_delay_stats_csv([], None) == reference_emit_delay_stats_csv([], None)
+
+    assert emit_fit_csv([]) == reference_emit_fit_csv([])
+    assert emit_cdf_csv([]) == reference_emit_cdf_csv([])
+
+
+@SETTINGS
+@given(fit_rows)
+def test_emit_fit_csv_matches_csv_writer(rows):
+    assert emit_fit_csv(rows) == reference_emit_fit_csv(rows)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(any_float, any_float), max_size=20))
+def test_emit_cdf_csv_matches_csv_writer(pairs):
+    assert emit_cdf_csv(pairs) == reference_emit_cdf_csv(pairs)
