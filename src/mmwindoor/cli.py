@@ -2,8 +2,10 @@
 
 Subcommands: ``catalog``, ``fit``, ``pdp-stats``, ``synthesize-omni``,
 ``simulate`` and ``report``. Exit codes: 0 success, 2 malformed input
-(parse), 3 invalid values (validation), 4 empty input. The default output
-directory comes from ``MMWINDOOR_OUTPUT_DIR`` when set.
+(parse, an undecodable input or an unwritable output path), 3 invalid
+values (validation), 4 empty input. Commands raise; one boundary around them
+maps exceptions to exit codes and prints each warning when it is raised. The
+default output directory comes from ``MMWINDOOR_OUTPUT_DIR`` when set.
 """
 
 from __future__ import annotations
@@ -23,34 +25,48 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_EMPTY = 4
 
+#: Exception -> (exit code, message prefix), first match wins. Anything else
+#: propagates, so a bug still shows its traceback.
+_EXIT_CODES = (
+    (core.EmptyInputError, EXIT_EMPTY, "no samples: "),
+    (fileio.ParseError, EXIT_PARSE, ""),
+    ((ValueError, OverflowError, core.UnknownCombinationError), EXIT_VALIDATION, ""),
+)
+_WARNINGS = (core.DistanceRangeWarning, core.DuplicateAngleWarning, core.SweepSpacingWarning)
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    raise SystemExit(code)
+
+class _Boundary(click.Group):
+    """Runs every command under one exit-code table and one warning sink."""
+
+    def invoke(self, ctx: click.Context):
+        with warnings.catch_warnings():
+            for category in _WARNINGS:
+                warnings.simplefilter("always", category)
+            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+            try:
+                return super().invoke(ctx)
+            except Exception as exc:
+                for types, code, prefix in _EXIT_CODES:
+                    if isinstance(exc, types):
+                        click.echo(f"error: {prefix}{exc}", err=True)
+                        raise SystemExit(code) from None
+                raise
 
 
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise fileio.ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _guarded(fn, *args, **kwargs):
-    """Run a parser/operation, translating exceptions into documented exit codes."""
+def _write(path: str | Path, text: str, done: str = "wrote {}") -> None:
+    """Write ``text`` atomically, then echo ``done`` with the path filled in."""
     try:
-        return fn(*args, **kwargs)
-    except core.EmptyInputError as exc:
-        _fail(EXIT_EMPTY, f"no samples: {exc}")
-    except fileio.ParseError as exc:
-        _fail(EXIT_PARSE, str(exc))
-    except (ValueError, OverflowError, core.UnknownCombinationError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
-
-def _echo_warnings(caught) -> None:
-    for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
+        fileio.atomic_write(path, text)
+    except OSError as exc:
+        raise fileio.ParseError(f"cannot write {path}: {exc}") from None
+    click.echo(done.format(path))
 
 
 def _out_path(ctx: click.Context, name: str, explicit_dir: str | None) -> Path:
@@ -58,7 +74,7 @@ def _out_path(ctx: click.Context, name: str, explicit_dir: str | None) -> Path:
     return base / name
 
 
-@click.group()
+@click.group(cls=_Boundary)
 @click.option("--d0-m", default=1.0, show_default=True, help="Close-in reference distance in meters.")
 @click.option("--seed", default=None, type=int, help="Override the random seed (simulate).")
 @click.option("--threshold-db", default=5.0, show_default=True,
@@ -72,9 +88,9 @@ def _out_path(ctx: click.Context, name: str, explicit_dir: str | None) -> Path:
 def main(ctx, d0_m, seed, threshold_db, dynamic_range_db, output_dir):
     """Indoor millimeter-wave path loss and delay-spread analytics."""
     if d0_m <= 0.0:
-        _fail(EXIT_VALIDATION, f"--d0-m must be > 0, got {d0_m}")
+        raise ValueError(f"--d0-m must be > 0, got {d0_m}")
     if threshold_db < 0.0 or dynamic_range_db < 0.0:
-        _fail(EXIT_VALIDATION, "--threshold-db and --dynamic-range-db must be >= 0")
+        raise ValueError("--threshold-db and --dynamic-range-db must be >= 0")
     ctx.obj = {
         "d0_m": d0_m,
         "seed": seed,
@@ -93,8 +109,7 @@ def catalog(full, output):
     payload = core.full_catalog_dump() if full else core.ci_model_rows()
     text = json.dumps(payload, indent=2) + "\n"
     if output:
-        fileio.atomic_write(output, text)
-        click.echo(f"wrote {output}")
+        _write(output, text)
     else:
         click.echo(text, nl=False)
 
@@ -113,7 +128,7 @@ def catalog(full, output):
 @click.pass_context
 def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     """Fit close-in models to path-loss samples, one fit per stratum."""
-    samples = _guarded(fileio.parse_pathloss_csv, _read_text(input_csv))
+    samples = fileio.parse_pathloss_csv(_read_text(input_csv))
     strata = {
         (band, env, pol, dir_): group
         for (band, env, pol, dir_), group in _group_by_stratum(samples).items()
@@ -123,7 +138,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
         and (dir_filter is None or dir_.value == dir_filter)
     }
     if not strata:
-        _fail(EXIT_EMPTY, f"no samples: {input_csv} has no fittable rows after filtering")
+        raise core.EmptyInputError(f"{input_csv} has no fittable rows after filtering")
 
     d0_m = ctx.obj["d0_m"]
     rows = []
@@ -144,10 +159,9 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
             f"{result.n_samples:>6d} {result.ple_hat:>7.3f} {result.sigma_hat_db:>9.3f}"
         )
     if not rows:
-        _fail(EXIT_EMPTY, "no samples: every stratum was empty or unfittable")
+        raise core.EmptyInputError("every stratum was empty or unfittable")
     if csv_out:
-        fileio.atomic_write(csv_out, fileio.emit_fit_csv(rows))
-        click.echo(f"wrote {csv_out}")
+        _write(csv_out, fileio.emit_fit_csv(rows))
 
 
 def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
@@ -178,8 +192,8 @@ def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
 @click.pass_context
 def pdp_stats(ctx, input_json, csv_out):
     """Delay statistics for a batch of PDPs: one row per PDP plus a summary."""
-    profiles = _guarded(fileio.parse_pdp_batch, _read_text(input_json))
-    per_pdp, summary = _guarded(_delay_table, ctx, profiles)
+    profiles = fileio.parse_pdp_batch(_read_text(input_json))
+    per_pdp, summary = _delay_table(ctx, profiles)
     click.echo(f"{'pdp':>5} {'status':>14} {'mean_ns':>10} {'rms_ns':>10} {'power_mw':>12}")
     for i, status, stats in per_pdp:
         if stats is None:
@@ -197,8 +211,7 @@ def pdp_stats(ctx, input_json, csv_out):
     else:
         click.echo("summary: no PDP had detectable multipath")
     if csv_out:
-        fileio.atomic_write(csv_out, fileio.emit_delay_stats_csv(per_pdp, summary))
-        click.echo(f"wrote {csv_out}")
+        _write(csv_out, fileio.emit_delay_stats_csv(per_pdp, summary))
 
 
 def _delay_table(ctx: click.Context, profiles: list[core.Pdp]) -> tuple[list, object]:
@@ -228,14 +241,10 @@ def _delay_table(ctx: click.Context, profiles: list[core.Pdp]) -> tuple[list, ob
 @click.pass_context
 def synthesize_omni(ctx, record_json, csv_out):
     """Synthesize omnidirectional path loss from directional sweep records."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = _guarded(fileio.parse_campaign_records, _read_text(record_json))
-    _echo_warnings(caught)  # e.g. distances outside the measured span
-    text = fileio.emit_pathloss_csv(_guarded(_omni_rows, ctx, records))
+    records = fileio.parse_campaign_records(_read_text(record_json))
+    text = fileio.emit_pathloss_csv(_omni_rows(ctx, records))
     if csv_out:
-        fileio.atomic_write(csv_out, text)
-        click.echo(f"wrote {csv_out}")
+        _write(csv_out, text)
     else:
         click.echo(text, nl=False)
 
@@ -248,22 +257,18 @@ def _omni_rows(ctx: click.Context, records: list[core.CampaignRecord]
     for record in records:
         pols = sorted({s.pol for s in record.sweeps}, key=lambda p: p.value)
         for pol in pols:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    pl_db = omni.omni_path_loss_db(record, pol, threshold, dyn_range)
-                except core.NoMultipathError as exc:
-                    click.echo(f"warning: {exc}; emitting outage row", err=True)
-                    rows.append(
-                        fileio.OutageRow(record.location_id, record.spec.band, record.env,
-                                         pol, Directionality.OMNI, record.distance_m)
-                    )
-                    _echo_warnings(caught)
-                    continue
-                except OverflowError as exc:  # finite powers whose sums are not
-                    raise OverflowError(
-                        f"record {record.location_id!r} ({pol.value}): {exc}") from None
-            _echo_warnings(caught)
+            try:
+                pl_db = omni.omni_path_loss_db(record, pol, threshold, dyn_range)
+            except core.NoMultipathError as exc:
+                click.echo(f"warning: {exc}; emitting outage row", err=True)
+                rows.append(
+                    fileio.OutageRow(record.location_id, record.spec.band, record.env,
+                                     pol, Directionality.OMNI, record.distance_m)
+                )
+                continue
+            except OverflowError as exc:  # finite powers whose sums are not
+                raise OverflowError(
+                    f"record {record.location_id!r} ({pol.value}): {exc}") from None
             rows.append(
                 core.PathLossSample(
                     location_id=record.location_id,
@@ -289,22 +294,24 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
     """Generate a synthetic campaign, then fit it back against its own parameters."""
     if workers is not None:
         click.echo("warning: --workers is ignored; generation is serial", err=True)
-    config = _guarded(fileio.parse_campaign_config, _read_text(config_json))
+    config = fileio.parse_campaign_config(_read_text(config_json))
     if ctx.obj["seed"] is not None:
         config = dataclasses.replace(config, seed=ctx.obj["seed"])
 
-    samples = _guarded(simulate.generate_pathloss_campaign, config)
-    campaign_path = _out_path(ctx, "campaign.csv", out_dir)
-    fileio.atomic_write(campaign_path, fileio.emit_pathloss_csv(samples))
-    click.echo(f"wrote {campaign_path} ({len(samples)} locations)")
-
+    # All that can fail runs before the first write, so a failed run writes nothing; the
+    # samples come after the delay table, to reuse the memory its rows freed.
     params = config.params()
-    fitres = _guarded(estimation.fit_ci_model, samples, band=config.band, d0_m=params.d0_m)
+    if config.pdp_synthesis is not None:
+        profiles = simulate.generate_pdp_campaign(config)
+        stats_text = fileio.emit_delay_stats_csv(*_delay_table(ctx, profiles))
+    samples = simulate.generate_pathloss_campaign(config)
+    fitres = estimation.fit_ci_model(samples, band=config.band, d0_m=params.d0_m)
+
+    _write(_out_path(ctx, "campaign.csv", out_dir), fileio.emit_pathloss_csv(samples),
+           f"wrote {{}} ({len(samples)} locations)")
     fitback = {
-        "stratum": {
-            "band_ghz": config.band.ghz, "env": config.env.value,
-            "pol": config.pol.value, "dir": config.dir.value,
-        },
+        "stratum": {"band_ghz": config.band.ghz, "env": config.env.value,
+                    "pol": config.pol.value, "dir": config.dir.value},
         "n_locations": config.n_locations,
         "seed": config.seed,
         "configured": {"ple": params.ple, "sigma_db": params.shadow_sigma_db},
@@ -314,25 +321,16 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
             "sigma_db": fitres.sigma_hat_db - params.shadow_sigma_db,
         },
     }
-    fitback_path = _out_path(ctx, "fitback.json", out_dir)
-    fileio.atomic_write(fitback_path, json.dumps(fitback, indent=2) + "\n")
-    click.echo(f"wrote {fitback_path}")
+    _write(_out_path(ctx, "fitback.json", out_dir), json.dumps(fitback, indent=2) + "\n")
     click.echo(
         f"fit-back: ple {fitres.ple_hat:.4f} vs {params.ple} "
         f"(delta {fitres.ple_hat - params.ple:+.4f}), "
         f"sigma {fitres.sigma_hat_db:.4f} vs {params.shadow_sigma_db} dB "
         f"(delta {fitres.sigma_hat_db - params.shadow_sigma_db:+.4f})"
     )
-
     if config.pdp_synthesis is not None:
-        profiles = simulate.generate_pdp_campaign(config)
-        pdps_path = _out_path(ctx, "pdps.json", out_dir)
-        fileio.atomic_write(pdps_path, fileio.emit_pdp_batch(profiles))
-        click.echo(f"wrote {pdps_path}")
-        per_pdp, summary = _guarded(_delay_table, ctx, profiles)
-        stats_path = _out_path(ctx, "delay_stats.csv", out_dir)
-        fileio.atomic_write(stats_path, fileio.emit_delay_stats_csv(per_pdp, summary))
-        click.echo(f"wrote {stats_path}")
+        _write(_out_path(ctx, "pdps.json", out_dir), fileio.emit_pdp_batch(profiles))
+        _write(_out_path(ctx, "delay_stats.csv", out_dir), stats_text)
 
 
 @main.command()
@@ -345,7 +343,7 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
 @click.pass_context
 def report(ctx, fit_csv, spreads_files, out_dir):
     """Catalog-vs-fitted comparison table plus CDF data files for plotting."""
-    fitted_rows = _guarded(fileio.parse_fit_csv, _read_text(fit_csv)) if fit_csv else None
+    fitted_rows = fileio.parse_fit_csv(_read_text(fit_csv)) if fit_csv else None
 
     click.echo("close-in model parameters (catalog vs fitted)")
     bands = sorted({p.band for p in core.CI_MODEL_CATALOG}, key=lambda b: b.ghz)
@@ -391,8 +389,11 @@ def report(ctx, fit_csv, spreads_files, out_dir):
     )
 
     for path in spreads_files:
-        values = _guarded(fileio.parse_spread_values, _read_text(path))
-        summary = _guarded(estimation.summarize_spreads, values)
+        values = fileio.parse_spread_values(_read_text(path))
+        try:
+            summary = estimation.summarize_spreads(values)
+        except OverflowError as exc:
+            raise OverflowError(f"{path}: {exc}") from None
         stem = Path(path).stem
         click.echo(
             f"\ndelay spreads [{stem}]: n={len(values)}, mean {summary.mean_ns:.3f} ns, "
@@ -406,9 +407,8 @@ def report(ctx, fit_csv, spreads_files, out_dir):
                 f"{summary.mean_ns - target.mean_ns:+.3f}), std {target.std_ns} ns, "
                 f"max {target.max_ns} ns, p90 {target.p90_ns} ns"
             )
-        cdf_path = _out_path(ctx, f"cdf_{stem}.csv", out_dir)
-        fileio.atomic_write(cdf_path, fileio.emit_cdf_csv(estimation.empirical_cdf(values)))
-        click.echo(f"  wrote {cdf_path}")
+        _write(_out_path(ctx, f"cdf_{stem}.csv", out_dir),
+               fileio.emit_cdf_csv(estimation.empirical_cdf(values)), "  wrote {}")
 
 
 def _spread_target_for_stem(stem: str):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -232,7 +232,10 @@ class SweepEntry:
 
     @property
     def angle(self) -> tuple[float, float, float, float]:
-        return (self.theta_tx_deg, self.phi_tx_deg, self.theta_rx_deg, self.phi_rx_deg)
+        """The pointing as a key, azimuths folded into [0, 360): 0 and 360 deg are one angle."""
+        # The second % maps the 360.0 that a tiny negative rounds to (-1e-20 % 360.0) onto 0.
+        return (self.theta_tx_deg % 360.0 % 360.0, self.phi_tx_deg,
+                self.theta_rx_deg % 360.0 % 360.0, self.phi_rx_deg)
 
 
 @dataclass(frozen=True)
@@ -414,51 +417,29 @@ def delay_spread_lookup(
         ) from None
 
 
+def _row(entry) -> dict:
+    """A catalog entry as a JSON-ready row, in field order: ``band`` becomes
+    ``band_ghz``, ``shadow_sigma_db`` becomes ``sigma_db``, enums their values."""
+    row = {}
+    for field in fields(entry):
+        value = getattr(entry, field.name)
+        if isinstance(value, FrequencyBand):
+            row["band_ghz"] = value.ghz
+        else:
+            name = "sigma_db" if field.name == "shadow_sigma_db" else field.name
+            row[name] = value.value if isinstance(value, Enum) else value
+    return row
+
+
 def ci_model_rows() -> list[dict]:
     """Catalog as JSON-ready rows: {band_ghz, env, pol, dir, ple, sigma_db, d0_m}."""
-    return [
-        {
-            "band_ghz": p.band.ghz,
-            "env": p.env.value,
-            "pol": p.pol.value,
-            "dir": p.dir.value,
-            "ple": p.ple,
-            "sigma_db": p.shadow_sigma_db,
-            "d0_m": p.d0_m,
-        }
-        for p in CI_MODEL_CATALOG
-    ]
+    return [_row(p) for p in CI_MODEL_CATALOG]
 
 
 def full_catalog_dump() -> dict:
     """Every built-in parameter table, for golden-file comparison and export."""
     return {
         "ci_models": ci_model_rows(),
-        "delay_spread_ns": [
-            {
-                "band_ghz": t.band.ghz,
-                "env": t.env.value,
-                "pol": t.pol.value,
-                "mean_ns": t.mean_ns,
-                "std_ns": t.std_ns,
-                "max_ns": t.max_ns,
-                "p90_ns": t.p90_ns,
-            }
-            for t in DELAY_SPREAD_CATALOG
-        ],
-        "sounders": [
-            {
-                "band_ghz": s.band.ghz,
-                "max_tx_power_dbm": s.max_tx_power_dbm,
-                "tx_antenna_gain_dbi": s.tx_antenna_gain_dbi,
-                "rx_antenna_gain_dbi": s.rx_antenna_gain_dbi,
-                "azimuth_hpbw_deg": s.azimuth_hpbw_deg,
-                "elevation_hpbw_deg": s.elevation_hpbw_deg,
-                "max_measurable_pl_db": s.max_measurable_pl_db,
-                "bin_spacing_ns": s.bin_spacing_ns,
-                "chip_rate_mcps": s.chip_rate_mcps,
-                "slide_factor": s.slide_factor,
-            }
-            for s in SOUNDER_CATALOG
-        ],
+        "delay_spread_ns": [_row(t) for t in DELAY_SPREAD_CATALOG],
+        "sounders": [_row(s) for s in SOUNDER_CATALOG],
     }

@@ -142,9 +142,10 @@ def summarize_spreads(values: Sequence[float]) -> SpreadSummary:
     if len(values) == 0:
         raise EmptyInputError("cannot summarize zero delay-spread values")
     arr = np.asarray(list(values), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_ns, std_ns = float(arr.mean()), float(arr.std())
+    if not (math.isfinite(mean_ns) and math.isfinite(std_ns)):
+        raise OverflowError(f"the spread values overflow a float (mean {mean_ns}, std {std_ns})")
     return SpreadSummary(
-        mean_ns=float(arr.mean()),
-        std_ns=float(arr.std()),
-        max_ns=float(arr.max()),
-        p90_ns=percentile(values, 0.9),
+        mean_ns=mean_ns, std_ns=std_ns, max_ns=float(arr.max()), p90_ns=percentile(values, 0.9)
     )

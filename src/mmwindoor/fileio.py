@@ -373,6 +373,9 @@ def _entry_from_obj(obj) -> SweepEntry:
         angles = tuple(map(float, angles))
     except OverflowError as exc:
         raise ParseError(f": {exc}") from None
+    if not all(map(math.isfinite, angles)):  # JSON's NaN and Infinity; no azimuth folds them
+        key = next(k for k, a in zip(_ANGLE_KEYS, angles) if not math.isfinite(a))
+        raise ParseError(f".{key}: must be finite, got {obj[key]!r}")
     return SweepEntry(*angles, pdp=_pdp_from_obj(obj["pdp"], ".pdp"))
 
 

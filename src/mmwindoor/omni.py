@@ -47,11 +47,10 @@ def _check_azimuth_spacing(record: CampaignRecord, pol: Polarization) -> None:
     for sweep in record.sweeps:
         if sweep.pol is not pol:
             continue
-        for azimuths in (
-            sorted({e.theta_tx_deg for e in sweep.entries}),
-            sorted({e.theta_rx_deg for e in sweep.entries}),
-        ):
-            steps = [b - a for a, b in zip(azimuths, azimuths[1:])]
+        angles = [e.angle for e in sweep.entries]  # azimuths folded into [0, 360)
+        for azimuths in (sorted({a[0] for a in angles}), sorted({a[2] for a in angles})):
+            wrap = [azimuths[0] + 360.0] if azimuths else []  # last -> first, past 360
+            steps = [b - a for a, b in zip(azimuths, azimuths[1:] + wrap)]
             if steps and min(steps) < hpbw - 1e-9:
                 warnings.warn(
                     f"sweep {sweep.sweep_id}: azimuth step {min(steps):g} deg is below "

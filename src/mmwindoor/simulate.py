@@ -175,10 +175,14 @@ def generate_synthetic_pdp(config: CampaignConfig, rng: np.random.Generator) -> 
     jitters_db = [0.0] * len(delays)
     if pcfg.tap_power_sigma_db:
         jitters_db = rng.normal(0.0, pcfg.tap_power_sigma_db, size=len(delays)).tolist()
-    for tau, jitter_db in zip(delays, jitters_db):
-        k = int(round(tau / bin_ns))
-        mean_mw = math.exp(-tau / pcfg.decay_ns)
-        powers[k] += mean_mw * 10.0 ** (jitter_db / 10.0)
+    try:
+        for tau, jitter_db in zip(delays, jitters_db):
+            k = int(round(tau / bin_ns))
+            mean_mw = math.exp(-tau / pcfg.decay_ns)
+            powers[k] += mean_mw * 10.0 ** (jitter_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"pdp_synthesis.tap_power_sigma_db: {pcfg.tap_power_sigma_db!r} dB "
+                         "draws a tap power that overflows a float") from None
     return Pdp(bin_spacing_ns=bin_ns, powers_mw=tuple(powers), noise_floor_mw=pcfg.noise_floor_mw)
 
 

@@ -1,0 +1,114 @@
+"""Inputs at the edge of their domain: azimuths that name the same direction, and
+values whose arithmetic overflows a float."""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from mmwindoor.core import (
+    BAND_28GHZ,
+    CampaignRecord,
+    DirectionalSweep,
+    Directionality,
+    DuplicateAngleWarning,
+    Environment,
+    Pdp,
+    Polarization,
+    SweepEntry,
+    SweepSpacingWarning,
+    sounder_lookup,
+)
+from mmwindoor.estimation import summarize_spreads
+from mmwindoor.fileio import ParseError, parse_campaign_records
+from mmwindoor.omni import omni_received_power_mw
+from mmwindoor.simulate import CampaignConfig, PdpSynthesisConfig, generate_synthetic_pdp
+
+
+def _record(*sweeps):
+    return CampaignRecord(location_id="A1", distance_m=10.0, env=Environment.LOS,
+                          sweeps=sweeps, spec=sounder_lookup(BAND_28GHZ))
+
+
+def _sweep(sweep_id, *theta_rx):
+    return DirectionalSweep(sweep_id, Polarization.VV, tuple(
+        SweepEntry(0.0, 0.0, t, 0.0, Pdp(2.5, (1.0,), noise_floor_mw=0.0)) for t in theta_rx))
+
+
+@pytest.mark.parametrize("same", [360.0, 720.0, -360.0, -1e-20, -0.0])
+def test_azimuths_a_turn_apart_are_one_angle(same):
+    record = _record(_sweep("M1", 0.0), _sweep("M2", same))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        power = omni_received_power_mw(record)
+    assert power == 1.0
+    assert [w.category for w in caught] == [DuplicateAngleWarning]
+
+
+def test_folded_azimuths_lie_in_a_turn():
+    for deg in (-1e-20, -1e-300, 359.99999999999994, 360.0, -720.5, 1e17):
+        theta = SweepEntry(deg, 0.0, deg, 0.0, Pdp(2.5, (1.0,))).angle[0]
+        assert 0.0 <= theta < 360.0
+
+
+def test_tx_azimuth_folds_and_elevation_does_not():
+    entry = SweepEntry(370.0, 370.0, -10.0, -10.0, Pdp(2.5, (1.0,)))
+    assert entry.angle == (10.0, 370.0, 350.0, -10.0)
+
+
+def test_zero_and_360_in_one_sweep_are_a_duplicate():
+    with pytest.raises(ValueError, match="duplicate pointing angle"):
+        _sweep("M1", 0.0, 360.0)
+
+
+@pytest.mark.parametrize("azimuths, warns", [
+    ((0.0, 345.0), True),     # 345 -> 0 is a 15 deg step across the wrap
+    ((10.0, 350.0), True),    # 20 deg across the wrap
+    (tuple(30.0 * k for k in range(12)), False),  # 330 -> 0 is one 30 deg beamwidth
+    ((0.0, 180.0), False),
+    ((90.0,), False),
+])
+def test_spacing_check_sees_the_wrap_step(azimuths, warns):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        omni_received_power_mw(_record(_sweep("M1", *azimuths)))
+    assert any(w.category is SweepSpacingWarning for w in caught) is warns
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [0.0, 1e308]])
+def test_summary_of_overflowing_spreads_raises_without_a_numpy_warning(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="the spread values overflow a float"):
+            summarize_spreads(values)
+
+
+def test_summary_digits_are_numpys():
+    values = [4.1, 5.5, 3.3, 12.8, 0.7]
+    summary = summarize_spreads(values)
+    assert summary.mean_ns == float(np.mean(values))
+    assert summary.std_ns == float(np.std(values))
+
+
+def test_overflowing_tap_power_names_the_config_field():
+    config = CampaignConfig(band=BAND_28GHZ, env=Environment.LOS, pol=Polarization.VV,
+                            dir=Directionality.OMNI, n_locations=1,
+                            pdp_synthesis=PdpSynthesisConfig(tap_power_sigma_db=1e6))
+    with pytest.raises(ValueError, match=r"^pdp_synthesis\.tap_power_sigma_db: 1000000\.0 dB"):
+        for seed in range(20):
+            generate_synthetic_pdp(config, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("key, literal, shown", [("theta_tx_deg", "Infinity", "inf"),
+                                                 ("phi_rx_deg", "NaN", "nan"),
+                                                 ("theta_rx_deg", "-Infinity", "-inf")])
+def test_non_finite_angle_is_a_parse_error(key, literal, shown):
+    entry = {"theta_tx_deg": 0.0, "phi_tx_deg": 0.0, "theta_rx_deg": 0.0, "phi_rx_deg": 0.0,
+             "pdp": {"bin_spacing_ns": 2.5, "powers_mw": [1.0]}}
+    record = {"location_id": "R1", "band_ghz": 28.0, "env": "LOS", "distance_m": 10.0,
+              "sweeps": [{"sweep_id": "M1", "pol": "VV", "entries": [entry]}]}
+    text = json.dumps(record).replace(f'"{key}": 0.0', f'"{key}": {literal}')
+    with pytest.raises(ParseError) as info:
+        parse_campaign_records(text)
+    assert str(info.value) == f"record[0].sweeps[0].entries[0].{key}: must be finite, got {shown}"
