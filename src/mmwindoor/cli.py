@@ -388,12 +388,17 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         "  at 73.5 GHz)."
     )
 
+    spreads = []  # every file is read and summarized before any CDF file is written
     for path in spreads_files:
-        values = fileio.parse_spread_values(_read_text(path))
+        text = _read_text(path)
         try:
-            summary = estimation.summarize_spreads(values)
+            values = fileio.parse_spread_values(text)
+            spreads.append((path, values, estimation.summarize_spreads(values)))
+        except fileio.ParseError as exc:
+            raise fileio.ParseError(f"{path}: {exc}") from None
         except OverflowError as exc:
             raise OverflowError(f"{path}: {exc}") from None
+    for path, values, summary in spreads:
         stem = Path(path).stem
         click.echo(
             f"\ndelay spreads [{stem}]: n={len(values)}, mean {summary.mean_ns:.3f} ns, "

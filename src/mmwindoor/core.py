@@ -112,7 +112,10 @@ def band_from_ghz(band_ghz: float) -> FrequencyBand:
             return known
     if not (math.isfinite(band_ghz) and band_ghz > 0.0):
         raise ValueError(f"band_ghz must be finite and > 0, got {band_ghz!r}")
-    return FrequencyBand(band_ghz * 1e9, f"{band_ghz:g} GHz")
+    label = f"{band_ghz:g}"
+    if float(label) != band_ghz:  # :g rounds to 6 digits; a label must name this carrier only
+        label = repr(band_ghz)
+    return FrequencyBand(band_ghz * 1e9, f"{label} GHz")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ reproduces a file exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import tempfile
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     CampaignRecord,
@@ -46,17 +48,6 @@ DELAY_STATS_CSV_HEADER = (
 )
 
 
-#: JSON number types; ``bool`` is not one of them.
-_NUMBER_TYPES = frozenset({float, int})
-_ANGLE_KEYS = ("theta_tx_deg", "phi_tx_deg", "theta_rx_deg", "phi_rx_deg")
-_angles_of = itemgetter(*_ANGLE_KEYS)
-_ENTRY_KEYS = frozenset(_ANGLE_KEYS + ("pdp",))
-_SWEEP_KEYS = frozenset({"sweep_id", "pol", "entries"})
-_PDP_KEYS = frozenset({"bin_spacing_ns", "powers_mw"})
-_CONFIG_KEYS = frozenset({"band_ghz", "env", "pol", "dir", "n_locations", "distance_range_m",
-                          "seed", "params_override", "pdp_synthesis"})
-_PDP_SYNTHESIS_KEYS = frozenset({"tap_count_range", "decay_ns", "span_ns", "tap_power_sigma_db",
-                                 "noise_floor_mw", "fixed_tap_delays_ns"})
 _ENVIRONMENTS = {m.value: m for m in Environment}
 _POLARIZATIONS = {m.value: m for m in Polarization}
 _DIRECTIONALITIES = {m.value: m for m in Directionality}
@@ -242,32 +233,124 @@ def _pdp_to_obj(pdp: Pdp) -> dict:
     }
 
 
-def _check_types(where: str, *fields: tuple[str, object],
-                 types=_NUMBER_TYPES, kind: str = "a number") -> None:
-    """Raise a ParseError naming the first (key, value) field whose JSON type is not in ``types``."""
-    for key, value in fields:
-        if type(value) not in types:
-            raise ParseError(f"{where}: {key} must be {kind}, got {value!r}")
+class _Type(NamedTuple):
+    """A JSON type: the Python types ``json.loads`` gives for it, its name in
+    messages and, for an array of numbers, their type and the array's length."""
+
+    types: frozenset
+    name: str
+    items: _Type | None = None
+    length: int | None = None
+
+
+_NUMBER = _Type(frozenset({float, int}), "a number")  # ``bool`` is not a number
+_INTEGER = _Type(frozenset({int}), "an integer")
+_STRING = _Type(frozenset({str}), "a string")
+_ARRAY = _Type(frozenset({list}), "an array")
+_NUMBERS = _Type(frozenset({list}), "an array", _NUMBER)
+_NUMBERS_OR_NULL = _Type(frozenset({list, type(None)}), "an array", _NUMBER)
+_NUMBER_PAIR = _Type(frozenset({list}), "a [min, max] pair", _NUMBER, 2)
+_INTEGER_PAIR = _Type(frozenset({list}), "a [min, max] pair", _INTEGER, 2)
+_OBJECT = _Type(frozenset({dict}), "an object")
+_OBJECT_OR_NULL = _Type(frozenset({dict, type(None)}), "an object")
+
+
+class _Shape:
+    """One kind of JSON object: its keys in reading order with their JSON types.
+    A key is optional when the dataclass the object is read into declares a
+    default for the field of that name; the default stands in for it."""
+
+    def __init__(self, cls, types: dict[str, _Type]):
+        declared = {f.name: f.default for f in dataclasses.fields(cls)}
+        self.types = types
+        self.names = tuple(types)
+        self.keys = frozenset(types)
+        self.get = itemgetter(*types)
+        self.defaults = tuple(declared.get(k, dataclasses.MISSING) for k in types)
+        self.accepted = frozenset(itertools.product(*(t.types for t in types.values())))
+        #: (index, length, element type screen) of each array of numbers.
+        self.arrays = tuple((i, t.length, t.items.types.issuperset)
+                            for i, t in enumerate(types.values()) if t.items)
+
+
+def _read(obj, where: str, shape: _Shape) -> tuple:
+    """The values of JSON object ``obj`` in ``shape``'s key order, defaults filled in.
+
+    A non-object, a missing or unknown key, or a value of the wrong JSON type
+    is a ParseError naming ``where``. An object with every key passes C-level
+    screens only: its size and one lookup per key, one on its value types and
+    one per array of numbers. Any other object is read key by key.
+    """
+    if type(obj) is dict and len(obj) == len(shape.names):
+        try:
+            values = shape.get(obj)  # every key is there, so no other key can be
+        except KeyError:
+            return _read_by_key(obj, where, shape)
+        if tuple(map(type, values)) in shape.accepted:
+            for i, length, fits in shape.arrays:
+                value = values[i]
+                if value is not None and not (
+                        (length is None or len(value) == length) and fits(map(type, value))):
+                    break
+            else:
+                return values
+    return _read_by_key(obj, where, shape)
+
+
+def _read_by_key(obj, where: str, shape: _Shape) -> tuple:
+    if type(obj) is not dict:
+        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
+    missing = [k for k, d in zip(shape.names, shape.defaults)
+               if d is dataclasses.MISSING and k not in obj]
+    if missing:
+        raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
+    if not obj.keys() <= shape.keys:
+        raise ParseError(f"{where}: unknown key(s) {sorted(obj.keys() - shape.keys)}")
+    for key, t in shape.types.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        if type(value) not in t.types or (t.length and len(value) != t.length):
+            raise ParseError(f"{where}: {key} must be {t.name}, got {value!r}")
+        if t.items and value is not None and not t.items.types.issuperset(map(type, value)):
+            k = next(k for k, v in enumerate(value) if type(v) not in t.items.types)
+            raise ParseError(f"{where}: {key}[{k}] must be {t.items.name}, got {value[k]!r}")
+    return tuple(map(obj.get, shape.names, shape.defaults))
+
+
+def _floats(where: str, values) -> tuple[float, ...]:
+    """JSON numbers as floats; an integer too large for a float is a ParseError."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+# One table per JSON object kind, keyed by JSON key, in reading order.
+_PDP = _Shape(Pdp, {"bin_spacing_ns": _NUMBER, "noise_floor_mw": _NUMBER, "powers_mw": _NUMBERS})
+_ENTRY = _Shape(SweepEntry, {"theta_tx_deg": _NUMBER, "phi_tx_deg": _NUMBER,
+                             "theta_rx_deg": _NUMBER, "phi_rx_deg": _NUMBER, "pdp": _OBJECT})
+_SWEEP = _Shape(DirectionalSweep, {"sweep_id": _STRING, "pol": _STRING, "entries": _ARRAY})
+_RECORD = _Shape(CampaignRecord, {"location_id": _STRING, "band_ghz": _NUMBER, "env": _STRING,
+                                  "distance_m": _NUMBER, "tx_height_m": _NUMBER,
+                                  "rx_height_m": _NUMBER, "sweeps": _ARRAY})
+_CONFIG = _Shape(CampaignConfig, {"band_ghz": _NUMBER, "env": _STRING, "pol": _STRING,
+                                  "dir": _STRING, "n_locations": _INTEGER,
+                                  "distance_range_m": _NUMBER_PAIR, "seed": _INTEGER,
+                                  "params_override": _OBJECT_OR_NULL,
+                                  "pdp_synthesis": _OBJECT_OR_NULL})
+_PARAMS_OVERRIDE = _Shape(CiModelParams, {"ple": _NUMBER, "sigma_db": _NUMBER, "d0_m": _NUMBER})
+_PDP_SYNTHESIS = _Shape(PdpSynthesisConfig, {
+    "tap_count_range": _INTEGER_PAIR, "decay_ns": _NUMBER, "span_ns": _NUMBER,
+    "tap_power_sigma_db": _NUMBER, "noise_floor_mw": _NUMBER,
+    "fixed_tap_delays_ns": _NUMBERS_OR_NULL})
 
 
 def _pdp_from_obj(obj, where: str) -> Pdp:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    if not obj.keys() >= _PDP_KEYS:
-        raise ParseError(f"{where}: missing key(s) {sorted(_PDP_KEYS - obj.keys())}")
-    powers = obj["powers_mw"]
-    if type(powers) is not list:
-        raise ParseError(f"{where}: powers_mw must be an array of numbers, "
-                         f"got {type(powers).__name__}")
-    if not _NUMBER_TYPES.issuperset(map(type, powers)):
-        k = next(k for k, p in enumerate(powers) if type(p) not in _NUMBER_TYPES)
-        raise ParseError(f"{where}: powers_mw[{k}] must be a number, got {powers[k]!r}")
-    spacing, floor = obj["bin_spacing_ns"], obj.get("noise_floor_mw", 0.0)
-    if type(spacing) not in _NUMBER_TYPES or type(floor) not in _NUMBER_TYPES:
-        _check_types(where, ("bin_spacing_ns", spacing), ("noise_floor_mw", floor))
+    spacing, floor, powers = _read(obj, where, _PDP)
     try:
-        return Pdp(bin_spacing_ns=float(spacing), powers_mw=powers, noise_floor_mw=float(floor))
-    except (TypeError, ValueError, OverflowError) as exc:
+        return Pdp(float(spacing), powers, float(floor))
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
@@ -276,14 +359,16 @@ def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
     if not pdps:
         return "[]\n"
     # Pdp stores its powers as finite floats, so float repr is their JSON form.
-    objs = ",\n".join(
+    objs = [
         '  {\n    "bin_spacing_ns": %s,\n    "noise_floor_mw": %s,\n'
         '    "powers_mw": [\n      %s\n    ]\n  }'
         % (_json_number(p.bin_spacing_ns), _json_number(p.noise_floor_mw),
            ",\n      ".join(map(float.__repr__, p.powers_mw)))
         for p in pdps
-    )
-    return "[\n" + objs + "\n]\n"
+    ]
+    objs[0] = "[\n" + objs[0]  # the brackets ride on the end parts: one join, no copy of the whole
+    objs[-1] += "\n]\n"
+    return ",\n".join(objs)
 
 
 def _load_json(text: str):
@@ -359,76 +444,40 @@ def emit_campaign_records(records: Sequence[CampaignRecord]) -> str:
     return json.dumps([_record_to_obj(r) for r in records], indent=2) + "\n"
 
 
-def _entry_from_obj(obj) -> SweepEntry:
-    """One sweep entry; a ParseError's text is the path below the entry, then the problem."""
-    if not isinstance(obj, dict):
-        raise ParseError(": expected an object")
-    if not obj.keys() >= _ENTRY_KEYS:
-        raise ParseError(f": missing key(s) {sorted(_ENTRY_KEYS - obj.keys())}")
-    angles = _angles_of(obj)
-    if not _NUMBER_TYPES.issuperset(map(type, angles)):
-        key = next(k for k, a in zip(_ANGLE_KEYS, angles) if type(a) not in _NUMBER_TYPES)
-        raise ParseError(f".{key}: must be a number, got {obj[key]!r}")
-    try:
-        angles = tuple(map(float, angles))
-    except OverflowError as exc:
-        raise ParseError(f": {exc}") from None
+def _entry_from_obj(obj, where: str) -> SweepEntry:
+    values = _read(obj, where, _ENTRY)
+    angles = _floats(where, values[:4])
     if not all(map(math.isfinite, angles)):  # JSON's NaN and Infinity; no azimuth folds them
-        key = next(k for k, a in zip(_ANGLE_KEYS, angles) if not math.isfinite(a))
-        raise ParseError(f".{key}: must be finite, got {obj[key]!r}")
-    return SweepEntry(*angles, pdp=_pdp_from_obj(obj["pdp"], ".pdp"))
+        key = next(k for k, a in zip(_ENTRY.names, angles) if not math.isfinite(a))
+        raise ParseError(f"{where}.{key}: must be finite, got {obj[key]!r}")
+    return SweepEntry(*angles, pdp=_pdp_from_obj(values[4], f"{where}.pdp"))
 
 
-def _array(obj, where: str, field: str) -> list:
-    if type(obj) is not list:
-        raise ParseError(f"{where}{field}: expected an array, got {type(obj).__name__}")
-    return obj
+def _sweep_from_obj(obj, where: str) -> DirectionalSweep:
+    sweep_id, pol, entries = _read(obj, where, _SWEEP)
+    entries = [_entry_from_obj(e, f"{where}.entries[{j}]") for j, e in enumerate(entries)]
+    try:
+        return DirectionalSweep(sweep_id, _parse_enum(Polarization, pol, f"{where}.pol"), entries)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _record_from_obj(obj, where: str) -> CampaignRecord:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    required = {"location_id", "band_ghz", "env", "distance_m", "sweeps"}
-    missing = required - obj.keys()
-    if missing:
-        raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
-    band_ghz, distance_m = obj["band_ghz"], obj["distance_m"]
-    tx_height_m, rx_height_m = obj.get("tx_height_m", 2.5), obj.get("rx_height_m", 1.5)
-    _check_types(where, ("band_ghz", band_ghz), ("distance_m", distance_m),
-                 ("tx_height_m", tx_height_m), ("rx_height_m", rx_height_m))
+    location_id, band_ghz, env, distance_m, tx_height_m, rx_height_m, sweeps = _read(
+        obj, where, _RECORD)
     try:
         band = band_from_ghz(float(band_ghz))
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from None
-    sweeps = []
-    for i, s in enumerate(_array(obj["sweeps"], where, ".sweeps")):
-        sw_where = f"{where}.sweeps[{i}]"
-        if not isinstance(s, dict) or not s.keys() >= _SWEEP_KEYS:
-            raise ParseError(f"{sw_where}: needs sweep_id, pol and entries")
-        entries = []
-        for j, e in enumerate(_array(s["entries"], sw_where, ".entries")):
-            try:
-                entries.append(_entry_from_obj(e))
-            except ParseError as exc:
-                raise ParseError(f"{sw_where}.entries[{j}]{exc}") from None
-        try:
-            sweeps.append(
-                DirectionalSweep(
-                    sweep_id=str(s["sweep_id"]),
-                    pol=_parse_enum(Polarization, str(s["pol"]), f"{sw_where}.pol"),
-                    entries=tuple(entries),
-                )
-            )
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(f"{sw_where}: {exc}") from None
+    sweeps = [_sweep_from_obj(s, f"{where}.sweeps[{i}]") for i, s in enumerate(sweeps)]
     try:
         return CampaignRecord(
-            location_id=str(obj["location_id"]),
+            location_id=location_id,
             distance_m=float(distance_m),
-            env=_parse_enum(Environment, str(obj["env"]), f"{where}.env"),
-            sweeps=tuple(sweeps),
+            env=_parse_enum(Environment, env, f"{where}.env"),
+            sweeps=sweeps,
             spec=sounder_lookup(band),
             tx_height_m=float(tx_height_m),
             rx_height_m=float(rx_height_m),
@@ -437,7 +486,7 @@ def _record_from_obj(obj, where: str) -> CampaignRecord:
         raise
     except UnknownCombinationError as exc:
         raise UnknownCombinationError(f"{where}: {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
@@ -477,98 +526,38 @@ def emit_campaign_config(config: CampaignConfig) -> str:
     return json.dumps(config_to_obj(config), indent=2) + "\n"
 
 
-def _config_float(key: str, value) -> float:
-    """A config field that must be a JSON number, as a float."""
-    _check_types("campaign config", (key, value))
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ParseError(f"campaign config: {key}: {exc}") from None
-
-
-def _config_int(key: str, value) -> int:
-    """A config field that must be a JSON integer (``true`` is not one)."""
-    _check_types("campaign config", (key, value), types=(int,), kind="an integer")
-    return value
-
-
-def _config_pair(key: str, value, element) -> tuple:
-    if type(value) is not list or len(value) != 2:
-        raise ParseError(f"campaign config: {key} must be a [min, max] pair, got {value!r}")
-    return (element(f"{key}[0]", value[0]), element(f"{key}[1]", value[1]))
-
-
-def _check_keys(where: str, obj: dict, known: frozenset) -> None:
-    unknown = obj.keys() - known
-    if unknown:
-        raise ParseError(f"{where}: unknown key(s) {sorted(unknown)}")
-
-
 def parse_campaign_config(text: str) -> CampaignConfig:
     """Parse and validate a campaign config; error messages name the bad field.
 
-    A field of the wrong JSON type or an unknown key is a ParseError; a value
-    of the right type outside its domain is a ValueError.
+    Every object is read by ``_read`` first, so a shape error anywhere is a
+    ParseError; a value of the right type outside its domain is a ValueError.
     """
-    obj = _load_json(text)
-    if not isinstance(obj, dict):
-        raise ParseError("campaign config must be a JSON object")
-    required = {"band_ghz", "env", "pol", "dir", "n_locations"}
-    missing = required - obj.keys()
-    if missing:
-        raise ValueError(f"campaign config: missing key(s) {sorted(missing)}")
-    _check_keys("campaign config", obj, _CONFIG_KEYS)
-    _check_types("campaign config", ("env", obj["env"]), ("pol", obj["pol"]),
-                 ("dir", obj["dir"]), types=(str,), kind="a string")
+    where = "campaign config"
+    (band_ghz, env, pol, dir_, n_locations, distance_range_m, seed, params_override,
+     pdp_synthesis) = _read(_load_json(text), where, _CONFIG)
+    po_where, ps_where = f"{where}.params_override", f"{where}.pdp_synthesis"
+    if params_override is not None:
+        params_override = _read(params_override, po_where, _PARAMS_OVERRIDE)
+    if pdp_synthesis is not None:
+        pdp_synthesis = _read(pdp_synthesis, ps_where, _PDP_SYNTHESIS)
 
-    band = band_from_ghz(_config_float("band_ghz", obj["band_ghz"]))
-    env = _parse_enum(Environment, obj["env"], "env")
-    pol = _parse_enum(Polarization, obj["pol"], "pol")
-    dir_ = _parse_enum(Directionality, obj["dir"], "dir")
-    n_locations = _config_int("n_locations", obj["n_locations"])
-
-    params_override = None
-    if obj.get("params_override") is not None:
-        po = obj["params_override"]
-        _check_types("campaign config", ("params_override", po), types=(dict,), kind="an object")
-        if "ple" not in po or "sigma_db" not in po:
-            raise ValueError("params_override: needs ple and sigma_db")
-        params_override = CiModelParams(
-            band=band, env=env, pol=pol, dir=dir_,
-            ple=_config_float("params_override.ple", po["ple"]),
-            shadow_sigma_db=_config_float("params_override.sigma_db", po["sigma_db"]),
-            d0_m=_config_float("params_override.d0_m", po.get("d0_m", 1.0)),
-        )
-
-    pdp_synthesis = None
-    if obj.get("pdp_synthesis") is not None:
-        ps = obj["pdp_synthesis"]
-        _check_types("campaign config", ("pdp_synthesis", ps), types=(dict,), kind="an object")
-        _check_keys("pdp_synthesis", ps, _PDP_SYNTHESIS_KEYS)
-        kwargs = {}
-        if "tap_count_range" in ps:
-            kwargs["tap_count_range"] = _config_pair(
-                "pdp_synthesis.tap_count_range", ps["tap_count_range"], _config_int)
-        for key in ("decay_ns", "span_ns", "tap_power_sigma_db", "noise_floor_mw"):
-            if key in ps:
-                kwargs[key] = _config_float(f"pdp_synthesis.{key}", ps[key])
-        delays = ps.get("fixed_tap_delays_ns")
-        if delays is not None:
-            key = "pdp_synthesis.fixed_tap_delays_ns"
-            _check_types("campaign config", (key, delays), types=(list,), kind="an array")
-            kwargs["fixed_tap_delays_ns"] = tuple(
-                _config_float(f"{key}[{i}]", v) for i, v in enumerate(delays))
-        pdp_synthesis = PdpSynthesisConfig(**kwargs)
-
-    return CampaignConfig(
-        band=band, env=env, pol=pol, dir=dir_,
-        n_locations=n_locations,
-        distance_range_m=_config_pair(
-            "distance_range_m", obj.get("distance_range_m", [3.9, 45.9]), _config_float),
-        seed=_config_int("seed", obj.get("seed", 0)),
-        params_override=params_override,
-        pdp_synthesis=pdp_synthesis,
-    )
+    (band_ghz,) = _floats(where, (band_ghz,))
+    band = band_from_ghz(band_ghz)
+    env = _parse_enum(Environment, env, "env")
+    pol = _parse_enum(Polarization, pol, "pol")
+    dir_ = _parse_enum(Directionality, dir_, "dir")
+    if params_override is not None:
+        ple, sigma_db, d0_m = _floats(po_where, params_override)
+        params_override = CiModelParams(band=band, env=env, pol=pol, dir=dir_, ple=ple,
+                                        shadow_sigma_db=sigma_db, d0_m=d0_m)
+    if pdp_synthesis is not None:
+        tap_count_range, *knobs, delays = pdp_synthesis
+        pdp_synthesis = PdpSynthesisConfig(
+            tuple(tap_count_range), *_floats(ps_where, knobs),
+            None if delays is None else _floats(ps_where, delays))
+    return CampaignConfig(band=band, env=env, pol=pol, dir=dir_, n_locations=n_locations,
+                          distance_range_m=_floats(where, distance_range_m), seed=seed,
+                          params_override=params_override, pdp_synthesis=pdp_synthesis)
 
 
 def emit_fit_csv(rows: Iterable[tuple[Environment, Polarization, Directionality, FitResult]]) -> str:

@@ -53,13 +53,14 @@ def test_simulate_uncataloged_band_exits_3(tmp_path):
         ({"sweeps": [{"sweep_id": "M1", "pol": "VV", "entries": None}]},
          "record[0].sweeps[0].entries"),
         ({"pdp": {"bin_spacing_ns": 2.5, "powers_mw": "123"}},
-         "record[0].sweeps[0].entries[0].pdp"),
+         "record[0].sweeps[0].entries[0].pdp.powers_mw"),
     ],
 )
 def test_synthesize_omni_malformed_record_exits_2(tmp_path, edits, where):
     res = _invoke(["synthesize-omni", _records(tmp_path, **edits)])
     assert res.exit_code == EXIT_PARSE
-    assert f"error: {where}" in res.output
+    owner, _, key = where.rpartition(".")  # the error names the value's object, then its key
+    assert f"error: {owner}: {key} must be " in res.output
 
 
 def test_pdp_stats_string_powers_exit_2(tmp_path):
@@ -101,7 +102,65 @@ def test_report_non_finite_spread_exits_2(tmp_path):
     path.write_text("1.0\nnan\ninf\n")
     res = _invoke(["report", "--spreads", str(path), "-o", str(tmp_path)])
     assert res.exit_code == EXIT_PARSE
-    assert "error: line 2: value: not a finite number: 'nan'" in res.output
+    assert f"error: {path}: line 2: value: not a finite number: 'nan'" in res.output
+
+
+def test_report_reads_every_spreads_file_before_writing_any(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_text("1.0\n2.0\n")
+    (tmp_path / "b.txt").write_text("1.0\nnan\n")
+    res = _invoke(["report", "--spreads", "a.txt", "--spreads", "b.txt", "-o", "out"])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == "error: b.txt: line 2: value: not a finite number: 'nan'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_pdp_key_exits_2(tmp_path):
+    path = tmp_path / "pdps.json"
+    path.write_text('[{"bin_spacing_ns": 2.5, "noise_floor_mW": 1e-9, "powers_mw": [1.0]}]')
+    res = _invoke(["pdp-stats", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == "error: pdp[0]: unknown key(s) ['noise_floor_mW']\n"
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"location_id": None}, "record[0]: location_id must be a string, got None"),
+        ({"location_id": 5}, "record[0]: location_id must be a string, got 5"),
+        ({"Env": "LOS"}, "record[0]: unknown key(s) ['Env']"),
+        ({"sweeps": [{"sweep_id": "M1", "pol": "VV", "entries": [], "note": ""}]},
+         "record[0].sweeps[0]: unknown key(s) ['note']"),
+    ],
+)
+def test_synthesize_omni_record_shape_exits_2(tmp_path, edits, message):
+    record = {"location_id": "R1", "band_ghz": 28.0, "env": "LOS", "distance_m": 10.0,
+              "sweeps": [{"sweep_id": "M1", "pol": "VV", "entries": [ENTRY]}], **edits}
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([record]))
+    res = _invoke(["synthesize-omni", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"n_locations": KeyError}, "campaign config: missing key(s) ['n_locations']"),
+        ({"params_override": {"sigma_db": 2.0}},
+         "campaign config.params_override: missing key(s) ['ple']"),
+        ({"params_override": {"ple": 2.0, "sigma_db": 2.0, "d0": 1.0}},
+         "campaign config.params_override: unknown key(s) ['d0']"),
+    ],
+)
+def test_simulate_config_shape_exits_2(tmp_path, edit, message):
+    config = {"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni", "n_locations": 10, **edit}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({k: v for k, v in config.items() if v is not KeyError}))
+    res = _invoke(["simulate", str(path), "-o", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_accepts_a_bom_before_the_header(tmp_path):
@@ -180,5 +239,7 @@ def test_simulate_mistyped_config_exits_2(tmp_path, edit):
     res = _invoke(["simulate", str(config), "-o", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE
     error = next(line for line in res.output.splitlines() if line.startswith("error: "))
-    assert error.startswith("error: campaign config: ") and next(iter(edit)) in error
+    key, value = next(iter(edit.items()))
+    where = f"campaign config.{key}" if type(value) is dict else "campaign config"
+    assert error.startswith(f"error: {where}: ") and key in error
     assert not (tmp_path / "out").exists()

@@ -211,4 +211,13 @@ def test_band_from_ghz_returns_canonical_bands():
     assert band_from_ghz(73.5) == BAND_73GHZ
     other = band_from_ghz(60.0)
     assert other.carrier_hz == 60.0e9
+    assert other.label == "60 GHz"
+
+
+def test_a_band_label_names_its_carrier_exactly():
+    near = band_from_ghz(73.50000000000001)
+    assert near != BAND_73GHZ
+    assert near.label == "73.50000000000001 GHz"
+    with pytest.raises(UnknownCombinationError, match=r"^no cataloged model for \(73\.50000000000001 GHz,"):
+        catalog_lookup(near, Environment.LOS, Polarization.VV, Directionality.OMNI)
     assert core.SPEED_OF_LIGHT_M_S == 299_792_458.0

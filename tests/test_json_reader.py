@@ -1,0 +1,230 @@
+"""Every JSON object kind is read against one table of its keys.
+
+A non-object, a missing or unknown key, or a value of the wrong JSON type is a
+ParseError that names the object's path; an absent optional key takes the
+default its dataclass declares; whatever the writers emit reads back equal.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mmwindoor.core import (
+    BAND_28GHZ,
+    BAND_73GHZ,
+    DEFAULT_RX_HEIGHT_M,
+    DEFAULT_TX_HEIGHT_M,
+    MEASURED_DISTANCE_RANGE_M,
+    VALID_SWEEP_IDS,
+    CampaignRecord,
+    CiModelParams,
+    Directionality,
+    DirectionalSweep,
+    Environment,
+    Pdp,
+    Polarization,
+    SweepEntry,
+    band_from_ghz,
+    sounder_lookup,
+)
+from mmwindoor.fileio import (
+    ParseError,
+    emit_campaign_config,
+    emit_campaign_records,
+    parse_campaign_config,
+    parse_campaign_records,
+    parse_pdp_batch,
+)
+from mmwindoor.simulate import CampaignConfig, PdpSynthesisConfig
+
+SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+CONFIG = {"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni", "n_locations": 5}
+
+
+def _record(target=None, key=None, value=None, remove=False):
+    """One valid sweep record as JSON text, with one key of one object edited."""
+    pdp = {"bin_spacing_ns": 2.5, "noise_floor_mw": 1e-9, "powers_mw": [1e-6, 2e-6]}
+    entry = {"theta_tx_deg": 0.0, "phi_tx_deg": 0.0, "theta_rx_deg": 30.0, "phi_rx_deg": 0.0,
+             "pdp": pdp}
+    sweep = {"sweep_id": "M1", "pol": "VV", "entries": [entry]}
+    record = {"location_id": "R1", "band_ghz": 28.0, "env": "LOS", "distance_m": 10.0,
+              "sweeps": [sweep]}
+    if target is not None:
+        obj = {"record": record, "sweep": sweep, "entry": entry, "pdp": pdp}[target]
+        if remove:
+            del obj[key]
+        else:
+            obj[key] = value
+    return json.dumps([record])
+
+
+def _parse_error(parse, text) -> str:
+    with pytest.raises(ParseError) as got:
+        parse(text)
+    return str(got.value)
+
+
+@pytest.mark.parametrize(
+    "target, where",
+    [("record", "record[0]"), ("sweep", "record[0].sweeps[0]"),
+     ("entry", "record[0].sweeps[0].entries[0]"), ("pdp", "record[0].sweeps[0].entries[0].pdp")],
+)
+def test_unknown_key_in_any_record_object_names_its_path(target, where):
+    text = _record(target, "noise_floor_mW", 1e-9)
+    assert _parse_error(parse_campaign_records, text) == f"{where}: unknown key(s) ['noise_floor_mW']"
+
+
+def test_unknown_pdp_key_names_the_profile():
+    text = '[{"bin_spacing_ns": 2.5, "powers_mw": [1.0]}, {"bin_spacing_ns": 2.5, "noise_floor_mW": 0,' \
+           ' "powers_mw": [1.0]}]'
+    assert _parse_error(parse_pdp_batch, text) == "pdp[1]: unknown key(s) ['noise_floor_mW']"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"params_override": {"ple": 2.0, "sigma_db": 3.0, "d0": 1.0}},
+         "campaign config.params_override: unknown key(s) ['d0']"),
+        ({"params_override": {"sigma_db": 3.0}},
+         "campaign config.params_override: missing key(s) ['ple']"),
+        ({"pdp_synthesis": {"noise_floor_mW": 1e-9}},
+         "campaign config.pdp_synthesis: unknown key(s) ['noise_floor_mW']"),
+        ({"n_locations": None}, "campaign config: n_locations must be an integer, got None"),
+    ],
+)
+def test_config_shape_errors_name_the_object(edit, message):
+    assert _parse_error(parse_campaign_config, json.dumps({**CONFIG, **edit})) == message
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG))
+def test_missing_config_key_is_a_parse_error(key):
+    config = {k: v for k, v in CONFIG.items() if k != key}
+    message = _parse_error(parse_campaign_config, json.dumps(config))
+    assert message == f"campaign config: missing key(s) ['{key}']"
+
+
+def test_non_object_config_is_a_parse_error():
+    assert _parse_error(parse_campaign_config, "[]") == "campaign config: expected an object, got list"
+
+
+@pytest.mark.parametrize(
+    "target, key, value, message",
+    [
+        ("record", "location_id", None, "record[0]: location_id must be a string, got None"),
+        ("record", "location_id", 5, "record[0]: location_id must be a string, got 5"),
+        ("record", "env", 1, "record[0]: env must be a string, got 1"),
+        ("sweep", "sweep_id", 1, "record[0].sweeps[0]: sweep_id must be a string, got 1"),
+        ("sweep", "pol", None, "record[0].sweeps[0]: pol must be a string, got None"),
+        ("entry", "pdp", [1.0], "record[0].sweeps[0].entries[0]: pdp must be an object, got [1.0]"),
+        ("sweep", "entries", [5], "record[0].sweeps[0].entries[0]: expected an object, got int"),
+        ("record", "sweeps", ["M1"], "record[0].sweeps[0]: expected an object, got str"),
+        ("record", "tx_height_m", None, "record[0]: tx_height_m must be a number, got None"),
+    ],
+)
+def test_string_fields_and_nested_objects_are_typed(target, key, value, message):
+    assert _parse_error(parse_campaign_records, _record(target, key, value)) == message
+
+
+@pytest.mark.parametrize(
+    "target, key, where",
+    [("record", "location_id", "record[0]"), ("sweep", "pol", "record[0].sweeps[0]"),
+     ("entry", "pdp", "record[0].sweeps[0].entries[0]"),
+     ("pdp", "powers_mw", "record[0].sweeps[0].entries[0].pdp")],
+)
+def test_missing_key_in_any_record_object_names_its_path(target, key, where):
+    text = _record(target, key, remove=True)
+    assert _parse_error(parse_campaign_records, text) == f"{where}: missing key(s) ['{key}']"
+
+
+def test_absent_optional_keys_take_the_declared_defaults():
+    (record,) = parse_campaign_records(_record("pdp", "noise_floor_mw", remove=True))
+    assert (record.tx_height_m, record.rx_height_m) == (DEFAULT_TX_HEIGHT_M, DEFAULT_RX_HEIGHT_M)
+    assert record.sweeps[0].entries[0].pdp.noise_floor_mw == Pdp(1.0, (1.0,)).noise_floor_mw
+    config = parse_campaign_config(json.dumps({**CONFIG, "params_override": {"ple": 2, "sigma_db": 3},
+                                               "pdp_synthesis": {}}))
+    defaults = CampaignConfig(BAND_28GHZ, Environment.LOS, Polarization.VV, Directionality.OMNI, 5)
+    assert (config.distance_range_m, config.seed) == (defaults.distance_range_m, defaults.seed)
+    assert config.pdp_synthesis == PdpSynthesisConfig()
+    assert config.params_override.d0_m == 1.0
+
+
+def test_null_stands_for_an_absent_nullable_key():
+    config = parse_campaign_config(json.dumps({**CONFIG, "params_override": None,
+                                               "pdp_synthesis": {"fixed_tap_delays_ns": None}}))
+    assert config.params_override is None
+    assert config.pdp_synthesis == PdpSynthesisConfig()
+
+
+# Round trips: every key the writers emit is one the reader's tables declare.
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+pdps = st.builds(
+    Pdp,
+    bin_spacing_ns=st.floats(min_value=1e-3, max_value=1e3),
+    powers_mw=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=5).map(tuple),
+    noise_floor_mw=st.floats(min_value=0.0, max_value=1.0),
+)
+entries = st.builds(SweepEntry, finite, finite, finite, finite, pdp=pdps)
+sweeps = st.builds(
+    DirectionalSweep,
+    sweep_id=st.sampled_from(sorted(VALID_SWEEP_IDS)),
+    pol=st.sampled_from(Polarization),
+    entries=st.lists(entries, max_size=3, unique_by=lambda e: e.angle).map(tuple),
+)
+records = st.builds(
+    CampaignRecord,
+    location_id=st.text(max_size=8),
+    distance_m=st.floats(*MEASURED_DISTANCE_RANGE_M),
+    env=st.sampled_from([Environment.LOS, Environment.NLOS]),
+    sweeps=st.lists(sweeps, max_size=2).map(tuple),
+    spec=st.sampled_from([sounder_lookup(BAND_28GHZ), sounder_lookup(BAND_73GHZ)]),
+    tx_height_m=finite,
+    rx_height_m=finite,
+)
+
+
+@SETTINGS
+@given(st.lists(records, min_size=1, max_size=3))
+def test_records_round_trip(rs):
+    assert parse_campaign_records(emit_campaign_records(rs)) == rs
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6)
+non_negative = st.floats(min_value=0.0, max_value=1e6)
+
+
+@st.composite
+def configs(draw):
+    band = draw(st.sampled_from([BAND_28GHZ, BAND_73GHZ, band_from_ghz(60.0)]))
+    env = draw(st.sampled_from(Environment))
+    pol = draw(st.sampled_from(Polarization))
+    dir_ = draw(st.sampled_from(Directionality))
+    lo = draw(st.floats(min_value=1.0, max_value=1e3))
+    override = None
+    if draw(st.booleans()) and not (env is Environment.NLOS_BEST and dir_ is Directionality.OMNI):
+        override = CiModelParams(band, env, pol, dir_, draw(positive), draw(non_negative),
+                                 draw(st.floats(min_value=1e-3, max_value=lo)))
+    synthesis = None
+    if draw(st.booleans()):
+        taps = draw(st.integers(1, 50))
+        synthesis = PdpSynthesisConfig(
+            tap_count_range=(taps, draw(st.integers(taps, 100))),
+            decay_ns=draw(st.one_of(positive, st.just(math.inf))),
+            span_ns=draw(non_negative),
+            tap_power_sigma_db=draw(non_negative),
+            noise_floor_mw=draw(non_negative),
+            fixed_tap_delays_ns=draw(st.none() | st.lists(non_negative, min_size=1, max_size=4)),
+        )
+    return CampaignConfig(
+        band=band, env=env, pol=pol, dir=dir_, n_locations=draw(st.integers(1, 10**6)),
+        distance_range_m=(lo, draw(st.floats(min_value=lo, max_value=1e4))),
+        seed=draw(st.integers(0, 2**64)), params_override=override, pdp_synthesis=synthesis,
+    )
+
+
+@SETTINGS
+@given(configs())
+def test_config_round_trip(config):
+    assert parse_campaign_config(emit_campaign_config(config)) == config

@@ -7,8 +7,9 @@ bins only. All must behave exactly as the loops below: the same
 ``DelayStats`` and thresholded powers bit for bit, and the same
 ``ValueError`` text for bad powers. The JSON loaders must build the same
 objects as the loaders kept below, and fail with the same text wherever the
-old ones did, except for the type checks added since and the record path
-that an out-of-domain ``band_ghz`` now carries.
+old ones did, except for the type, finite-angle and unknown-key checks added
+since, the one wording for a bad object shape, and the record path that an
+out-of-domain ``band_ghz`` now carries.
 """
 
 import copy
@@ -19,7 +20,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mmwindoor.core import (
     CampaignRecord,
@@ -38,6 +39,7 @@ from mmwindoor.fileio import (
     ParseError,
     _parse_enum,
     _parse_float,
+    parse_campaign_config,
     parse_campaign_records,
     parse_pdp_batch,
 )
@@ -337,20 +339,46 @@ def _slots(node, name):
             yield from _slots(node[i], name)
 
 
-#: Scalar fields the loaders now require to be JSON numbers.
+def _objects(node, path):
+    """Every JSON object in a document, with its path as the loaders name it."""
+    if isinstance(node, dict):
+        yield node, path
+        for key, value in node.items():
+            yield from _objects(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _objects(value, f"{path}[{i}]")
+
+
+#: Scalar fields the loaders now require to be JSON numbers, and JSON strings.
 _NUMBER_FIELDS = ("bin_spacing_ns", "noise_floor_mw", "distance_m", "tx_height_m",
                   "rx_height_m", "band_ghz")
+_STRING_FIELDS = ("location_id", "env", "sweep_id", "pol")
+#: Keys no object kind has, near misses of real ones among them.
+_UNKNOWN_KEYS = ("noise_floor_mW", "d0", "sweep", "comment")
 
 
 def _newly_rejected(field, value):
-    """Whether the loaders' number and array type checks reject this value here."""
-    if field in _ANGLES or field in _NUMBER_FIELDS or field == "powers_mw[]":
+    """Whether the loaders reject this value here where the reference did not, or
+    in words of their own. That covers their number, string and array type
+    checks, their finite-angle check, and their one wording for an object's
+    shape: the reference worded a bad sweep, a non-object entry and a non-object
+    ``pdp`` its own way. ``KeyError`` stands for the key's removal."""
+    if value is KeyError:
+        return field in ("sweep_id", "pol", "entries")
+    if field in _ANGLES:
+        return type(value) not in (int, float) or (type(value) is float and not math.isfinite(value))
+    if field in _NUMBER_FIELDS or field == "powers_mw[]":
         return type(value) not in (int, float)
+    if field in _STRING_FIELDS:
+        return type(value) is not str
     if field == "powers_mw":
         return type(value) is not list or any(type(v) not in (int, float) for v in value)
     if field in ("sweeps", "entries"):
-        return type(value) is not list
-    return False
+        return type(value) is not list or any(type(v) is not dict for v in value)
+    if field in ("pdp", "entries[]"):
+        return type(value) is not dict
+    return field == "sweeps[]"
 
 
 def _outcome(load, text):
@@ -362,17 +390,24 @@ def _outcome(load, text):
             return None, exc
 
 
-def _mutated(data, doc):
-    """The document as JSON with one value replaced or one key removed, and whether
-    the loaders' type checks reject the edit."""
+def _mutated(data, doc, root_path):
+    """The document as JSON after one edit, and whether the loaders reject it where
+    the reference did not: an edit replaces one value, removes one key, or inserts
+    an unknown key, which the reference ignored, into one object. For an inserted
+    key the second value is the path of its object, the document's being ``root_path``."""
     holder = {"root": copy.deepcopy(doc)}
+    root = holder["root"]
+    if data.draw(st.integers(0, 3)) == 0:
+        obj, path = data.draw(st.sampled_from(list(_objects(root, root_path))))
+        obj[data.draw(st.sampled_from(_UNKNOWN_KEYS))] = data.draw(junk)
+        return json.dumps(root), path
     container, key, field = data.draw(st.sampled_from(list(_slots(holder, None))))
     removable = isinstance(container, dict) and container is not holder
     value = data.draw(st.one_of(st.just(KeyError), junk) if removable else junk)
     if value is KeyError:
         del container[key]
-        return json.dumps(holder["root"]), False
-    container[key] = value
+    else:
+        container[key] = value
     return json.dumps(holder["root"]), _newly_rejected(field, value)
 
 
@@ -383,6 +418,8 @@ def _assert_same_outcome(reference, load, text, newly):
     assert new_exc is None or isinstance(new_exc, (ValueError, UnknownCombinationError)), new_exc
     if newly:
         assert isinstance(new_exc, ParseError)
+        if isinstance(newly, str):  # the path of an object given an unknown key
+            assert str(new_exc).startswith(f"{newly}: unknown key(s) ["), new_exc
     elif old_exc is None:
         assert new_exc is None and got == want
     elif isinstance(old_exc, UnknownCombinationError):
@@ -401,12 +438,53 @@ def _assert_same_outcome(reference, load, text, newly):
 @given(st.lists(json_record, min_size=1, max_size=2), st.data())
 def test_record_loader_matches_reference(records, data):
     doc = records[0] if len(records) == 1 and data.draw(st.booleans()) else records
-    text, newly = (json.dumps(doc), False) if data.draw(st.booleans()) else _mutated(data, doc)
+    text, newly = (json.dumps(doc), False) if data.draw(st.booleans()) else _mutated(
+        data, doc, "record" if isinstance(doc, list) else "record[0]")
+    # The loaders stop at the first error in reading order, so an edit they reject
+    # is the error reported only in a document that is valid apart from the edit.
+    assume(not newly or _outcome(reference_parse_campaign_records, json.dumps(doc))[1] is None)
     _assert_same_outcome(reference_parse_campaign_records, parse_campaign_records, text, newly)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(st.lists(json_pdp, min_size=1, max_size=3), st.data())
 def test_pdp_loader_matches_reference(pdps, data):
-    text, newly = (json.dumps(pdps), False) if data.draw(st.booleans()) else _mutated(data, pdps)
+    text, newly = (json.dumps(pdps), False) if data.draw(st.booleans()) else _mutated(data, pdps, "pdp")
     _assert_same_outcome(reference_parse_pdp_batch, parse_pdp_batch, text, newly)
+
+
+json_config = st.fixed_dictionaries(
+    {"band_ghz": st.sampled_from([28.0, 73.5, 28, 60.0]),
+     "env": st.sampled_from(["LOS", "NLOS", "NLOS_BEST"]), "pol": st.sampled_from(["VV", "VH"]),
+     "dir": st.sampled_from(["omni", "directional"]), "n_locations": st.sampled_from([1, 5, 0])},
+    optional={
+        "distance_range_m": st.sampled_from([[3.9, 45.9], [4, 40], [10.0, 5.0]]),
+        "seed": st.sampled_from([0, 7]),
+        "params_override": st.none() | st.fixed_dictionaries(
+            {"ple": st.sampled_from([2, 3.5, 0.0]), "sigma_db": st.sampled_from([0, 4.1])},
+            optional={"d0_m": st.sampled_from([1.0, 2])}),
+        "pdp_synthesis": st.none() | st.fixed_dictionaries({}, optional={
+            "tap_count_range": st.sampled_from([[1, 10], [3, 2]]),
+            "decay_ns": st.sampled_from([25.0, 10]), "span_ns": st.sampled_from([100.0, 0]),
+            "tap_power_sigma_db": st.sampled_from([3.0, 0]),
+            "noise_floor_mw": st.sampled_from([1e-9, 0]),
+            "fixed_tap_delays_ns": st.none() | st.sampled_from([[0.0, 5], []])}),
+    },
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(json_config, st.data())
+def test_config_loader_fails_only_with_documented_errors(config, data):
+    """A mutated config loads or fails with an error the CLI maps to an exit code,
+    never with a TypeError, KeyError or AttributeError. Every object is read
+    before any value is checked, so an unknown key is always the error reported."""
+    text, newly = (json.dumps(config), False) if data.draw(st.booleans()) else _mutated(
+        data, config, "campaign config")
+    try:
+        parse_campaign_config(text)
+    except (ValueError, UnknownCombinationError) as exc:
+        if isinstance(newly, str):
+            assert type(exc) is ParseError and str(exc).startswith(f"{newly}: unknown key(s) [")
+    else:
+        assert not isinstance(newly, str)
