@@ -147,11 +147,13 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     for (band, env, pol, dir_), group in sorted(
         strata.items(), key=lambda kv: (kv[0][0].ghz, kv[0][1].value, kv[0][2].value, kv[0][3].value)
     ):
+        stratum = f"({band.label}, {env.value}, {pol.value}, {dir_.value})"
         try:
             result = estimation.fit_ci_model(group, band=band, d0_m=d0_m)
+        except OverflowError as exc:
+            raise OverflowError(f"stratum {stratum}: {exc}") from None
         except ValueError as exc:
-            click.echo(f"warning: skipping stratum ({band.label}, {env.value}, "
-                       f"{pol.value}, {dir_.value}): {exc}", err=True)
+            click.echo(f"warning: skipping stratum {stratum}: {exc}", err=True)
             continue
         rows.append((env, pol, dir_, result))
         click.echo(
@@ -343,7 +345,10 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
 @click.pass_context
 def report(ctx, fit_csv, spreads_files, out_dir):
     """Catalog-vs-fitted comparison table plus CDF data files for plotting."""
-    fitted_rows = fileio.parse_fit_csv(_read_text(fit_csv)) if fit_csv else None
+    fitted = None if fit_csv is None else {
+        (r["band_ghz"], r["env"], r["pol"], r["dir"]): r
+        for r in fileio.parse_fit_csv(_read_text(fit_csv))
+    }
 
     click.echo("close-in model parameters (catalog vs fitted)")
     bands = sorted({p.band for p in core.CI_MODEL_CATALOG}, key=lambda b: b.ghz)
@@ -354,22 +359,18 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         for entry in core.CI_MODEL_CATALOG:
             if entry.band != band:
                 continue
-            if fitted_rows is None:
+            if fitted is None:
                 fit_ple, fit_sigma = entry.ple, entry.shadow_sigma_db
             else:
-                match = [
-                    r for r in fitted_rows
-                    if r["band_ghz"] == band.ghz and r["env"] is entry.env
-                    and r["pol"] is entry.pol and r["dir"] is entry.dir
-                ]
-                if not match:
+                match = fitted.get((band.ghz, entry.env, entry.pol, entry.dir))
+                if match is None:
                     click.echo(
                         f"{entry.env.value:>9} {entry.pol.value:>4} {entry.dir.value:>13} "
                         f"{entry.ple:>6.1f} {entry.shadow_sigma_db:>6.1f} "
                         f"{'':>8} {'':>8} {'':>7} {'':>7}"
                     )
                     continue
-                fit_ple, fit_sigma = match[0]["ple"], match[0]["sigma_db"]
+                fit_ple, fit_sigma = match["ple"], match["sigma_db"]
             click.echo(
                 f"{entry.env.value:>9} {entry.pol.value:>4} {entry.dir.value:>13} "
                 f"{entry.ple:>6.1f} {entry.shadow_sigma_db:>6.1f} "

@@ -92,15 +92,17 @@ def fit_ci_model(
     if np.any(d < d0_m):
         raise ValueError(f"all sample distances must be >= d0 = {d0_m} m")
 
-    a = pl - free_space_pl_db(band, d0_m)
-    b = 10.0 * np.log10(d / d0_m)
-    denom = float(np.dot(b, b))
-    if denom == 0.0:
-        raise ValueError("all distances equal d0; the exponent is unidentifiable")
-
-    ple_hat = float(np.dot(a, b)) / denom
-    residuals = a - ple_hat * b
-    sigma_hat = math.sqrt(float(np.mean(residuals**2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # finite inputs, non-finite sums
+        a = pl - free_space_pl_db(band, d0_m)
+        b = 10.0 * np.log10(d / d0_m)
+        denom = float(np.dot(b, b))
+        if denom == 0.0:
+            raise ValueError("all distances equal d0; the exponent is unidentifiable")
+        ple_hat = float(np.dot(a, b)) / denom
+        residuals = a - ple_hat * b
+        sigma_hat = math.sqrt(float(np.mean(residuals**2)))
+    if not (math.isfinite(ple_hat) and math.isfinite(sigma_hat)):
+        raise OverflowError(f"the samples overflow a float (ple {ple_hat}, sigma {sigma_hat})")
     return FitResult(
         ple_hat=ple_hat,
         sigma_hat_db=sigma_hat,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import gc
 import io
 import itertools
@@ -18,7 +19,7 @@ import tempfile
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     CampaignRecord,
@@ -39,18 +40,11 @@ from .core import (
 from .estimation import FitResult, SpreadSummary
 from .simulate import CampaignConfig, PdpSynthesisConfig
 
-PATHLOSS_CSV_HEADER = "location_id,band_ghz,env,pol,dir,distance_m,path_loss_db"
-FIT_CSV_HEADER = "band_ghz,env,pol,dir,ple,sigma_db,d0_m"
 CDF_CSV_HEADER = "value,cumulative_probability"
-DELAY_STATS_CSV_HEADER = (
-    "pdp_index,status,mean_excess_delay_ns,rms_delay_spread_ns,total_power_mw,"
-    "sigma_tau_mean_ns,sigma_tau_std_ns,sigma_tau_max_ns,sigma_tau_p90_ns"
-)
 
 
-_ENVIRONMENTS = {m.value: m for m in Environment}
-_POLARIZATIONS = {m.value: m for m in Polarization}
-_DIRECTIONALITIES = {m.value: m for m in Directionality}
+#: Each enum's members by value, as ``_parse_enum`` and the path-loss screen look them up.
+_MEMBERS = {cls: {m.value: m for m in cls} for cls in (Environment, Polarization, Directionality)}
 #: A UTF-8 byte order mark, as some editors write it before a CSV header.
 _BOM = "\ufeff"
 
@@ -73,6 +67,10 @@ class OutageRow:
     pol: Polarization
     dir: Directionality
     distance_m: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.distance_m < math.inf:
+            raise ValueError(f"distance_m must be finite and > 0, got {self.distance_m!r}")
 
 
 def _fmt(x: float) -> str:
@@ -122,9 +120,9 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 def _parse_enum(cls, token: str, field: str, line: int | None = None):
     try:
-        return cls(token)
-    except ValueError:
-        valid = ", ".join(m.value for m in cls)
+        return _MEMBERS[cls][token]
+    except KeyError:
+        valid = ", ".join(_MEMBERS[cls])
         raise ParseError(f"{field}: unknown value {token!r} (valid: {valid})", line) from None
 
 
@@ -135,26 +133,106 @@ def _parse_float(token: str, field: str, line: int | None = None) -> float:
         raise ParseError(f"{field}: not a number: {token!r}", line) from None
 
 
-def _parse_finite(token: str, field: str, line: int | None = None) -> float:
-    x = _parse_float(token, field, line)
+@functools.lru_cache(maxsize=64)  # a band token is resolved once, though outage rows repeat it
+def _band(token: str, field: str) -> FrequencyBand:
+    return band_from_ghz(_parse_float(token, field))
+
+
+def _spread(token: str, field: str) -> float:
+    x = _parse_float(token, field)
     if not math.isfinite(x):
-        raise ParseError(f"{field}: not a finite number: {token!r}", line)
+        raise ParseError(f"{field}: not a finite number: {token!r}")
+    if x < 0.0:
+        raise ParseError(f"{field}: must be >= 0, got {x!r}")
     return x
 
 
-def _csv_body(text: str, header: str, empty_message: str):
-    """A reader past the checked header of ``text`` (one leading BOM ignored); an
-    empty text is an EmptyInputError(empty_message), a bad header a ParseError."""
+def _blank_or(read):
+    """``read``, except that a blank token reads as None."""
+    return lambda token, field: None if not token.strip() else read(token, field)
+
+
+def _fitted_row(*values) -> dict:
+    row = dict(zip(_FITTED.columns, values))
+    band_from_ghz(row["band_ghz"])  # a carrier must be finite and > 0
+    if not 0.0 < row["ple"] < math.inf:
+        raise ValueError(f"ple must be finite and > 0, got {row['ple']!r}")
+    if not 0.0 <= row["sigma_db"] < math.inf:
+        raise ValueError(f"sigma_db must be finite and >= 0, got {row['sigma_db']!r}")
+    if not 0.0 < row["d0_m"] < math.inf:
+        raise ValueError(f"d0_m must be finite and > 0, got {row['d0_m']!r}")
+    return row
+
+
+class _Csv(NamedTuple):
+    """One CSV input: its header names in file order, each with the token reader of
+    its column (token, name -> value); what ``build`` makes of a row's values; and the
+    message for no header. Readers, and ``build``, raise ValueError for a bad row."""
+
+    columns: dict
+    build: Callable
+    empty: str = ""
+
+
+_TEXT = lambda token, field: token  # any text, kept as is
+_ENV, _POL, _DIR = (functools.partial(_parse_enum, cls)
+                    for cls in (Environment, Polarization, Directionality))
+_PATHLOSS = _Csv({"location_id": _TEXT,
+                  "band_ghz": _band, "env": _ENV, "pol": _POL, "dir": _DIR,
+                  "distance_m": _parse_float, "path_loss_db": _blank_or(_parse_float)},
+                 lambda *v: OutageRow(*v[:6]) if v[6] is None else PathLossSample(*v),
+                 "empty path-loss CSV: no header row")
+_FITTED = _Csv({"band_ghz": _parse_float, "env": _ENV, "pol": _POL, "dir": _DIR,
+                "ple": _parse_float, "sigma_db": _parse_float, "d0_m": _parse_float},
+               _fitted_row, "empty fitted-table CSV")
+# Of a delay-stats row only the spread is read; the summary row holds none.
+_DELAY_STATS = _Csv(dict.fromkeys(
+    ("pdp_index", "status", "mean_excess_delay_ns", "rms_delay_spread_ns", "total_power_mw",
+     "sigma_tau_mean_ns", "sigma_tau_std_ns", "sigma_tau_max_ns", "sigma_tau_p90_ns"), _TEXT)
+    | {"rms_delay_spread_ns": _blank_or(_spread)},
+    lambda index, status, mean, rms, *_: None if index == "summary" else rms,
+    "spread-values file is empty")
+# A one-column spread file has no header; each of its non-blank lines is one row.
+_SPREAD_LINES = _Csv({"value": _spread}, lambda value: value)
+
+PATHLOSS_CSV_HEADER = ",".join(_PATHLOSS.columns)
+FIT_CSV_HEADER = ",".join(_FITTED.columns)
+DELAY_STATS_CSV_HEADER = ",".join(_DELAY_STATS.columns)
+
+
+def _csv_rows(text: str, table: _Csv):
+    """Yield (line, fields) for each row past the header; a leading BOM and blank rows
+    before the header are skipped. No header is an EmptyInputError; a wrong header or
+    a record the csv module rejects is a ParseError naming its line."""
     reader = csv.reader(io.StringIO(text.removeprefix(_BOM)))
+    rows = enumerate(reader, start=1)
     try:
-        first = next(reader)
-    except StopIteration:
-        raise EmptyInputError(empty_message) from None
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=1) from None
-    if [h.strip() for h in first] != header.split(","):
-        raise ParseError(f"unexpected header {','.join(first)!r}", line=1)
-    return reader
+        line, header = next(itertools.dropwhile(lambda row: _is_blank(row[1]), rows), (1, None))
+        if header is None:
+            raise EmptyInputError(table.empty)
+        if [h.strip() for h in header] != list(table.columns):
+            raise ParseError(f"unexpected header {','.join(header)!r}", line)
+        yield from rows
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
+def _is_blank(fields: list[str]) -> bool:
+    return len(fields) <= 1 and not "".join(fields).strip()
+
+
+def _row(table: _Csv, fields: list[str], line: int):
+    """What ``table`` builds from one row, or None for a blank row. A wrong field
+    count, a bad token or an out-of-domain value is a ParseError naming ``line``."""
+    if _is_blank(fields):
+        return None
+    if len(fields) != len(table.columns):
+        raise ParseError(f"expected {len(table.columns)} fields, found {len(fields)}", line)
+    try:
+        return table.build(*[read(token, name)
+                             for (name, read), token in zip(table.columns.items(), fields)])
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
@@ -168,60 +246,26 @@ def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_pathloss_row(row: list[str], line_no: int, bands: dict) -> PathLossSample | None:
-    """One row, field by field: its sample, None for a blank or outage row, or a
-    ParseError naming the first bad field. A band token that parses joins ``bands``."""
-    if not row or (len(row) == 1 and not row[0].strip()):
-        return None
-    if len(row) != 7:
-        raise ParseError(f"expected 7 fields, found {len(row)}", line=line_no)
-    loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = row
-    if pl_s.strip() == "":
-        return None  # outage row: nothing to fit
-    try:
-        if band_s not in bands:
-            bands[band_s] = band_from_ghz(_parse_float(band_s, "band_ghz", line_no))
-        return PathLossSample(
-            location_id=loc,
-            band=bands[band_s],
-            env=_parse_enum(Environment, env_s, "env", line_no),
-            pol=_parse_enum(Polarization, pol_s, "pol", line_no),
-            dir=_parse_enum(Directionality, dir_s, "dir", line_no),
-            distance_m=_parse_float(dist_s, "distance_m", line_no),
-            path_loss_db=_parse_float(pl_s, "path_loss_db", line_no),
-        )
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line_no) from None
-
-
 def parse_pathloss_csv(text: str) -> list[PathLossSample]:
-    """Parse a path-loss CSV; outage rows (blank loss) are skipped.
-
-    Each row is first read with table lookups and plain ``float()``. A row
-    those reject (blank, outage, malformed, or a band token not yet seen) is
-    parsed again field by field, which skips it or names its first bad field.
-    """
-    reader = _csv_body(text, PATHLOSS_CSV_HEADER, "empty path-loss CSV: no header row")
-    envs, pols, dirs = _ENVIRONMENTS, _POLARIZATIONS, _DIRECTIONALITIES
-    bands: dict[str, FrequencyBand] = {}  # band token -> band, filled field by field
+    """Parse a path-loss CSV; outage rows (blank loss) are checked, then skipped. A row
+    the screen of table lookups and ``float()`` rejects (blank, outage, malformed, or
+    a band token not yet seen) goes to the row reader."""
+    envs, pols, dirs = _MEMBERS[Environment], _MEMBERS[Polarization], _MEMBERS[Directionality]
+    bands: dict[str, FrequencyBand] = {}  # band token -> band, filled by the row reader
     samples: list[PathLossSample] = []
     append = samples.append
-    try:  # a csv.Error ends the parse, so one handler around the loop keeps rows cheap
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = row
-                append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s], dirs[dir_s],
-                                      float(dist_s), float(pl_s)))
-                continue
-            except (KeyError, ValueError):
-                pass
-            sample = _parse_pathloss_row(row, line_no, bands)
-            if sample is not None:
-                append(sample)
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(str(exc), line=reader.line_num) from None
+    for line, fields in _csv_rows(text, _PATHLOSS):
+        try:
+            loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = fields
+            append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s], dirs[dir_s],
+                                  float(dist_s), float(pl_s)))
+            continue
+        except (KeyError, ValueError):
+            pass
+        sample = _row(_PATHLOSS, fields, line)
+        if type(sample) is PathLossSample:
+            bands[fields[1]] = sample.band
+            append(sample)
     return samples
 
 
@@ -570,30 +614,19 @@ def emit_fit_csv(rows: Iterable[tuple[Environment, Polarization, Directionality,
 
 
 def parse_fit_csv(text: str) -> list[dict]:
-    reader = _csv_body(text, FIT_CSV_HEADER, "empty fitted-table CSV")
-    rows = []
-    try:
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 7:
-                raise ParseError(f"expected 7 fields, found {len(row)}", line=line_no)
-            rows.append(
-                {
-                    "band_ghz": _parse_float(row[0], "band_ghz", line_no),
-                    "env": _parse_enum(Environment, row[1], "env", line_no),
-                    "pol": _parse_enum(Polarization, row[2], "pol", line_no),
-                    "dir": _parse_enum(Directionality, row[3], "dir", line_no),
-                    "ple": _parse_float(row[4], "ple", line_no),
-                    "sigma_db": _parse_float(row[5], "sigma_db", line_no),
-                    "d0_m": _parse_float(row[6], "d0_m", line_no),
-                }
-            )
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+    """The rows of a fitted table, in file order; a stratum may appear once."""
+    rows = {}  # stratum -> row
+    for line, fields in _csv_rows(text, _FITTED):
+        row = _row(_FITTED, fields, line)
+        if row is not None:
+            stratum = (row["band_ghz"], row["env"], row["pol"], row["dir"])
+            if stratum in rows:
+                raise ParseError(f"repeated stratum ({row['band_ghz']!r} GHz, {row['env'].value}, "
+                                 f"{row['pol'].value}, {row['dir'].value})", line)
+            rows[stratum] = row
     if not rows:
         raise EmptyInputError("fitted-table CSV has no rows")
-    return rows
+    return list(rows.values())
 
 
 def emit_cdf_csv(pairs: Sequence[tuple[float, float]]) -> str:
@@ -623,29 +656,15 @@ def emit_delay_stats_csv(
 
 
 def parse_spread_values(text: str) -> list[float]:
-    """Finite delay-spread values from either a delay-stats CSV or a one-column file."""
-    stripped = text.removeprefix(_BOM).strip()
-    if not stripped:
-        raise EmptyInputError("spread-values file is empty")
-    values = []
-    if "," in stripped.splitlines()[0]:
-        reader = _csv_body(text, DELAY_STATS_CSV_HEADER, "spread-values file is empty")
-        col = DELAY_STATS_CSV_HEADER.split(",").index("rms_delay_spread_ns")
-        try:
-            for line_no, row in enumerate(reader, start=2):
-                if not row or row[0] == "summary":
-                    continue
-                if row[col].strip() == "":
-                    continue  # flagged no-multipath row
-                values.append(_parse_finite(row[col], "rms_delay_spread_ns", line_no))
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
+    """Delay-spread values, finite and >= 0, from either a delay-stats CSV or a
+    one-column file (the form is told by a comma in the first non-blank line)."""
+    lines = text.removeprefix(_BOM).splitlines()
+    if "," in next((line for line in lines if line.strip()), ","):  # a blank file: an empty CSV
+        values = [value for line, fields in _csv_rows(text, _DELAY_STATS)
+                  if (value := _row(_DELAY_STATS, fields, line)) is not None]
     else:
-        for line_no, line in enumerate(stripped.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            values.append(_parse_finite(line, "value", line_no))
+        values = [_row(_SPREAD_LINES, [token.strip()], line)
+                  for line, token in enumerate(lines, start=1) if token.strip()]
     if not values:
         raise EmptyInputError("no delay-spread values found")
     return values

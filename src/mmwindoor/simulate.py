@@ -86,6 +86,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_locations < 1:
             raise ValueError(f"n_locations: must be >= 1, got {self.n_locations!r}")
+        if self.seed < 0:  # SeedSequence takes non-negative entropy only
+            raise ValueError(f"seed: must be >= 0, got {self.seed!r}")
         lo, hi = self.distance_range_m
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"distance_range_m: bounds must be finite, got {self.distance_range_m!r}")

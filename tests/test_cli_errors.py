@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from mmwindoor.cli import EXIT_PARSE, EXIT_VALIDATION, main
-from mmwindoor.fileio import PATHLOSS_CSV_HEADER
+from mmwindoor.fileio import DELAY_STATS_CSV_HEADER, FIT_CSV_HEADER, PATHLOSS_CSV_HEADER
 
 ENTRY = {"theta_tx_deg": 0.0, "phi_tx_deg": 0.0, "theta_rx_deg": 0.0, "phi_rx_deg": 0.0,
          "pdp": {"bin_spacing_ns": 2.5, "noise_floor_mw": 1e-9, "powers_mw": [1e-6, 2e-6]}}
@@ -243,3 +243,109 @@ def test_simulate_mistyped_config_exits_2(tmp_path, edit):
     where = f"campaign config.{key}" if type(value) is dict else "campaign config"
     assert error.startswith(f"error: {where}: ") and key in error
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_negative_config_seed_exits_3_naming_the_key(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni",
+                                  "n_locations": 10, "seed": -1}))
+    res = _invoke(["simulate", str(config), "-o", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_VALIDATION
+    assert res.stderr == "error: seed: must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_negative_seed_flag_exits_3_naming_the_key(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni",
+                                  "n_locations": 10}))
+    res = _invoke(["--seed", "-5", "simulate", str(config), "-o", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_VALIDATION
+    assert res.stderr == "error: seed: must be >= 0, got -5\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _report_spreads(tmp_path, monkeypatch, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spreads.csv").write_text(text)
+    return _invoke(["report", "--spreads", "spreads.csv", "-o", "out"])
+
+
+STATS_ROW = "0,ok,1.0,{},2.0,,,,"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"{DELAY_STATS_CSV_HEADER}\n0,ok\n", "line 2: expected 9 fields, found 2"),
+        (f"{DELAY_STATS_CSV_HEADER}\n{STATS_ROW.format(5.0)}\n{STATS_ROW.format(-3.0)}\n",
+         "line 3: rms_delay_spread_ns: must be >= 0, got -3.0"),
+        ("5\n-3\n", "line 2: value: must be >= 0, got -3.0"),
+        ("\n\n5\nnan\n", "line 4: value: not a finite number: 'nan'"),
+    ],
+    ids=["short-row", "negative-csv", "negative-column", "line-after-blank-lines"],
+)
+def test_report_bad_spread_row_exits_2_naming_file_and_line(tmp_path, monkeypatch, text, message):
+    res = _report_spreads(tmp_path, monkeypatch, text)
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == f"error: spreads.csv: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_skips_blank_lines_before_a_delay_stats_header(tmp_path, monkeypatch):
+    res = _report_spreads(tmp_path, monkeypatch,
+                          f"\n \n{DELAY_STATS_CSV_HEADER}\n{STATS_ROW.format(4.0)}\n")
+    assert res.exit_code == 0, res.output
+    assert "delay spreads [spreads]: n=1, mean 4.000 ns" in res.stdout
+
+
+FITTED_ROW = "28.0,LOS,VV,omni,{},{},{}"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([FITTED_ROW.format("nan", 1.7, 1.0)], "line 2: ple must be finite and > 0, got nan"),
+        ([FITTED_ROW.format(1.1, "inf", 1.0)], "line 2: sigma_db must be finite and >= 0, got inf"),
+        ([FITTED_ROW.format(1.1, 1.7, -1.0)], "line 2: d0_m must be finite and > 0, got -1.0"),
+        ([FITTED_ROW.format(1.1, 1.7, 1.0), "28,LOS,VV,omni,1.2,1.8,1.0"],
+         "line 3: repeated stratum (28.0 GHz, LOS, VV, omni)"),
+    ],
+    ids=["nan-ple", "inf-sigma", "negative-d0", "repeated-stratum"],
+)
+def test_report_bad_fitted_row_exits_2_naming_the_line(tmp_path, rows, message):
+    path = tmp_path / "fits.csv"
+    path.write_text("\n".join([FIT_CSV_HEADER, *rows]) + "\n")
+    res = _invoke(["report", "--fit-csv", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == f"error: {message}\n"
+
+
+def test_report_finds_each_fitted_stratum(tmp_path):
+    path = tmp_path / "fits.csv"
+    path.write_text(f"{FIT_CSV_HEADER}\n73.5,NLOS,VH,directional,4.5,10.5,1.0\n"
+                    f"{FITTED_ROW.format(1.25, 2.0, 1.0)}\n")
+    res = _invoke(["report", "--fit-csv", str(path)])
+    assert res.exit_code == 0, res.output
+    assert "      LOS   VV          omni    1.1    1.7    1.250    2.000  +0.150  +0.300\n" in res.stdout
+    assert "     NLOS   VH   directional    6.4   15.8    4.500   10.500  -1.900  -5.300\n" in res.stdout
+    assert "     NLOS   VV          omni    2.7    9.6" + " " * 34 + "\n" in res.stdout
+
+
+def test_fit_bad_outage_row_exits_2_naming_line_and_field(tmp_path):
+    path = tmp_path / "pathloss.csv"
+    path.write_text(f"{PATHLOSS_CSV_HEADER}\na,28.0,LOS,VV,omni,10.0,70.0\n"
+                    "b,28.0,los,VV,omni,20.0,\n")
+    res = _invoke(["fit", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == "error: line 3: env: unknown value 'los' (valid: LOS, NLOS, NLOS_BEST)\n"
+
+
+def test_fit_overflowing_stratum_exits_3_naming_it(tmp_path):
+    path = tmp_path / "pathloss.csv"
+    path.write_text(f"{PATHLOSS_CSV_HEADER}\na,28.0,LOS,VV,omni,1.0,1.0\n"
+                    "b,28.0,LOS,VV,omni,1.0,1.3407807929942597e+154\nc,28.0,LOS,VV,omni,2.0,1.0\n")
+    res = _invoke(["fit", str(path)])
+    assert res.exit_code == EXIT_VALIDATION
+    assert res.stderr == ("error: stratum (28 GHz, LOS, VV, omni): the samples overflow a float "
+                          "(ple -20.061437304785386, sigma inf)\n")

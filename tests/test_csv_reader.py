@@ -1,0 +1,190 @@
+"""Every CSV input is read by one row reader against one table of its columns.
+
+Whatever the writers emit reads back to the values written (and a path-loss
+file to the same bytes). A fuzzed CSV file (fields dropped or added, bad
+tokens, stray quotes, BOMs, blank lines, a cut-off end) raises only
+ParseError or EmptyInputError, and the command that reads it exits 0, 2, 3
+or 4, never with a traceback.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from mmwindoor.cli import EXIT_EMPTY, EXIT_PARSE, EXIT_VALIDATION, main
+from mmwindoor.core import (
+    BAND_28GHZ,
+    BAND_73GHZ,
+    Directionality,
+    EmptyInputError,
+    Environment,
+    PathLossSample,
+    Polarization,
+    band_from_ghz,
+)
+from mmwindoor.estimation import FitResult, SpreadSummary
+from mmwindoor.fileio import (
+    ParseError,
+    emit_delay_stats_csv,
+    emit_fit_csv,
+    emit_pathloss_csv,
+    parse_fit_csv,
+    parse_pathloss_csv,
+    parse_spread_values,
+)
+from mmwindoor.pdp import DelayStats
+
+SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+bands = st.sampled_from([BAND_28GHZ, BAND_73GHZ, band_from_ghz(60.0), band_from_ghz(38.6)])
+envs, pols, dirs = (st.sampled_from(list(e)) for e in (Environment, Polarization, Directionality))
+#: Location ids, often holding the characters csv quoting depends on. A carriage
+#: return is left out: the writer leaves it unquoted, as ``csv.writer`` does, and
+#: the reader then rejects the row (``test_carriage_return_in_a_location_id``).
+location_ids = st.text(alphabet=st.sampled_from(',"\n a0é\t') | st.characters(exclude_characters="\r"),
+                       max_size=12)
+
+samples = st.lists(st.builds(PathLossSample, location_id=location_ids, band=bands, env=envs,
+                             pol=pols, dir=dirs, distance_m=positive, path_loss_db=positive),
+                   max_size=20)
+fits = st.builds(FitResult, ple_hat=positive, sigma_hat_db=nonneg, n_samples=st.just(2),
+                 residuals_db=st.just(()), d0_m=positive, band=bands)
+fitted_tables = st.lists(st.tuples(envs, pols, dirs, fits), min_size=1, max_size=12,
+                         unique_by=lambda r: (r[3].band, r[0], r[1], r[2]))
+delay_stats = st.builds(DelayStats, mean_excess_delay_ns=nonneg, second_moment_ns2=nonneg,
+                        rms_delay_spread_ns=nonneg, total_power_mw=nonneg)
+delay_rows = st.lists(st.one_of(delay_stats.map(lambda s: ("ok", s)),
+                                st.just(("no-multipath", None))), min_size=1, max_size=12)
+
+
+@st.composite
+def summaries(draw):
+    lo, mid, hi = sorted(draw(st.lists(nonneg, min_size=3, max_size=3)))
+    return SpreadSummary(mean_ns=mid, std_ns=draw(nonneg), max_ns=hi, p90_ns=lo)
+
+
+def _table(rows):
+    return [(i, status, stats) for i, (status, stats) in enumerate(rows)]
+
+
+# --------------------------------------------------------------------------- round trips
+
+
+@SETTINGS
+@given(samples)
+def test_pathloss_csv_round_trips(rows):
+    text = emit_pathloss_csv(rows)
+    parsed = parse_pathloss_csv(text)
+    assert parsed == rows
+    assert emit_pathloss_csv(parsed) == text
+
+
+@SETTINGS
+@given(fitted_tables)
+def test_fitted_table_round_trips(rows):
+    assert parse_fit_csv(emit_fit_csv(rows)) == [
+        {"band_ghz": fit.band.ghz, "env": env, "pol": pol, "dir": dir_, "ple": fit.ple_hat,
+         "sigma_db": fit.sigma_hat_db, "d0_m": fit.d0_m}
+        for env, pol, dir_, fit in rows
+    ]
+
+
+@SETTINGS
+@given(delay_rows, st.none() | summaries())
+def test_delay_stats_csv_gives_the_ok_rows_spreads(rows, summary):
+    text = emit_delay_stats_csv(_table(rows), summary)
+    spreads = [stats.rms_delay_spread_ns for status, stats in rows if status == "ok"]
+    if spreads:
+        assert parse_spread_values(text) == spreads
+    else:
+        with pytest.raises(EmptyInputError):
+            parse_spread_values(text)
+
+
+@SETTINGS
+@given(st.lists(nonneg, min_size=1, max_size=12))
+def test_one_column_spreads_round_trip(values):
+    assert parse_spread_values("".join(f"{v!r}\n" for v in values)) == values
+
+
+def test_carriage_return_in_a_location_id():
+    row = PathLossSample("a\rb", BAND_28GHZ, Environment.LOS, Polarization.VV,
+                         Directionality.OMNI, 10.0, 70.0)
+    with pytest.raises(ParseError, match="^line 2: new-line character seen in unquoted field"):
+        parse_pathloss_csv(emit_pathloss_csv([row]))
+
+
+# --------------------------------------------------------------------------- fuzzing
+
+BAD_TOKENS = ["", " ", "nan", "-inf", "1e999", "-3", "0", "abc", "los", "OMNI", "1_0", "summary",
+              '"', '""', 'a"b', '"x,y"', "\ufeff", "\r", "x\ry", "\t"]
+
+
+@st.composite
+def fuzzed(draw, texts):
+    """A valid text from ``texts`` with a few of its lines spoiled."""
+    lines = draw(texts).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        op = draw(st.sampled_from(["drop", "extra", "token", "quote", "bom", "blank", "cut"]))
+        if op == "drop":
+            del fields[j]
+        elif op == "extra":
+            fields.insert(j, draw(st.sampled_from(BAD_TOKENS)))
+        elif op == "token":
+            fields[j] = draw(st.sampled_from(BAD_TOKENS))
+        elif op == "quote":
+            fields[j] = draw(st.sampled_from(['"', '""'])) + fields[j]
+        elif op == "bom":
+            fields[0] = "\ufeff" + fields[0]
+        lines[k] = ",".join(fields)
+        if op == "blank":
+            lines.insert(k, draw(st.sampled_from(["", " ", "\t", ","])))
+        elif op == "cut":
+            lines = lines[:k] or [""]
+    return "\n".join(lines)
+
+
+#: Per CSV input: its valid texts, its parser and the command that reads it.
+INPUTS = {
+    "pathloss": (samples.filter(bool).map(emit_pathloss_csv), parse_pathloss_csv, ["fit"]),
+    "fitted": (fitted_tables.map(emit_fit_csv), parse_fit_csv, ["report", "--fit-csv"]),
+    "delay-stats": (st.builds(lambda rows, s: emit_delay_stats_csv(_table(rows), s),
+                              delay_rows, st.none() | summaries()),
+                    parse_spread_values, ["report", "--spreads"]),
+    "one-column": (st.lists(nonneg, min_size=1, max_size=8).map(
+                       lambda vs: "".join(f"{v!r}\n" for v in vs)),
+                   parse_spread_values, ["report", "--spreads"]),
+}
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+@SETTINGS
+@given(data=st.data())
+def test_fuzzed_csv_raises_only_parse_or_empty_errors(kind, data):
+    texts, parse, _ = INPUTS[kind]
+    try:
+        parse(data.draw(fuzzed(texts)))
+    except (ParseError, EmptyInputError):
+        pass
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data())
+def test_fuzzed_csv_exits_0_2_3_or_4(kind, data):
+    texts, _, command = INPUTS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(data.draw(fuzzed(texts)).encode("utf-8"))
+        out = ["-o", tmp] if "report" in command else []
+        res = CliRunner().invoke(main, [*command, str(path), *out])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code in (0, EXIT_PARSE, EXIT_VALIDATION, EXIT_EMPTY)

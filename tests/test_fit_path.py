@@ -2,7 +2,8 @@
 the versions they replaced.
 
 ``parse_pathloss_csv`` reads each row with table lookups and plain
-``float()``, and parses a row field by field only when those reject it;
+``float()``, and hands a row to the shared row reader only when those reject
+it; an outage row (blank loss) is checked like any other row, then skipped;
 ``fit_ci_model`` checks the stratum without hashing it; ``fit`` buckets rows
 by the identities of their stratum members. Each must behave exactly as the
 reference kept below: equal samples, the same error type, text and line, the
@@ -61,18 +62,20 @@ def reference_parse_pathloss_csv(text: str) -> list[PathLossSample]:
         if len(row) != 7:
             raise ParseError(f"expected 7 fields, found {len(row)}", line=line_no)
         loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = row
-        if pl_s.strip() == "":
-            continue
         try:
-            sample = PathLossSample(
+            fields = dict(
                 location_id=loc,
                 band=band_from_ghz(_parse_float(band_s, "band_ghz", line_no)),
                 env=_parse_enum(Environment, env_s, "env", line_no),
                 pol=_parse_enum(Polarization, pol_s, "pol", line_no),
                 dir=_parse_enum(Directionality, dir_s, "dir", line_no),
                 distance_m=_parse_float(dist_s, "distance_m", line_no),
-                path_loss_db=_parse_float(pl_s, "path_loss_db", line_no),
             )
+            if pl_s.strip() == "":  # outage row: checked like any other, then skipped
+                reference_validate("distance_m", fields["distance_m"])
+                continue
+            sample = PathLossSample(
+                **fields, path_loss_db=_parse_float(pl_s, "path_loss_db", line_no))
         except ParseError:
             raise
         except ValueError as exc:
@@ -229,6 +232,22 @@ def test_bad_field_after_a_seen_band_matches_reference(field, token):
     text = _csv_text([good, bad])
     with pytest.raises(ParseError) as got:
         parse_pathloss_csv(text)
+    _assert_same_error(got.value, _outcome(reference_parse_pathloss_csv, text)[1])
+
+
+@pytest.mark.parametrize(
+    "field, token, message",
+    [(2, "los", "env: unknown value 'los' (valid: LOS, NLOS, NLOS_BEST)"),
+     (1, "abc", "band_ghz: not a number: 'abc'"),
+     (5, "-1", "distance_m must be finite and > 0, got -1.0")],
+)
+def test_bad_outage_row_names_its_line_and_field(field, token, message):
+    outage = ["b", "28.0", "LOS", "VV", "omni", "10.0", ""]
+    outage[field] = token
+    text = _csv_text([("a", "28.0", "LOS", "VV", "omni", "10.0", "70.0"), outage])
+    with pytest.raises(ParseError) as got:
+        parse_pathloss_csv(text)
+    assert str(got.value) == f"line 3: {message}" and got.value.line == 3
     _assert_same_error(got.value, _outcome(reference_parse_pathloss_csv, text)[1])
 
 
