@@ -10,8 +10,10 @@ default output directory comes from ``MMWINDOOR_OUTPUT_DIR`` when set.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -54,10 +56,21 @@ class _Boundary(click.Group):
 
 
 def _read_text(path: str) -> str:
+    """The text of ``path``, line endings kept: a CR inside a quoted CSV field stays a CR."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise fileio.ParseError(f"cannot read {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Put ``path`` before the message of a ParseError or OverflowError raised inside."""
+    try:
+        yield
+    except (fileio.ParseError, OverflowError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _write(path: str | Path, text: str, done: str = "wrote {}") -> None:
@@ -87,9 +100,9 @@ def _out_path(ctx: click.Context, name: str, explicit_dir: str | None) -> Path:
 @click.pass_context
 def main(ctx, d0_m, seed, threshold_db, dynamic_range_db, output_dir):
     """Indoor millimeter-wave path loss and delay-spread analytics."""
-    if d0_m <= 0.0:
-        raise ValueError(f"--d0-m must be > 0, got {d0_m}")
-    if threshold_db < 0.0 or dynamic_range_db < 0.0:
+    if not 0.0 < d0_m < math.inf:
+        raise ValueError(f"--d0-m must be finite and > 0, got {d0_m}")
+    if not (threshold_db >= 0.0 and dynamic_range_db >= 0.0):  # inf is allowed: no cut
         raise ValueError("--threshold-db and --dynamic-range-db must be >= 0")
     ctx.obj = {
         "d0_m": d0_m,
@@ -141,29 +154,31 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
         raise core.EmptyInputError(f"{input_csv} has no fittable rows after filtering")
 
     d0_m = ctx.obj["d0_m"]
-    rows = []
+    models = []
     header = f"{'band':>9} {'env':>9} {'pol':>4} {'dir':>13} {'n':>6} {'ple':>7} {'sigma_db':>9}"
     click.echo(header)
     for (band, env, pol, dir_), group in sorted(
         strata.items(), key=lambda kv: (kv[0][0].ghz, kv[0][1].value, kv[0][2].value, kv[0][3].value)
     ):
         stratum = f"({band.label}, {env.value}, {pol.value}, {dir_.value})"
-        try:
+        try:  # a fit that is no model (ple <= 0, or NLOS_BEST omni) is skipped
             result = estimation.fit_ci_model(group, band=band, d0_m=d0_m)
+            model = core.CiModelParams(band, env, pol, dir_, result.ple_hat,
+                                       result.sigma_hat_db, d0_m)
         except OverflowError as exc:
             raise OverflowError(f"stratum {stratum}: {exc}") from None
         except ValueError as exc:
             click.echo(f"warning: skipping stratum {stratum}: {exc}", err=True)
             continue
-        rows.append((env, pol, dir_, result))
+        models.append(model)
         click.echo(
             f"{band.label:>9} {env.value:>9} {pol.value:>4} {dir_.value:>13} "
-            f"{result.n_samples:>6d} {result.ple_hat:>7.3f} {result.sigma_hat_db:>9.3f}"
+            f"{result.n_samples:>6d} {model.ple:>7.3f} {model.shadow_sigma_db:>9.3f}"
         )
-    if not rows:
+    if not models:
         raise core.EmptyInputError("every stratum was empty or unfittable")
     if csv_out:
-        _write(csv_out, fileio.emit_fit_csv(rows))
+        _write(csv_out, fileio.emit_fit_csv(models))
 
 
 def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
@@ -345,10 +360,12 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
 @click.pass_context
 def report(ctx, fit_csv, spreads_files, out_dir):
     """Catalog-vs-fitted comparison table plus CDF data files for plotting."""
-    fitted = None if fit_csv is None else {
-        (r["band_ghz"], r["env"], r["pol"], r["dir"]): r
-        for r in fileio.parse_fit_csv(_read_text(fit_csv))
-    }
+    models = core.CI_MODEL_CATALOG  # with no fitted table, the catalog is compared with itself
+    if fit_csv is not None:
+        text = _read_text(fit_csv)
+        with _naming(fit_csv):
+            models = fileio.parse_fit_csv(text)
+    fitted = {m.stratum: m for m in models}
 
     click.echo("close-in model parameters (catalog vs fitted)")
     bands = sorted({p.band for p in core.CI_MODEL_CATALOG}, key=lambda b: b.ghz)
@@ -359,24 +376,12 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         for entry in core.CI_MODEL_CATALOG:
             if entry.band != band:
                 continue
-            if fitted is None:
-                fit_ple, fit_sigma = entry.ple, entry.shadow_sigma_db
-            else:
-                match = fitted.get((band.ghz, entry.env, entry.pol, entry.dir))
-                if match is None:
-                    click.echo(
-                        f"{entry.env.value:>9} {entry.pol.value:>4} {entry.dir.value:>13} "
-                        f"{entry.ple:>6.1f} {entry.shadow_sigma_db:>6.1f} "
-                        f"{'':>8} {'':>8} {'':>7} {'':>7}"
-                    )
-                    continue
-                fit_ple, fit_sigma = match["ple"], match["sigma_db"]
-            click.echo(
-                f"{entry.env.value:>9} {entry.pol.value:>4} {entry.dir.value:>13} "
-                f"{entry.ple:>6.1f} {entry.shadow_sigma_db:>6.1f} "
-                f"{fit_ple:>8.3f} {fit_sigma:>8.3f} "
-                f"{fit_ple - entry.ple:>+7.3f} {fit_sigma - entry.shadow_sigma_db:>+7.3f}"
-            )
+            match = fitted.get(entry.stratum)  # no fit: blank cells
+            fit_cells = f"{'':>8} {'':>8} {'':>7} {'':>7}" if match is None else (
+                f"{match.ple:>8.3f} {match.shadow_sigma_db:>8.3f} {match.ple - entry.ple:>+7.3f} "
+                f"{match.shadow_sigma_db - entry.shadow_sigma_db:>+7.3f}")
+            click.echo(f"{entry.env.value:>9} {entry.pol.value:>4} {entry.dir.value:>13} "
+                       f"{entry.ple:>6.1f} {entry.shadow_sigma_db:>6.1f} {fit_cells}")
 
     click.echo("\ncross-polarization discrimination (omni LOS, per decade of distance)")
     for band in bands:
@@ -392,13 +397,9 @@ def report(ctx, fit_csv, spreads_files, out_dir):
     spreads = []  # every file is read and summarized before any CDF file is written
     for path in spreads_files:
         text = _read_text(path)
-        try:
+        with _naming(path):
             values = fileio.parse_spread_values(text)
             spreads.append((path, values, estimation.summarize_spreads(values)))
-        except fileio.ParseError as exc:
-            raise fileio.ParseError(f"{path}: {exc}") from None
-        except OverflowError as exc:
-            raise OverflowError(f"{path}: {exc}") from None
     for path, values, summary in spreads:
         stem = Path(path).stem
         click.echo(

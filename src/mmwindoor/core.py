@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -131,14 +131,19 @@ class CiModelParams:
     d0_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.ple <= 0.0:
-            raise ValueError(f"ple must be > 0, got {self.ple!r}")
+        # One comparison chain per range, so NaN fails it; messages name the file formats' keys.
+        if not 0.0 < self.ple < math.inf:
+            raise ValueError(f"ple must be finite and > 0, got {self.ple!r}")
         if not 0.0 <= self.shadow_sigma_db < math.inf:  # so every shadowing draw is finite
-            raise ValueError(f"shadow_sigma_db must be finite and >= 0, got {self.shadow_sigma_db!r}")
-        if self.d0_m <= 0.0:
-            raise ValueError(f"d0_m must be > 0, got {self.d0_m!r}")
+            raise ValueError(f"sigma_db must be finite and >= 0, got {self.shadow_sigma_db!r}")
+        if not 0.0 < self.d0_m < math.inf:
+            raise ValueError(f"d0_m must be finite and > 0, got {self.d0_m!r}")
         if self.env is Environment.NLOS_BEST and self.dir is not Directionality.DIRECTIONAL:
             raise ValueError("NLOS_BEST is defined for directional models only")
+
+    @property
+    def stratum(self) -> tuple[FrequencyBand, Environment, Polarization, Directionality]:
+        return (self.band, self.env, self.pol, self.dir)
 
 
 @dataclass(frozen=True)
@@ -180,8 +185,8 @@ class SounderSpec:
     slide_factor: float = 8000.0  # informational
 
     def __post_init__(self) -> None:
-        if self.bin_spacing_ns <= 0.0:
-            raise ValueError(f"bin_spacing_ns must be > 0, got {self.bin_spacing_ns!r}")
+        if not 0.0 < self.bin_spacing_ns < math.inf:
+            raise ValueError(f"bin_spacing_ns must be finite and > 0, got {self.bin_spacing_ns!r}")
 
 
 @dataclass(frozen=True)
@@ -232,13 +237,24 @@ class SweepEntry:
     theta_rx_deg: float
     phi_rx_deg: float
     pdp: Pdp
+    #: The pointing as a key, each azimuth folded into [0, 360) at a resolution of
+    #: 1e-9 deg: 0 and 360 deg are one angle, and so are 0.1 and 360.1 deg.
+    angle: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
-    @property
-    def angle(self) -> tuple[float, float, float, float]:
-        """The pointing as a key, azimuths folded into [0, 360): 0 and 360 deg are one angle."""
-        # The second % maps the 360.0 that a tiny negative rounds to (-1e-20 % 360.0) onto 0.
-        return (self.theta_tx_deg % 360.0 % 360.0, self.phi_tx_deg,
-                self.theta_rx_deg % 360.0 % 360.0, self.phi_rx_deg)
+    def __post_init__(self) -> None:
+        try:
+            angle = (_azimuth_key(self.theta_tx_deg), self.phi_tx_deg,
+                     _azimuth_key(self.theta_rx_deg), self.phi_rx_deg)
+        except ValueError:  # round() of the NaN that a non-finite azimuth folds to
+            raise ValueError(f"azimuths must be finite, got {self.theta_tx_deg!r} and "
+                             f"{self.theta_rx_deg!r}") from None
+        object.__setattr__(self, "angle", angle)
+
+
+def _azimuth_key(deg: float) -> float:
+    """``deg`` folded into [0, 360), to the nearest 1e-9 deg. The last % maps the 360.0
+    that rounding gives (359.9999999999, or -1e-20 % 360.0) onto 0."""
+    return round(deg % 360.0 * 1e9) / 1e9 % 360.0
 
 
 @dataclass(frozen=True)
@@ -375,7 +391,7 @@ DELAY_SPREAD_CATALOG: tuple[SpreadTarget, ...] = (
     SpreadTarget(BAND_73GHZ, _E.NLOS, _P.VH, mean_ns=10.3, std_ns=10.3, max_ns=143.8, p90_ns=26.0),
 )
 
-_CI_INDEX = {(p.band, p.env, p.pol, p.dir): p for p in CI_MODEL_CATALOG}
+_CI_INDEX = {p.stratum: p for p in CI_MODEL_CATALOG}
 _SOUNDER_INDEX = {s.band: s for s in SOUNDER_CATALOG}
 _SPREAD_INDEX = {(t.band, t.env, t.pol): t for t in DELAY_SPREAD_CATALOG}
 
@@ -424,12 +440,12 @@ def _row(entry) -> dict:
     """A catalog entry as a JSON-ready row, in field order: ``band`` becomes
     ``band_ghz``, ``shadow_sigma_db`` becomes ``sigma_db``, enums their values."""
     row = {}
-    for field in fields(entry):
-        value = getattr(entry, field.name)
+    for f in fields(entry):
+        value = getattr(entry, f.name)
         if isinstance(value, FrequencyBand):
             row["band_ghz"] = value.ghz
         else:
-            name = "sigma_db" if field.name == "shadow_sigma_db" else field.name
+            name = "sigma_db" if f.name == "shadow_sigma_db" else f.name
             row[name] = value.value if isinstance(value, Enum) else value
     return row
 

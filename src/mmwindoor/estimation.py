@@ -84,8 +84,8 @@ def fit_ci_model(
             f"samples are {samples[0].band.label}, expected {band.label}"
         )
     band = samples[0].band
-    if d0_m <= 0.0:
-        raise ValueError(f"d0_m must be > 0, got {d0_m!r}")
+    if not 0.0 < d0_m < math.inf:
+        raise ValueError(f"d0_m must be finite and > 0, got {d0_m!r}")
 
     d = np.array([s.distance_m for s in samples], dtype=float)
     pl = np.array([s.path_loss_db for s in samples], dtype=float)

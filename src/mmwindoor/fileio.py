@@ -37,7 +37,7 @@ from .core import (
     band_from_ghz,
     sounder_lookup,
 )
-from .estimation import FitResult, SpreadSummary
+from .estimation import SpreadSummary
 from .simulate import CampaignConfig, PdpSynthesisConfig
 
 CDF_CSV_HEADER = "value,cumulative_probability"
@@ -78,13 +78,13 @@ def _fmt(x: float) -> str:
 
 
 def _csv_field(value) -> str:
-    """One field as ``csv.writer`` writes it with ``lineterminator="\\n"``.
-
-    Minimal quoting: a field holding a comma, a quote or a line feed is
-    quoted, with quotes doubled; a carriage return does not trigger quoting.
+    """One field with minimal quoting: a field holding a comma, a quote, a line
+    feed or a carriage return is quoted, with quotes doubled. (``csv.writer``
+    with ``lineterminator="\\n"`` leaves a carriage return unquoted, and no
+    reader takes that back.)
     """
     text = str(value)
-    if "," in text or '"' in text or "\n" in text:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -152,18 +152,6 @@ def _blank_or(read):
     return lambda token, field: None if not token.strip() else read(token, field)
 
 
-def _fitted_row(*values) -> dict:
-    row = dict(zip(_FITTED.columns, values))
-    band_from_ghz(row["band_ghz"])  # a carrier must be finite and > 0
-    if not 0.0 < row["ple"] < math.inf:
-        raise ValueError(f"ple must be finite and > 0, got {row['ple']!r}")
-    if not 0.0 <= row["sigma_db"] < math.inf:
-        raise ValueError(f"sigma_db must be finite and >= 0, got {row['sigma_db']!r}")
-    if not 0.0 < row["d0_m"] < math.inf:
-        raise ValueError(f"d0_m must be finite and > 0, got {row['d0_m']!r}")
-    return row
-
-
 class _Csv(NamedTuple):
     """One CSV input: its header names in file order, each with the token reader of
     its column (token, name -> value); what ``build`` makes of a row's values; and the
@@ -182,9 +170,9 @@ _PATHLOSS = _Csv({"location_id": _TEXT,
                   "distance_m": _parse_float, "path_loss_db": _blank_or(_parse_float)},
                  lambda *v: OutageRow(*v[:6]) if v[6] is None else PathLossSample(*v),
                  "empty path-loss CSV: no header row")
-_FITTED = _Csv({"band_ghz": _parse_float, "env": _ENV, "pol": _POL, "dir": _DIR,
+_FITTED = _Csv({"band_ghz": _band, "env": _ENV, "pol": _POL, "dir": _DIR,
                 "ple": _parse_float, "sigma_db": _parse_float, "d0_m": _parse_float},
-               _fitted_row, "empty fitted-table CSV")
+               CiModelParams, "empty fitted-table CSV")
 # Of a delay-stats row only the spread is read; the summary row holds none.
 _DELAY_STATS = _Csv(dict.fromkeys(
     ("pdp_index", "status", "mean_excess_delay_ns", "rms_delay_spread_ns", "total_power_mw",
@@ -204,7 +192,7 @@ def _csv_rows(text: str, table: _Csv):
     """Yield (line, fields) for each row past the header; a leading BOM and blank rows
     before the header are skipped. No header is an EmptyInputError; a wrong header or
     a record the csv module rejects is a ParseError naming its line."""
-    reader = csv.reader(io.StringIO(text.removeprefix(_BOM)))
+    reader = csv.reader(io.StringIO(text.removeprefix(_BOM), newline=""))  # as csv asks of a file
     rows = enumerate(reader, start=1)
     try:
         line, header = next(itertools.dropwhile(lambda row: _is_blank(row[1]), rows), (1, None))
@@ -604,29 +592,28 @@ def parse_campaign_config(text: str) -> CampaignConfig:
                           params_override=params_override, pdp_synthesis=pdp_synthesis)
 
 
-def emit_fit_csv(rows: Iterable[tuple[Environment, Polarization, Directionality, FitResult]]) -> str:
+def emit_fit_csv(models: Iterable[CiModelParams]) -> str:
     """Fitted models in the catalog's column layout, for direct diffing."""
     lines = [FIT_CSV_HEADER]
-    for env, pol, dir_, fit in rows:  # enum values and float reprs never need quoting
-        lines.append(f"{_fmt(fit.band.ghz)},{env.value},{pol.value},{dir_.value},"
-                     f"{_fmt(fit.ple_hat)},{_fmt(fit.sigma_hat_db)},{_fmt(fit.d0_m)}")
+    for m in models:  # enum values and float reprs never need quoting
+        lines.append(f"{_fmt(m.band.ghz)},{m.env.value},{m.pol.value},{m.dir.value},"
+                     f"{_fmt(m.ple)},{_fmt(m.shadow_sigma_db)},{_fmt(m.d0_m)}")
     return "\n".join(lines) + "\n"
 
 
-def parse_fit_csv(text: str) -> list[dict]:
-    """The rows of a fitted table, in file order; a stratum may appear once."""
-    rows = {}  # stratum -> row
+def parse_fit_csv(text: str) -> list[CiModelParams]:
+    """The models of a fitted table, in file order; a stratum may appear once."""
+    models = {}  # stratum -> model
     for line, fields in _csv_rows(text, _FITTED):
-        row = _row(_FITTED, fields, line)
-        if row is not None:
-            stratum = (row["band_ghz"], row["env"], row["pol"], row["dir"])
-            if stratum in rows:
-                raise ParseError(f"repeated stratum ({row['band_ghz']!r} GHz, {row['env'].value}, "
-                                 f"{row['pol'].value}, {row['dir'].value})", line)
-            rows[stratum] = row
-    if not rows:
+        model = _row(_FITTED, fields, line)
+        if model is not None:
+            if model.stratum in models:
+                raise ParseError(f"repeated stratum ({model.band.ghz!r} GHz, {model.env.value}, "
+                                 f"{model.pol.value}, {model.dir.value})", line)
+            models[model.stratum] = model
+    if not models:
         raise EmptyInputError("fitted-table CSV has no rows")
-    return list(rows.values())
+    return list(models.values())
 
 
 def emit_cdf_csv(pairs: Sequence[tuple[float, float]]) -> str:

@@ -22,8 +22,8 @@ def _as_rng(rng_seed_or_stream) -> np.random.Generator:
 
 def free_space_pl_db(band: FrequencyBand, d0_m: float) -> float:
     """Free-space path loss 20*log10(4*pi*d0 / wavelength) in dB."""
-    if d0_m <= 0.0:
-        raise ValueError(f"d0_m must be > 0, got {d0_m!r}")
+    if not 0.0 < d0_m < math.inf:
+        raise ValueError(f"d0_m must be finite and > 0, got {d0_m!r}")
     return 20.0 * math.log10(4.0 * math.pi * d0_m / band.wavelength_m)
 
 

@@ -40,7 +40,7 @@ def threshold_pdp(
     ``peak - dynamic_range`` (all in dB). The peak bin is always retained, so a
     profile with any power never thresholds to silence.
     """
-    if threshold_db_above_noise < 0.0 or dynamic_range_db < 0.0:
+    if not (threshold_db_above_noise >= 0.0 and dynamic_range_db >= 0.0):  # NaN fails both
         raise ValueError("thresholds must be >= 0 dB")
     peak = pdp.peak_power_mw()
     cutoff = max(

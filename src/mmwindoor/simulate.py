@@ -55,18 +55,18 @@ class PdpSynthesisConfig:
             raise ValueError(f"decay_ns: must be > 0, got {self.decay_ns!r}")
         if not (math.isfinite(self.span_ns) and self.span_ns >= 0.0):
             raise ValueError(f"span_ns: must be finite and >= 0, got {self.span_ns!r}")
-        if self.tap_power_sigma_db < 0.0:
+        if not self.tap_power_sigma_db >= 0.0:  # +inf allowed: its draws overflow, named below
             raise ValueError(f"tap_power_sigma_db: must be >= 0, got {self.tap_power_sigma_db!r}")
-        if self.noise_floor_mw < 0.0:
-            raise ValueError(f"noise_floor_mw: must be >= 0, got {self.noise_floor_mw!r}")
+        if not 0.0 <= self.noise_floor_mw < math.inf:
+            raise ValueError(f"noise_floor_mw: must be finite and >= 0, got {self.noise_floor_mw!r}")
         if self.fixed_tap_delays_ns is not None:
             object.__setattr__(
                 self, "fixed_tap_delays_ns", tuple(float(t) for t in self.fixed_tap_delays_ns)
             )
             if not self.fixed_tap_delays_ns:
                 raise ValueError("fixed_tap_delays_ns: must contain at least one delay")
-            if any(t < 0.0 for t in self.fixed_tap_delays_ns):
-                raise ValueError("fixed_tap_delays_ns: delays must be >= 0")
+            if not all(0.0 <= t < math.inf for t in self.fixed_tap_delays_ns):
+                raise ValueError("fixed_tap_delays_ns: delays must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def test_report_overflowing_spreads_exit_3_naming_the_file(tmp_path):
 def test_flag_validation_exits_3_through_the_boundary():
     res = CliRunner().invoke(main, ["--d0-m", "0", "catalog"])
     assert res.exit_code == EXIT_VALIDATION
-    assert res.stderr == "error: --d0-m must be > 0, got 0.0\n"
+    assert res.stderr == "error: --d0-m must be finite and > 0, got 0.0\n"
 
 
 def test_warnings_print_when_raised(tmp_path):

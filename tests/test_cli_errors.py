@@ -5,8 +5,9 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from mmwindoor.cli import EXIT_PARSE, EXIT_VALIDATION, main
+from mmwindoor.cli import EXIT_EMPTY, EXIT_PARSE, EXIT_VALIDATION, main
 from mmwindoor.fileio import DELAY_STATS_CSV_HEADER, FIT_CSV_HEADER, PATHLOSS_CSV_HEADER
 
 ENTRY = {"theta_tx_deg": 0.0, "phi_tx_deg": 0.0, "theta_rx_deg": 0.0, "phi_rx_deg": 0.0,
@@ -318,7 +319,7 @@ def test_report_bad_fitted_row_exits_2_naming_the_line(tmp_path, rows, message):
     path.write_text("\n".join([FIT_CSV_HEADER, *rows]) + "\n")
     res = _invoke(["report", "--fit-csv", str(path)])
     assert res.exit_code == EXIT_PARSE
-    assert res.stderr == f"error: {message}\n"
+    assert res.stderr == f"error: {path}: {message}\n"
 
 
 def test_report_finds_each_fitted_stratum(tmp_path):
@@ -349,3 +350,45 @@ def test_fit_overflowing_stratum_exits_3_naming_it(tmp_path):
     assert res.exit_code == EXIT_VALIDATION
     assert res.stderr == ("error: stratum (28 GHz, LOS, VV, omni): the samples overflow a float "
                           "(ple -20.061437304785386, sigma inf)\n")
+
+
+@pytest.mark.parametrize("stratum, rows, reason", [
+    ("28.0,LOS,VV,omni", [(10.0, 50.0), (20.0, 45.0)],
+     "ple must be finite and > 0, got -1.2150001114249003"),
+    ("28.0,NLOS_BEST,VV,omni", [(10.0, 90.0), (20.0, 100.0)],
+     "NLOS_BEST is defined for directional models only"),
+], ids=["negative-exponent", "nlos-best-omni"])
+def test_fit_skips_a_stratum_that_is_no_model(tmp_path, stratum, rows, reason):
+    path = tmp_path / "pathloss.csv"
+    path.write_text(PATHLOSS_CSV_HEADER + "\n" + "".join(
+        f"L{k},{stratum},{d},{pl}\n" for k, (d, pl) in enumerate(rows)))
+    out = tmp_path / "fits.csv"
+    res = _invoke(["fit", str(path), "--csv-out", str(out)])
+    assert res.exit_code == EXIT_EMPTY
+    band, env, pol, dir_ = stratum.split(",")
+    assert res.stderr == (f"warning: skipping stratum (28 GHz, {env}, {pol}, {dir_}): {reason}\n"
+                          "error: no samples: every stratum was empty or unfittable\n")
+    assert not out.exists()
+
+
+#: Path-loss rows of a few strata, NLOS_BEST omni among them, whose losses may fall
+#: with distance (a negative exponent).
+pathloss_rows = st.lists(st.tuples(
+    st.sampled_from(["28.0,LOS,VV,omni", "73.5,NLOS,VH,directional", "28.0,NLOS_BEST,VV,omni",
+                     "28.0,NLOS_BEST,VV,directional"]),
+    st.floats(1.0, 100.0), st.floats(1.0, 200.0)), min_size=1, max_size=12)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(pathloss_rows)
+def test_report_reads_every_table_fit_writes(rows):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("pathloss.csv", "w") as fh:
+            fh.write(PATHLOSS_CSV_HEADER + "\n" + "".join(
+                f"L{k},{stratum},{d!r},{pl!r}\n" for k, (stratum, d, pl) in enumerate(rows)))
+        fit = runner.invoke(main, ["fit", "pathloss.csv", "--csv-out", "fits.csv"])
+        assert fit.exit_code in (0, EXIT_EMPTY), fit.output
+        if fit.exit_code == 0:
+            res = runner.invoke(main, ["report", "--fit-csv", "fits.csv"])
+            assert res.exit_code == 0, res.output

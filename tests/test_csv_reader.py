@@ -18,6 +18,7 @@ from mmwindoor.cli import EXIT_EMPTY, EXIT_PARSE, EXIT_VALIDATION, main
 from mmwindoor.core import (
     BAND_28GHZ,
     BAND_73GHZ,
+    CiModelParams,
     Directionality,
     EmptyInputError,
     Environment,
@@ -25,7 +26,7 @@ from mmwindoor.core import (
     Polarization,
     band_from_ghz,
 )
-from mmwindoor.estimation import FitResult, SpreadSummary
+from mmwindoor.estimation import SpreadSummary
 from mmwindoor.fileio import (
     ParseError,
     emit_delay_stats_csv,
@@ -43,19 +44,18 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_inf
 nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 bands = st.sampled_from([BAND_28GHZ, BAND_73GHZ, band_from_ghz(60.0), band_from_ghz(38.6)])
 envs, pols, dirs = (st.sampled_from(list(e)) for e in (Environment, Polarization, Directionality))
-#: Location ids, often holding the characters csv quoting depends on. A carriage
-#: return is left out: the writer leaves it unquoted, as ``csv.writer`` does, and
-#: the reader then rejects the row (``test_carriage_return_in_a_location_id``).
-location_ids = st.text(alphabet=st.sampled_from(',"\n a0é\t') | st.characters(exclude_characters="\r"),
-                       max_size=12)
+#: Location ids, often holding the characters csv quoting depends on.
+location_ids = st.text(alphabet=st.sampled_from(',"\r\n a0é\t') | st.characters(), max_size=12)
 
 samples = st.lists(st.builds(PathLossSample, location_id=location_ids, band=bands, env=envs,
                              pol=pols, dir=dirs, distance_m=positive, path_loss_db=positive),
                    max_size=20)
-fits = st.builds(FitResult, ple_hat=positive, sigma_hat_db=nonneg, n_samples=st.just(2),
-                 residuals_db=st.just(()), d0_m=positive, band=bands)
-fitted_tables = st.lists(st.tuples(envs, pols, dirs, fits), min_size=1, max_size=12,
-                         unique_by=lambda r: (r[3].band, r[0], r[1], r[2]))
+#: Strata a model is defined for: NLOS_BEST is a directional category only.
+strata = st.tuples(bands, envs, pols, dirs).filter(
+    lambda s: s[1] is not Environment.NLOS_BEST or s[3] is Directionality.DIRECTIONAL)
+models = st.builds(lambda stratum, ple, sigma, d0: CiModelParams(*stratum, ple, sigma, d0),
+                   strata, positive, nonneg, positive)
+fitted_tables = st.lists(models, min_size=1, max_size=12, unique_by=lambda m: m.stratum)
 delay_stats = st.builds(DelayStats, mean_excess_delay_ns=nonneg, second_moment_ns2=nonneg,
                         rms_delay_spread_ns=nonneg, total_power_mw=nonneg)
 delay_rows = st.lists(st.one_of(delay_stats.map(lambda s: ("ok", s)),
@@ -86,12 +86,8 @@ def test_pathloss_csv_round_trips(rows):
 
 @SETTINGS
 @given(fitted_tables)
-def test_fitted_table_round_trips(rows):
-    assert parse_fit_csv(emit_fit_csv(rows)) == [
-        {"band_ghz": fit.band.ghz, "env": env, "pol": pol, "dir": dir_, "ple": fit.ple_hat,
-         "sigma_db": fit.sigma_hat_db, "d0_m": fit.d0_m}
-        for env, pol, dir_, fit in rows
-    ]
+def test_fitted_table_round_trips(models):
+    assert parse_fit_csv(emit_fit_csv(models)) == models
 
 
 @SETTINGS
@@ -112,11 +108,22 @@ def test_one_column_spreads_round_trip(values):
     assert parse_spread_values("".join(f"{v!r}\n" for v in values)) == values
 
 
-def test_carriage_return_in_a_location_id():
-    row = PathLossSample("a\rb", BAND_28GHZ, Environment.LOS, Polarization.VV,
-                         Directionality.OMNI, 10.0, 70.0)
-    with pytest.raises(ParseError, match="^line 2: new-line character seen in unquoted field"):
-        parse_pathloss_csv(emit_pathloss_csv([row]))
+def test_carriage_return_in_a_location_id(tmp_path):
+    rows = [PathLossSample(loc, BAND_28GHZ, Environment.LOS, Polarization.VV,
+                           Directionality.OMNI, d, 70.0 + d)
+            for loc, d in (("a\rb", 10.0), ("\r", 20.0), ("c", 30.0))]
+    text = emit_pathloss_csv(rows)
+    assert '"a\rb"' in text and '"\r"' in text  # quoted, so no reader takes it for a line end
+    assert parse_pathloss_csv(text) == rows
+    assert parse_pathloss_csv(text.replace("\n", "\r\n")) == rows  # CRLF files still parse
+    # The command reads the file as written: a quoted CR stays a CR.
+    outputs = []
+    for name, body in (("lf.csv", text), ("crlf.csv", text.replace("\n", "\r\n"))):
+        (tmp_path / name).write_bytes(body.encode("utf-8"))
+        res = CliRunner().invoke(main, ["fit", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # --------------------------------------------------------------------------- fuzzing

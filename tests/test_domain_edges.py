@@ -2,10 +2,12 @@
 values whose arithmetic overflows a float."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmwindoor.core import (
     BAND_28GHZ,
@@ -55,6 +57,49 @@ def test_folded_azimuths_lie_in_a_turn():
 def test_tx_azimuth_folds_and_elevation_does_not():
     entry = SweepEntry(370.0, 370.0, -10.0, -10.0, Pdp(2.5, (1.0,)))
     assert entry.angle == (10.0, 370.0, 350.0, -10.0)
+
+
+@pytest.mark.parametrize("first, again", [(0.1, 360.1), (359.9, -0.1)])
+def test_a_pointing_re_measured_a_turn_away_counts_once(first, again):
+    # As doubles, 0.1 and 360.1 deg fold 2.3e-14 deg apart; keyed at 1e-9 deg they are one.
+    assert SweepEntry(0.0, 0.0, again, 0.0, Pdp(2.5, (1.0,))).angle[2] == first
+    record = _record(_sweep("M1", first, first + 180.0), _sweep("M2", again))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        power = omni_received_power_mw(record)
+    assert power == 2.0
+    assert [w.category for w in caught] == [DuplicateAngleWarning]
+
+
+def test_non_finite_azimuth_is_rejected():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^azimuths must be finite"):
+            SweepEntry(theta, 0.0, 0.0, 0.0, Pdp(2.5, (1.0,)))
+
+
+#: Pointings on a 1/1000 deg grid, each with a power; no two share a pointing.
+pointings = st.lists(st.tuples(st.integers(0, 359_999), st.integers(0, 359_999),
+                               st.floats(0.0, 10.0)),
+                     min_size=1, max_size=8, unique_by=lambda p: p[:2])
+turns = st.sampled_from([-720.0, -360.0, 0.0, 360.0, 720.0])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(pointings, st.data())
+def test_omni_power_is_unchanged_by_whole_turns(pointings, data):
+    def sweep(sweep_id, shift):
+        return DirectionalSweep(sweep_id, Polarization.VV, tuple(
+            SweepEntry(tx / 1000 + shift(), 0.0, rx / 1000 + shift(), 0.0,
+                       Pdp(2.5, (p,), noise_floor_mw=0.0))
+            for tx, rx, p in pointings))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        power = omni_received_power_mw(_record(sweep("M1", lambda: 0.0)))
+        # every azimuth shifted by whole turns; then the shifted copy re-measured in a second sweep
+        shifted = sweep("M2", lambda: data.draw(turns))
+        assert omni_received_power_mw(_record(shifted)) == power
+        assert omni_received_power_mw(_record(sweep("M1", lambda: 0.0), shifted)) == power
 
 
 def test_zero_and_360_in_one_sweep_are_a_duplicate():

@@ -9,6 +9,7 @@ import pytest
 
 from mmwindoor.core import (
     BAND_28GHZ,
+    CiModelParams,
     Directionality,
     EmptyInputError,
     Environment,
@@ -340,15 +341,12 @@ class TestConfigJson:
 
 class TestFitCsv:
     def test_round_trip_values(self):
-        from mmwindoor.estimation import FitResult
-
-        fit = FitResult(ple_hat=2.4, sigma_hat_db=3.1622776601683795, n_samples=2,
-                        residuals_db=(-4.0, 2.0), d0_m=1.0, band=BAND_28GHZ)
-        text = emit_fit_csv([(Environment.NLOS, Polarization.VV, Directionality.OMNI, fit)])
-        rows = parse_fit_csv(text)
-        assert rows[0]["ple"] == 2.4
-        assert rows[0]["sigma_db"] == 3.1622776601683795
-        assert rows[0]["env"] is Environment.NLOS
+        model = CiModelParams(BAND_28GHZ, Environment.NLOS, Polarization.VV, Directionality.OMNI,
+                              ple=2.4, shadow_sigma_db=3.1622776601683795)
+        (parsed,) = parse_fit_csv(emit_fit_csv([model]))
+        assert parsed == model
+        assert parsed.band is BAND_28GHZ
+        assert parsed.env is Environment.NLOS
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):

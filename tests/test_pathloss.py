@@ -120,7 +120,7 @@ class TestSamplePathLoss:
         d = draw_shadowing(_params(2.0, sigma=5.0), 0)
         assert isinstance(d, float)
         for sigma in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="shadow_sigma_db"):
+            with pytest.raises(ValueError, match="sigma_db"):
                 _params(2.0, sigma=sigma)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmwindoor.core import NoMultipathError, Pdp
 from mmwindoor.pdp import (
@@ -206,3 +207,33 @@ class TestScaleInvariance:
             assert b.mean_excess_delay_ns == pytest.approx(a.mean_excess_delay_ns, rel=1e-9, abs=1e-12)
             assert b.second_moment_ns2 == pytest.approx(a.second_moment_ns2, rel=1e-9, abs=1e-12)
             assert b.rms_delay_spread_ns == pytest.approx(a.rms_delay_spread_ns, rel=1e-9, abs=1e-12)
+
+
+#: Profiles with at least one positive bin, powers far from overflow and
+#: subnormals, so scaling by a power of two is exact. Spacings lie on a
+#: quarter-ns grid (2.5 ns among them), where every squared delay is exact:
+#: ``d ** 2`` is libm's ``pow``, which is not correctly rounded for every d.
+SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+powers_lists = st.lists(st.just(0.0) | st.floats(1e-30, 1e30), min_size=1, max_size=60).filter(any)
+spacings = st.integers(1, 400).map(lambda k: k / 4)
+
+
+class TestDelayStatsProperties:
+    @SETTINGS
+    @given(powers_lists, spacings, st.integers(1, 40))
+    def test_leading_zero_bins_change_nothing(self, powers, dt, zeros):
+        padded = Pdp(dt, (0.0,) * zeros + tuple(powers))
+        assert delay_stats(padded) == delay_stats(Pdp(dt, tuple(powers)))
+
+    @SETTINGS
+    @given(powers_lists, spacings, st.integers(-16, 16), st.integers(-60, 60))
+    def test_exactly_covariant_under_power_of_two_scaling(self, powers, dt, j, m):
+        a = delay_stats(Pdp(dt, tuple(powers)))
+        wide = delay_stats(Pdp(math.ldexp(dt, j), tuple(powers)))
+        assert (wide.mean_excess_delay_ns, wide.rms_delay_spread_ns, wide.second_moment_ns2,
+                wide.total_power_mw) == (math.ldexp(a.mean_excess_delay_ns, j),
+                                         math.ldexp(a.rms_delay_spread_ns, j),
+                                         math.ldexp(a.second_moment_ns2, 2 * j), a.total_power_mw)
+        loud = delay_stats(Pdp(dt, tuple(math.ldexp(p, m) for p in powers)))
+        assert loud == DelayStats(a.mean_excess_delay_ns, a.second_moment_ns2,
+                                  a.rms_delay_spread_ns, math.ldexp(a.total_power_mw, m))

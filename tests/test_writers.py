@@ -15,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 from mmwindoor.core import (
     BAND_28GHZ,
     BAND_73GHZ,
+    CiModelParams,
     Directionality,
     Environment,
     PathLossSample,
     Pdp,
     Polarization,
 )
-from mmwindoor.estimation import FitResult, SpreadSummary
+from mmwindoor.estimation import SpreadSummary
 from mmwindoor.fileio import (
     CDF_CSV_HEADER,
     DELAY_STATS_CSV_HEADER,
@@ -43,6 +44,20 @@ def _fmt(x):
     return repr(float(x))
 
 
+class _Writer:
+    """``csv.writer`` with minimal quoting, rows ended by LF, that also quotes a field
+    holding a carriage return. A writer quotes the characters of its line terminator,
+    so each row is written with CRLF and that ending then replaced."""
+
+    def __init__(self, buf):
+        self.buf = buf
+
+    def writerow(self, row):
+        one = io.StringIO()
+        csv.writer(one, lineterminator="\r\n").writerow(row)
+        self.buf.write(one.getvalue().removesuffix("\r\n") + "\n")
+
+
 def reference_emit_pdp_batch(pdps):
     objs = [
         {
@@ -57,7 +72,7 @@ def reference_emit_pdp_batch(pdps):
 
 def reference_emit_pathloss_csv(rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = _Writer(buf)
     writer.writerow(PATHLOSS_CSV_HEADER.split(","))
     for r in rows:
         pl = "" if isinstance(r, OutageRow) else _fmt(r.path_loss_db)
@@ -70,7 +85,7 @@ def reference_emit_pathloss_csv(rows):
 
 def reference_emit_delay_stats_csv(per_pdp, summary):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = _Writer(buf)
     writer.writerow(DELAY_STATS_CSV_HEADER.split(","))
     for index, status, stats in per_pdp:
         if stats is None:
@@ -91,19 +106,19 @@ def reference_emit_delay_stats_csv(per_pdp, summary):
 
 def reference_emit_fit_csv(rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = _Writer(buf)
     writer.writerow(FIT_CSV_HEADER.split(","))
-    for env, pol, dir_, fit in rows:
+    for m in rows:
         writer.writerow(
-            [_fmt(fit.band.ghz), env.value, pol.value, dir_.value,
-             _fmt(fit.ple_hat), _fmt(fit.sigma_hat_db), _fmt(fit.d0_m)]
+            [_fmt(m.band.ghz), m.env.value, m.pol.value, m.dir.value,
+             _fmt(m.ple), _fmt(m.shadow_sigma_db), _fmt(m.d0_m)]
         )
     return buf.getvalue()
 
 
 def reference_emit_cdf_csv(pairs):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = _Writer(buf)
     writer.writerow(CDF_CSV_HEADER.split(","))
     for value, prob in pairs:
         writer.writerow([_fmt(value), _fmt(prob)])
@@ -146,11 +161,14 @@ per_pdp_rows = st.lists(
 
 
 any_float = st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers(-10**6, 10**6)
-fits = st.builds(
-    FitResult, ple_hat=any_float, sigma_hat_db=any_float, n_samples=st.just(2),
-    residuals_db=st.just(()), d0_m=any_float, band=bands,
+#: A model's numbers: its rules admit any finite value > 0 (>= 0 for sigma).
+positive_or_edge = positive | st.sampled_from(EDGE_FLOATS[2:]) | st.integers(1, 10**6)
+models = st.builds(
+    CiModelParams, band=bands, env=envs.filter(lambda e: e is not Environment.NLOS_BEST),
+    pol=pols, dir=dirs, ple=positive_or_edge, shadow_sigma_db=nonneg | st.integers(0, 10**6),
+    d0_m=positive_or_edge,
 )
-fit_rows = st.lists(st.tuples(envs, pols, dirs, fits), max_size=20)
+fit_rows = st.lists(models, max_size=20)
 
 
 @st.composite
