@@ -145,7 +145,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     strata = {
         (band, env, pol, dir_): group
         for (band, env, pol, dir_), group in _group_by_stratum(samples).items()
-        if (band_ghz is None or band.ghz == band_ghz)
+        if (band_ghz is None or band == band_ghz)
         and (env_filter is None or env.value == env_filter)
         and (pol_filter is None or pol.value == pol_filter)
         and (dir_filter is None or dir_.value == dir_filter)
@@ -158,7 +158,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     header = f"{'band':>9} {'env':>9} {'pol':>4} {'dir':>13} {'n':>6} {'ple':>7} {'sigma_db':>9}"
     click.echo(header)
     for (band, env, pol, dir_), group in sorted(
-        strata.items(), key=lambda kv: (kv[0][0].ghz, kv[0][1].value, kv[0][2].value, kv[0][3].value)
+        strata.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2].value, kv[0][3].value)
     ):
         stratum = f"({band.label}, {env.value}, {pol.value}, {dir_.value})"
         try:  # a fit that is no model (ple <= 0, or NLOS_BEST omni) is skipped
@@ -182,24 +182,11 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
 
 
 def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
-    """Samples per stratum, each group in input order.
-
-    Rows are bucketed by the identities of their band and enum members, which
-    hash in C; a stratum's own hash calls their Python-level ``__hash__``. An
-    uncataloged band spelled two ways gives two equal band objects: such a
-    stratum is gathered again by equality.
-    """
-    buckets: dict = {}
+    """Samples per stratum, each group in input order."""
+    groups: dict = {}
     for s in samples:
-        buckets.setdefault((id(s.band), id(s.env), id(s.pol), id(s.dir)), []).append(s)
-    keys_of: dict = {}
-    for key, group in buckets.items():
-        keys_of.setdefault(group[0].stratum, []).append(key)
-    return {
-        stratum: buckets[keys[0]] if len(keys) == 1
-        else [s for s in samples if s.stratum == stratum]
-        for stratum, keys in keys_of.items()
-    }
+        groups.setdefault(s.stratum, []).append(s)
+    return groups
 
 
 @main.command(name="pdp-stats")
@@ -368,7 +355,7 @@ def report(ctx, fit_csv, spreads_files, out_dir):
     fitted = {m.stratum: m for m in models}
 
     click.echo("close-in model parameters (catalog vs fitted)")
-    bands = sorted({p.band for p in core.CI_MODEL_CATALOG}, key=lambda b: b.ghz)
+    bands = sorted({p.band for p in core.CI_MODEL_CATALOG})
     for band in bands:
         click.echo(f"\n[{band.label}]")
         click.echo(f"{'env':>9} {'pol':>4} {'dir':>13} {'ple':>6} {'sigma':>6} "

@@ -11,6 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -69,53 +70,63 @@ class Environment(Enum):
     NLOS = "NLOS"
     #: Strongest pointing-angle link per location; a directional-model category only.
     NLOS_BEST = "NLOS_BEST"
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves: hashed in C
 
 
 class Polarization(Enum):
     VV = "VV"
     VH = "VH"
+    __hash__ = object.__hash__
 
 
 class Directionality(Enum):
     DIRECTIONAL = "directional"
     OMNI = "omni"
+    __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class FrequencyBand:
-    """A carrier frequency with a display label."""
+class FrequencyBand(float):
+    """A carrier frequency, as its value in GHz: ``FrequencyBand(28.0)`` compares and
+    hashes as ``28.0``, and the carrier in Hz, the wavelength and the label derive from it."""
 
-    carrier_hz: float
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0.0):
-            raise ValueError(f"carrier_hz must be finite and > 0, got {self.carrier_hz!r}")
+    def __new__(cls, ghz: float) -> FrequencyBand:
+        if not (math.isfinite(ghz) and ghz > 0.0):  # a str is a TypeError, never parsed
+            raise ValueError(f"band_ghz must be finite and > 0, got {ghz!r}")
+        return super().__new__(cls, ghz)
+
+    ghz = property(float)
+
+    @property
+    def carrier_hz(self) -> float:
+        return self * 1e9
 
     @property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT_M_S / self.carrier_hz
 
     @property
-    def ghz(self) -> float:
-        return self.carrier_hz / 1e9
+    def label(self) -> str:
+        text = f"{self:g}"  # :g rounds to 6 digits; a label must name this carrier only
+        return f"{text if float(text) == self else repr(self)} GHz"
 
 
-BAND_28GHZ = FrequencyBand(28.0e9, "28 GHz")
-BAND_73GHZ = FrequencyBand(73.5e9, "73.5 GHz")
+BAND_28GHZ = FrequencyBand(28.0)
+BAND_73GHZ = FrequencyBand(73.5)
 
 
 def band_from_ghz(band_ghz: float) -> FrequencyBand:
-    """Return the canonical band for a carrier in GHz (any positive value is accepted)."""
+    """The band of a carrier in GHz (any positive value); 28 and 73.5 give the cataloged
+    band objects themselves."""
     for known in (BAND_28GHZ, BAND_73GHZ):
-        if band_ghz == known.ghz:
+        if band_ghz == known:
             return known
-    if not (math.isfinite(band_ghz) and band_ghz > 0.0):
-        raise ValueError(f"band_ghz must be finite and > 0, got {band_ghz!r}")
-    label = f"{band_ghz:g}"
-    if float(label) != band_ghz:  # :g rounds to 6 digits; a label must name this carrier only
-        label = repr(band_ghz)
-    return FrequencyBand(band_ghz * 1e9, f"{label} GHz")
+    return FrequencyBand(band_ghz)
+
+
+#: The ``(band, env, pol, dir)`` of a model or a sample; it hashes and compares in C.
+_stratum = property(attrgetter("band", "env", "pol", "dir"))
 
 
 @dataclass(frozen=True)
@@ -141,9 +152,7 @@ class CiModelParams:
         if self.env is Environment.NLOS_BEST and self.dir is not Directionality.DIRECTIONAL:
             raise ValueError("NLOS_BEST is defined for directional models only")
 
-    @property
-    def stratum(self) -> tuple[FrequencyBand, Environment, Polarization, Directionality]:
-        return (self.band, self.env, self.pol, self.dir)
+    stratum = _stratum
 
 
 @dataclass(frozen=True)
@@ -164,9 +173,7 @@ class PathLossSample:
         if not 0.0 < self.path_loss_db < math.inf:
             raise ValueError(f"path_loss_db must be finite and > 0, got {self.path_loss_db!r}")
 
-    @property
-    def stratum(self) -> tuple[FrequencyBand, Environment, Polarization, Directionality]:
-        return (self.band, self.env, self.pol, self.dir)
+    stratum = _stratum
 
 
 @dataclass(frozen=True)
@@ -396,10 +403,6 @@ _SOUNDER_INDEX = {s.band: s for s in SOUNDER_CATALOG}
 _SPREAD_INDEX = {(t.band, t.env, t.pol): t for t in DELAY_SPREAD_CATALOG}
 
 
-def _as_band(band: FrequencyBand | float) -> FrequencyBand:
-    return band if isinstance(band, FrequencyBand) else band_from_ghz(float(band))
-
-
 def catalog_lookup(
     band: FrequencyBand | float,
     env: Environment,
@@ -407,7 +410,7 @@ def catalog_lookup(
     dir: Directionality,
 ) -> CiModelParams:
     """Return the cataloged model for one stratum; raise if the combination was not measured."""
-    band = _as_band(band)
+    band = band_from_ghz(band)
     try:
         return _CI_INDEX[(band, env, pol, dir)]
     except KeyError:
@@ -417,7 +420,7 @@ def catalog_lookup(
 
 
 def sounder_lookup(band: FrequencyBand | float) -> SounderSpec:
-    band = _as_band(band)
+    band = band_from_ghz(band)
     try:
         return _SOUNDER_INDEX[band]
     except KeyError:
@@ -427,7 +430,7 @@ def sounder_lookup(band: FrequencyBand | float) -> SounderSpec:
 def delay_spread_lookup(
     band: FrequencyBand | float, env: Environment, pol: Polarization
 ) -> SpreadTarget:
-    band = _as_band(band)
+    band = band_from_ghz(band)
     try:
         return _SPREAD_INDEX[(band, env, pol)]
     except KeyError:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .core import (
 )
 from .pathloss import free_space_pl_db
 
-_stratum_of = attrgetter("band", "env", "pol", "dir")
+_stratum_of = PathLossSample.stratum.fget  # the stratum, read without the property
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def fit_ci_model(
     if not samples:
         raise EmptyInputError("cannot fit a model to zero samples")
     # Tuple equality compares members by identity first, so this check runs in
-    # C; hashing a stratum would call the members' Python-level __hash__.
+    # C and builds no set.
     if not all(map(_stratum_of(samples[0]).__eq__, map(_stratum_of, samples))):
         strata = {s.stratum for s in samples}
         raise StratumMismatchError(

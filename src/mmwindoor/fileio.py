@@ -118,19 +118,19 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _parse_enum(cls, token: str, field: str, line: int | None = None):
+def _parse_enum(cls, token: str, field: str):
     try:
         return _MEMBERS[cls][token]
     except KeyError:
         valid = ", ".join(_MEMBERS[cls])
-        raise ParseError(f"{field}: unknown value {token!r} (valid: {valid})", line) from None
+        raise ParseError(f"{field}: unknown value {token!r} (valid: {valid})") from None
 
 
-def _parse_float(token: str, field: str, line: int | None = None) -> float:
+def _parse_float(token: str, field: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ParseError(f"{field}: not a number: {token!r}", line) from None
+        raise ParseError(f"{field}: not a number: {token!r}") from None
 
 
 @functools.lru_cache(maxsize=64)  # a band token is resolved once, though outage rows repeat it

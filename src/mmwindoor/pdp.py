@@ -43,8 +43,9 @@ def threshold_pdp(
     if not (threshold_db_above_noise >= 0.0 and dynamic_range_db >= 0.0):  # NaN fails both
         raise ValueError("thresholds must be >= 0 dB")
     peak = pdp.peak_power_mw()
+    floor = pdp.noise_floor_mw  # a zero floor cuts nothing at any threshold (0 * inf is NaN)
     cutoff = max(
-        pdp.noise_floor_mw * 10.0 ** (threshold_db_above_noise / 10.0),
+        floor * 10.0 ** (threshold_db_above_noise / 10.0) if floor else 0.0,
         peak * 10.0 ** (-dynamic_range_db / 10.0),
     )
     # Every bin is <= peak, so "reaches the cutoff or is the positive peak" is one cut.
@@ -85,7 +86,8 @@ def delay_stats(pdp: Pdp) -> DelayStats:
     delays = [(k - k0) * dt for k in compress(count(), powers)]
     total = math.fsum(positive)
     first = math.fsum(map(float.__mul__, positive, delays))
-    second = math.fsum([p * d ** 2 for p, d in zip(positive, delays)])
+    # d * d is correctly rounded; d ** 2 is libm's pow, which is not for every d.
+    second = math.fsum([p * (d * d) for p, d in zip(positive, delays)])
 
     mean_ns = first / total
     second_ns2 = second / total

@@ -42,7 +42,8 @@ SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
-bands = st.sampled_from([BAND_28GHZ, BAND_73GHZ, band_from_ghz(60.0), band_from_ghz(38.6)])
+#: The cataloged bands, and any carrier: each must read back as the number written.
+bands = st.sampled_from([BAND_28GHZ, BAND_73GHZ]) | st.floats(1e-3, 1e4).map(band_from_ghz)
 envs, pols, dirs = (st.sampled_from(list(e)) for e in (Environment, Polarization, Directionality))
 #: Location ids, often holding the characters csv quoting depends on.
 location_ids = st.text(alphabet=st.sampled_from(',"\r\n a0é\t') | st.characters(), max_size=12)

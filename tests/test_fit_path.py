@@ -4,10 +4,10 @@ the versions they replaced.
 ``parse_pathloss_csv`` reads each row with table lookups and plain
 ``float()``, and hands a row to the shared row reader only when those reject
 it; an outage row (blank loss) is checked like any other row, then skipped;
-``fit_ci_model`` checks the stratum without hashing it; ``fit`` buckets rows
-by the identities of their stratum members. Each must behave exactly as the
-reference kept below: equal samples, the same error type, text and line, the
-same groups in the same order, and bit-identical fits.
+``fit_ci_model`` checks the stratum without hashing it; ``fit`` groups rows
+by stratum. Each must behave exactly as the reference kept below: equal
+samples, the same error type, text and line, the same groups in the same
+order, and bit-identical fits.
 """
 
 import csv
@@ -65,20 +65,18 @@ def reference_parse_pathloss_csv(text: str) -> list[PathLossSample]:
         try:
             fields = dict(
                 location_id=loc,
-                band=band_from_ghz(_parse_float(band_s, "band_ghz", line_no)),
-                env=_parse_enum(Environment, env_s, "env", line_no),
-                pol=_parse_enum(Polarization, pol_s, "pol", line_no),
-                dir=_parse_enum(Directionality, dir_s, "dir", line_no),
-                distance_m=_parse_float(dist_s, "distance_m", line_no),
+                band=band_from_ghz(_parse_float(band_s, "band_ghz")),
+                env=_parse_enum(Environment, env_s, "env"),
+                pol=_parse_enum(Polarization, pol_s, "pol"),
+                dir=_parse_enum(Directionality, dir_s, "dir"),
+                distance_m=_parse_float(dist_s, "distance_m"),
             )
             if pl_s.strip() == "":  # outage row: checked like any other, then skipped
                 reference_validate("distance_m", fields["distance_m"])
                 continue
             sample = PathLossSample(
-                **fields, path_loss_db=_parse_float(pl_s, "path_loss_db", line_no))
-        except ParseError:
-            raise
-        except ValueError as exc:
+                **fields, path_loss_db=_parse_float(pl_s, "path_loss_db"))
+        except ValueError as exc:  # a ParseError too: the field readers name no line
             raise ParseError(str(exc), line=line_no) from None
         samples.append(sample)
     return samples
@@ -281,8 +279,8 @@ def test_sample_validation_matches_reference(field, x):
 
 # --------------------------------------------------------------------------- fit
 
-BAND_60A = FrequencyBand(60e9, "60 GHz")
-BAND_60B = FrequencyBand(60e9, "60 GHz")  # equal to BAND_60A, another object
+BAND_60A = FrequencyBand(60.0)
+BAND_60B = FrequencyBand(60.0)  # equal to BAND_60A, another object
 STRATA = [
     (BAND_28GHZ, Environment.LOS, Polarization.VV, Directionality.OMNI),
     (BAND_28GHZ, Environment.NLOS, Polarization.VV, Directionality.OMNI),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmwindoor.core import NoMultipathError, Pdp
 from mmwindoor.pdp import (
@@ -209,13 +209,12 @@ class TestScaleInvariance:
             assert b.rms_delay_spread_ns == pytest.approx(a.rms_delay_spread_ns, rel=1e-9, abs=1e-12)
 
 
-#: Profiles with at least one positive bin, powers far from overflow and
-#: subnormals, so scaling by a power of two is exact. Spacings lie on a
-#: quarter-ns grid (2.5 ns among them), where every squared delay is exact:
-#: ``d ** 2`` is libm's ``pow``, which is not correctly rounded for every d.
+#: Profiles with at least one positive bin, and spacings of any size, so long as
+#: every moment stays far from overflow and subnormals: then scaling by a power
+#: of two is exact.
 SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 powers_lists = st.lists(st.just(0.0) | st.floats(1e-30, 1e30), min_size=1, max_size=60).filter(any)
-spacings = st.integers(1, 400).map(lambda k: k / 4)
+spacings = st.floats(1e-100, 1e100)
 
 
 class TestDelayStatsProperties:
@@ -227,6 +226,7 @@ class TestDelayStatsProperties:
 
     @SETTINGS
     @given(powers_lists, spacings, st.integers(-16, 16), st.integers(-60, 60))
+    @example([1.0, 1.0], 28.07713380269933, -11, 0)  # where libm's pow(d, 2) is not exact
     def test_exactly_covariant_under_power_of_two_scaling(self, powers, dt, j, m):
         a = delay_stats(Pdp(dt, tuple(powers)))
         wide = delay_stats(Pdp(math.ldexp(dt, j), tuple(powers)))

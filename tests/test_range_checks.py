@@ -126,3 +126,42 @@ def test_simulate_config_is_rejected_when_read(tmp_path, section, key, token, me
     assert res.exit_code == EXIT_VALIDATION, res.output
     assert res.stderr == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("floor, kept", [(0.0, (1.0, 0.5)), (1e-9, (1.0, 0.0))])
+def test_infinite_threshold_keeps_the_peak(floor, kept):
+    # A zero floor cuts nothing; a positive one at an infinite threshold leaves the peak.
+    assert threshold_pdp(Pdp(2.5, (1.0, 0.5), floor), INF, 30.0).powers_mw == kept
+
+
+def test_infinite_threshold_flags_no_profile_with_a_zero_floor(tmp_path):
+    path = tmp_path / "pdps.json"
+    path.write_text(json.dumps([{"bin_spacing_ns": 2.5, "powers_mw": [1.0, 0.5]}]))
+    res = CliRunner().invoke(main, ["--threshold-db", "inf", "pdp-stats", str(path)])
+    assert res.exit_code == 0, res.output
+    assert "no-multipath" not in res.output
+
+
+@pytest.mark.parametrize("delay", [1e300, 1e6 + 1])
+@pytest.mark.parametrize("key, message", [
+    ("span_ns", "span_ns: must be <= 1e6 ns, got {!r}"),
+    ("fixed_tap_delays_ns", "fixed_tap_delays_ns: delays must be <= 1e6 ns, got {!r}"),
+], ids=["span_ns", "fixed_tap_delays_ns"])
+def test_synthetic_profile_length_is_bounded(tmp_path, delay, key, message):
+    # Rejected when the config is built, before any profile is sized.
+    value = delay if key == "span_ns" else [0.0, delay]
+    with pytest.raises(ValueError) as exc:
+        PdpSynthesisConfig(**{key: value})
+    assert str(exc.value) == message.format(delay)
+    config = {"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni", "n_locations": 5,
+              "pdp_synthesis": {key: value}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    res = CliRunner().invoke(main, ["simulate", str(path), "-o", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_VALIDATION, res.output
+    assert res.stderr == f"error: {message.format(delay)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_one_millisecond_delay_is_allowed():
+    assert PdpSynthesisConfig(span_ns=1e6, fixed_tap_delays_ns=(0.0, 1e6)).span_ns == 1e6
