@@ -2,7 +2,8 @@
 
 All linear powers are milliwatts; dB-valued powers are dBm, gains are dBi,
 losses are dB. Every type is an immutable value object, safe to share across
-threads or processes.
+threads or processes. The types built once per sample, profile or pointing are
+slotted, and their ``__init__`` stores each field once through its slot.
 """
 
 from __future__ import annotations
@@ -155,7 +156,13 @@ class CiModelParams:
     stratum = _stratum
 
 
-@dataclass(frozen=True)
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot in a slotted dataclass, in field order. It
+    stores past a frozen class's ``__setattr__``, as one C call per field."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PathLossSample:
     """A single measured or simulated path loss value at one T-R separation."""
 
@@ -167,13 +174,27 @@ class PathLossSample:
     distance_m: float
     path_loss_db: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.distance_m < math.inf:
-            raise ValueError(f"distance_m must be finite and > 0, got {self.distance_m!r}")
-        if not 0.0 < self.path_loss_db < math.inf:
-            raise ValueError(f"path_loss_db must be finite and > 0, got {self.path_loss_db!r}")
+    def __init__(self, location_id: str, band: FrequencyBand, env: Environment,
+                 pol: Polarization, dir: Directionality, distance_m: float,
+                 path_loss_db: float) -> None:
+        if not 0.0 < distance_m < math.inf:
+            raise ValueError(f"distance_m must be finite and > 0, got {distance_m!r}")
+        if not 0.0 < path_loss_db < math.inf:
+            raise ValueError(f"path_loss_db must be finite and > 0, got {path_loss_db!r}")
+        (set_location_id, set_band, set_env, set_pol, set_dir, set_distance_m,
+         set_path_loss_db) = _SAMPLE_SETTERS
+        set_location_id(self, location_id)
+        set_band(self, band)
+        set_env(self, env)
+        set_pol(self, pol)
+        set_dir(self, dir)
+        set_distance_m(self, distance_m)
+        set_path_loss_db(self, path_loss_db)
 
     stratum = _stratum
+
+
+_SAMPLE_SETTERS = _slot_setters(PathLossSample)
 
 
 @dataclass(frozen=True)
@@ -196,7 +217,7 @@ class SounderSpec:
             raise ValueError(f"bin_spacing_ns must be finite and > 0, got {self.bin_spacing_ns!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pdp:
     """A power delay profile: uniformly spaced delay bins holding linear powers in mW.
 
@@ -207,11 +228,11 @@ class Pdp:
     powers_mw: tuple[float, ...]
     noise_floor_mw: float = 0.0
 
-    def __post_init__(self) -> None:
-        powers = tuple(map(float, self.powers_mw))
-        object.__setattr__(self, "powers_mw", powers)
-        if self.bin_spacing_ns <= 0.0 or not math.isfinite(self.bin_spacing_ns):
-            raise ValueError(f"bin_spacing_ns must be finite and > 0, got {self.bin_spacing_ns!r}")
+    def __init__(self, bin_spacing_ns: float, powers_mw: tuple[float, ...],
+                 noise_floor_mw: float = 0.0) -> None:
+        powers = tuple(map(float, powers_mw))
+        if bin_spacing_ns <= 0.0 or not math.isfinite(bin_spacing_ns):
+            raise ValueError(f"bin_spacing_ns must be finite and > 0, got {bin_spacing_ns!r}")
         if len(powers) < 1:
             raise ValueError("a Pdp needs at least one delay bin")
         # A C-level screen: nan and +inf make the sum non-finite, negatives and
@@ -221,8 +242,12 @@ class Pdp:
             for k, p in enumerate(powers):
                 if not (math.isfinite(p) and p >= 0.0):
                     raise ValueError(f"powers_mw[{k}] must be finite and >= 0, got {p!r}")
-        if not (math.isfinite(self.noise_floor_mw) and self.noise_floor_mw >= 0.0):
-            raise ValueError(f"noise_floor_mw must be finite and >= 0, got {self.noise_floor_mw!r}")
+        if not (math.isfinite(noise_floor_mw) and noise_floor_mw >= 0.0):
+            raise ValueError(f"noise_floor_mw must be finite and >= 0, got {noise_floor_mw!r}")
+        set_bin_spacing_ns, set_powers_mw, set_noise_floor_mw = _PDP_SETTERS
+        set_bin_spacing_ns(self, bin_spacing_ns)
+        set_powers_mw(self, powers)
+        set_noise_floor_mw(self, noise_floor_mw)
 
     @property
     def n_bins(self) -> int:
@@ -235,7 +260,10 @@ class Pdp:
         return max(self.powers_mw)
 
 
-@dataclass(frozen=True)
+_PDP_SETTERS = _slot_setters(Pdp)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SweepEntry:
     """One fixed pointing of TX and RX antennas and the PDP acquired there."""
 
@@ -248,14 +276,25 @@ class SweepEntry:
     #: 1e-9 deg: 0 and 360 deg are one angle, and so are 0.1 and 360.1 deg.
     angle: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, theta_tx_deg: float, phi_tx_deg: float, theta_rx_deg: float,
+                 phi_rx_deg: float, pdp: Pdp) -> None:
         try:
-            angle = (_azimuth_key(self.theta_tx_deg), self.phi_tx_deg,
-                     _azimuth_key(self.theta_rx_deg), self.phi_rx_deg)
+            angle = (_azimuth_key(theta_tx_deg), phi_tx_deg,
+                     _azimuth_key(theta_rx_deg), phi_rx_deg)
         except ValueError:  # round() of the NaN that a non-finite azimuth folds to
-            raise ValueError(f"azimuths must be finite, got {self.theta_tx_deg!r} and "
-                             f"{self.theta_rx_deg!r}") from None
-        object.__setattr__(self, "angle", angle)
+            raise ValueError(f"azimuths must be finite, got {theta_tx_deg!r} and "
+                             f"{theta_rx_deg!r}") from None
+        (set_theta_tx_deg, set_phi_tx_deg, set_theta_rx_deg, set_phi_rx_deg, set_pdp,
+         set_angle) = _ENTRY_SETTERS
+        set_theta_tx_deg(self, theta_tx_deg)
+        set_phi_tx_deg(self, phi_tx_deg)
+        set_theta_rx_deg(self, theta_rx_deg)
+        set_phi_rx_deg(self, phi_rx_deg)
+        set_pdp(self, pdp)
+        set_angle(self, angle)
+
+
+_ENTRY_SETTERS = _slot_setters(SweepEntry)
 
 
 def _azimuth_key(deg: float) -> float:

@@ -6,6 +6,7 @@ reproduces a file exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -34,6 +35,7 @@ from .core import (
     Polarization,
     SweepEntry,
     UnknownCombinationError,
+    _slot_setters,
     band_from_ghz,
     sounder_lookup,
 )
@@ -57,7 +59,7 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OutageRow:
     """A location whose synthesized power was undetectable; no loss value exists."""
 
@@ -68,9 +70,20 @@ class OutageRow:
     dir: Directionality
     distance_m: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.distance_m < math.inf:
-            raise ValueError(f"distance_m must be finite and > 0, got {self.distance_m!r}")
+    def __init__(self, location_id: str, band: FrequencyBand, env: Environment,
+                 pol: Polarization, dir: Directionality, distance_m: float) -> None:
+        if not 0.0 < distance_m < math.inf:
+            raise ValueError(f"distance_m must be finite and > 0, got {distance_m!r}")
+        set_location_id, set_band, set_env, set_pol, set_dir, set_distance_m = _OUTAGE_SETTERS
+        set_location_id(self, location_id)
+        set_band(self, band)
+        set_env(self, env)
+        set_pol(self, pol)
+        set_dir(self, dir)
+        set_distance_m(self, distance_m)
+
+
+_OUTAGE_SETTERS = _slot_setters(OutageRow)
 
 
 def _fmt(x: float) -> str:
@@ -242,18 +255,19 @@ def parse_pathloss_csv(text: str) -> list[PathLossSample]:
     bands: dict[str, FrequencyBand] = {}  # band token -> band, filled by the row reader
     samples: list[PathLossSample] = []
     append = samples.append
-    for line, fields in _csv_rows(text, _PATHLOSS):
-        try:
-            loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = fields
-            append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s], dirs[dir_s],
-                                  float(dist_s), float(pl_s)))
-            continue
-        except (KeyError, ValueError):
-            pass
-        sample = _row(_PATHLOSS, fields, line)
-        if type(sample) is PathLossSample:
-            bands[fields[1]] = sample.band
-            append(sample)
+    with _gc_paused():
+        for line, fields in _csv_rows(text, _PATHLOSS):
+            try:
+                loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = fields
+                append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s],
+                                      dirs[dir_s], float(dist_s), float(pl_s)))
+                continue
+            except (KeyError, ValueError):
+                pass
+            sample = _row(_PATHLOSS, fields, line)
+            if type(sample) is PathLossSample:
+                bands[fields[1]] = sample.band
+                append(sample)
     return samples
 
 
@@ -412,16 +426,24 @@ def _load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def _parse_json_items(text: str, what: str, build, item: str) -> list:
-    """Build each element of a JSON array (a single object is an array of one).
-
-    The cyclic garbage collector is paused meanwhile: loading creates no
-    cycles, yet every collection it would trigger walks each list of powers.
-    Each decoded element is released once its objects are built.
-    """
-    gc_was_enabled = gc.isenabled()
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector. A parse builds many objects and no cycles,
+    yet every collection their allocation triggers would walk all of them."""
+    was_enabled = gc.isenabled()
     gc.disable()
     try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _parse_json_items(text: str, what: str, build, item: str) -> list:
+    """Build each element of a JSON array (a single object is an array of one), with
+    the collector paused. Each decoded element is released once its objects are built.
+    """
+    with _gc_paused():
         data = _load_json(text)
         if isinstance(data, dict):
             data = [data]
@@ -434,9 +456,6 @@ def _parse_json_items(text: str, what: str, build, item: str) -> list:
             obj, data[i] = data[i], None
             built.append(build(obj, f"{item}[{i}]"))
         return built
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def parse_pdp_batch(text: str) -> list[Pdp]:
@@ -476,18 +495,28 @@ def emit_campaign_records(records: Sequence[CampaignRecord]) -> str:
     return json.dumps([_record_to_obj(r) for r in records], indent=2) + "\n"
 
 
-def _entry_from_obj(obj, where: str) -> SweepEntry:
+def _entry_from_obj(obj, sweep: str, j: int) -> SweepEntry:
+    """Entry ``j`` of the sweep at path ``sweep``. The entry's path is formatted only for
+    a message: an entry that fails is read again under its path, and fails the same way."""
+    try:
+        return _read_entry(obj, "")
+    except ParseError:
+        pass
+    return _read_entry(obj, f"{sweep}.entries[{j}]")
+
+
+def _read_entry(obj, where: str) -> SweepEntry:
     values = _read(obj, where, _ENTRY)
     angles = _floats(where, values[:4])
     if not all(map(math.isfinite, angles)):  # JSON's NaN and Infinity; no azimuth folds them
         key = next(k for k, a in zip(_ENTRY.names, angles) if not math.isfinite(a))
         raise ParseError(f"{where}.{key}: must be finite, got {obj[key]!r}")
-    return SweepEntry(*angles, pdp=_pdp_from_obj(values[4], f"{where}.pdp"))
+    return SweepEntry(*angles, pdp=_pdp_from_obj(values[4], where + ".pdp"))
 
 
 def _sweep_from_obj(obj, where: str) -> DirectionalSweep:
     sweep_id, pol, entries = _read(obj, where, _SWEEP)
-    entries = [_entry_from_obj(e, f"{where}.entries[{j}]") for j, e in enumerate(entries)]
+    entries = [_entry_from_obj(e, where, j) for j, e in enumerate(entries)]
     try:
         return DirectionalSweep(sweep_id, _parse_enum(Polarization, pol, f"{where}.pol"), entries)
     except ParseError:

@@ -9,13 +9,13 @@ summation; long profiles with wide dynamic range lose digits under naive sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress, count
 
-from .core import NoMultipathError, Pdp
+from .core import NoMultipathError, Pdp, _slot_setters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DelayStats:
     """Power-weighted delay moments of one PDP."""
 
@@ -24,11 +24,17 @@ class DelayStats:
     rms_delay_spread_ns: float
     total_power_mw: float
 
-    def __post_init__(self) -> None:
-        for name in ("mean_excess_delay_ns", "second_moment_ns2", "rms_delay_spread_ns", "total_power_mw"):
-            v = getattr(self, name)
+    def __init__(self, mean_excess_delay_ns: float, second_moment_ns2: float,
+                 rms_delay_spread_ns: float, total_power_mw: float) -> None:
+        values = (mean_excess_delay_ns, second_moment_ns2, rms_delay_spread_ns, total_power_mw)
+        for name, v, store in zip(_STATS_NAMES, values, _STATS_SETTERS):
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            store(self, v)
+
+
+_STATS_NAMES = tuple(f.name for f in fields(DelayStats))
+_STATS_SETTERS = _slot_setters(DelayStats)
 
 
 def threshold_pdp(
@@ -45,13 +51,26 @@ def threshold_pdp(
     peak = pdp.peak_power_mw()
     floor = pdp.noise_floor_mw  # a zero floor cuts nothing at any threshold (0 * inf is NaN)
     cutoff = max(
-        floor * 10.0 ** (threshold_db_above_noise / 10.0) if floor else 0.0,
+        _noise_cut_mw(floor, threshold_db_above_noise) if floor else 0.0,
         peak * 10.0 ** (-dynamic_range_db / 10.0),
     )
     # Every bin is <= peak, so "reaches the cutoff or is the positive peak" is one cut.
     lo = min(cutoff, peak) if peak > 0.0 else cutoff
     return Pdp(pdp.bin_spacing_ns, [p if p >= lo else 0.0 for p in pdp.powers_mw],
                pdp.noise_floor_mw)
+
+
+def _noise_cut_mw(floor_mw: float, threshold_db: float) -> float:
+    """``floor_mw`` raised by ``threshold_db``; inf when that exceeds the largest float.
+    Past about 3083 dB the gain alone overflows, though a small floor's cut may not."""
+    try:
+        return floor_mw * 10.0 ** (threshold_db / 10.0)
+    except OverflowError:
+        pass
+    try:
+        return 10.0 ** (math.log10(floor_mw) + threshold_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def integrate_power_mw(pdp: Pdp) -> float:

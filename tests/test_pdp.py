@@ -79,6 +79,24 @@ class TestThreshold:
         out = threshold_pdp(Pdp(2.5, (0.5, 1.0), noise_floor_mw=10.0), 5.0, 30.0)
         assert out.powers_mw == (0.0, 1.0)
 
+    @pytest.mark.parametrize("threshold_db", [0.0, 5.0, 300.0, 3000.0, 3082.0])
+    def test_noise_cut_is_floor_times_gain(self, threshold_db):
+        nf = 1e-300
+        cut = nf * 10.0 ** (threshold_db / 10.0)
+        below = math.nextafter(cut, 0.0)
+        p = Pdp(2.5, (1e300, cut, below), noise_floor_mw=nf)
+        assert threshold_pdp(p, threshold_db, math.inf).powers_mw == (1e300, cut, 0.0)
+
+    def test_cut_past_the_gain_overflow_keeps_its_value(self):
+        # 10 ** 310 is no float, yet a 1e-300 mW floor raised by 3100 dB cuts at 1e10 mW.
+        p = Pdp(2.5, (2e10, 1.5e10, 5e9), noise_floor_mw=1e-300)
+        assert threshold_pdp(p, 3100.0, math.inf).powers_mw == (2e10, 1.5e10, 0.0)
+
+    @pytest.mark.parametrize("threshold_db", [3083.0, 3084.0, 4000.0, 1e308])
+    def test_cut_above_the_largest_float_is_infinite(self, threshold_db):
+        p = Pdp(2.5, (1.0, 0.5), noise_floor_mw=1e-9)
+        assert threshold_pdp(p, threshold_db, 30.0) == threshold_pdp(p, math.inf, 30.0)
+
     def test_negative_threshold_rejected(self):
         p = Pdp(2.5, (1.0,))
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ rejected wherever the value must be finite.
 
 import json
 import math
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
@@ -140,6 +141,24 @@ def test_infinite_threshold_flags_no_profile_with_a_zero_floor(tmp_path):
     res = CliRunner().invoke(main, ["--threshold-db", "inf", "pdp-stats", str(path)])
     assert res.exit_code == 0, res.output
     assert "no-multipath" not in res.output
+
+
+@pytest.mark.parametrize("threshold_db", ["3083", "3084", "4000", "1e308"])
+@pytest.mark.parametrize("command", ["pdp-stats", "synthesize-omni"])
+def test_a_threshold_past_the_largest_float_cuts_as_inf(tmp_path, command, threshold_db):
+    # 10 ** (t / 10) is no float past about 3083 dB; a positive floor raised by it cuts
+    # above every bin, as an infinite threshold does.
+    if command == "pdp-stats":
+        path = tmp_path / "pdps.json"
+        path.write_text(json.dumps([{"bin_spacing_ns": 2.5, "noise_floor_mw": 1e-9,
+                                     "powers_mw": [1.0, 0.5, 0.25]}]))
+    else:
+        path = resources.files("mmwindoor") / "data" / "sweep_records_28ghz.json"
+    runs = [CliRunner().invoke(main, ["--threshold-db", t, command, str(path)])
+            for t in (threshold_db, "inf")]
+    assert [r.exit_code for r in runs] == [0, 0], runs[0].output
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr
 
 
 @pytest.mark.parametrize("delay", [1e300, 1e6 + 1])
