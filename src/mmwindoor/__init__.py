@@ -42,7 +42,6 @@ from .core import (
     full_catalog_dump,
     sounder_lookup,
     to_db,
-    to_linear,
 )
 from .estimation import (
     FitResult,

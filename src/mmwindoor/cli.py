@@ -198,22 +198,23 @@ def pdp_stats(ctx, input_json, csv_out):
     """Delay statistics for a batch of PDPs: one row per PDP plus a summary."""
     profiles = fileio.parse_pdp_batch(_read_text(input_json))
     per_pdp, summary = _delay_table(ctx, profiles)
-    click.echo(f"{'pdp':>5} {'status':>14} {'mean_ns':>10} {'rms_ns':>10} {'power_mw':>12}")
+    lines = [f"{'pdp':>5} {'status':>14} {'mean_ns':>10} {'rms_ns':>10} {'power_mw':>12}"]
     for i, status, stats in per_pdp:
         if stats is None:
-            click.echo(f"{i:>5d} {status:>14} {'-':>10} {'-':>10} {'-':>12}")
+            lines.append(f"{i:>5d} {status:>14} {'-':>10} {'-':>10} {'-':>12}")
         else:
-            click.echo(
+            lines.append(
                 f"{i:>5d} {status:>14} {stats.mean_excess_delay_ns:>10.3f} "
                 f"{stats.rms_delay_spread_ns:>10.3f} {stats.total_power_mw:>12.6g}"
             )
     if summary is not None:
-        click.echo(
+        lines.append(
             f"summary: mean {summary.mean_ns:.3f} ns, std {summary.std_ns:.3f} ns, "
             f"max {summary.max_ns:.3f} ns, p90 {summary.p90_ns:.3f} ns"
         )
     else:
-        click.echo("summary: no PDP had detectable multipath")
+        lines.append("summary: no PDP had detectable multipath")
+    click.echo("\n".join(lines))  # one write, not one per profile
     if csv_out:
         _write(csv_out, fileio.emit_delay_stats_csv(per_pdp, summary))
 
@@ -347,6 +348,12 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
 @click.pass_context
 def report(ctx, fit_csv, spreads_files, out_dir):
     """Catalog-vs-fitted comparison table plus CDF data files for plotting."""
+    cdf_names: dict[str, str] = {}  # CDF file name -> the spreads file that writes it
+    for path in spreads_files:
+        name = f"cdf_{Path(path).stem}.csv"
+        if name in cdf_names:
+            raise fileio.ParseError(f"{cdf_names[name]} and {path} would both write {name}")
+        cdf_names[name] = path
     models = core.CI_MODEL_CATALOG  # with no fitted table, the catalog is compared with itself
     if fit_csv is not None:
         text = _read_text(fit_csv)

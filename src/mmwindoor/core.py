@@ -60,12 +60,6 @@ def to_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
 
-def to_linear(db: float) -> float:
-    """Convert dB (or dBm) back to a linear ratio (or mW)."""
-    return 10.0 ** (db / 10.0)
-
-
-
 class Environment(Enum):
     LOS = "LOS"
     NLOS = "NLOS"
@@ -252,9 +246,6 @@ class Pdp:
     @property
     def n_bins(self) -> int:
         return len(self.powers_mw)
-
-    def delays_ns(self) -> tuple[float, ...]:
-        return tuple(k * self.bin_spacing_ns for k in range(self.n_bins))
 
     def peak_power_mw(self) -> float:
         return max(self.powers_mw)

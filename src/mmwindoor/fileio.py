@@ -16,7 +16,9 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -439,23 +441,107 @@ def _gc_paused():
             gc.enable()
 
 
+#: About how many characters of a JSON array one orjson call decodes. A chunk is
+#: small beside the array, so orjson's copy of its input and its document tree are too.
+_CHUNK_CHARS = 1 << 18
+#: The most ``[`` and ``{`` one orjson call may see. orjson 3.8 recurses once per level
+#: of nesting, without a limit; 2**14 levels take under 2 MiB of stack.
+_MAX_OPENERS = 1 << 14
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace
+#: An element's opening brackets and whitespace, then its first key.
+_OPENING = re.compile(r'[\[{ \t\n\r]*(?:"[^"\\]*")?')
+_first_element = json.JSONDecoder().raw_decode
+
+
+def _decode_array(text: str) -> list | None:
+    """The elements of the JSON array ``text``, or None where json must decode it:
+    no array of two or more elements, or one orjson rejects.
+
+    Element 0 is json's; orjson decodes the rest in chunks of about ``_CHUNK_CHARS``,
+    cut where the text between elements 0 and 1 (element 0's closing brackets, the
+    comma, element 1's opening up to its first key) occurs again. The cut is only a
+    hint: one inside a string or a nested value leaves a chunk that is no array.
+    Each chunk is decoded before any item is built.
+    """
+    import orjson  # off the import path of the commands that read no batch
+
+    start = _SPACE.match(text).end()
+    stop = len(text)
+    while stop > start and text[stop - 1] in " \t\n\r":
+        stop -= 1
+    if not text.startswith("[", start) or not text.endswith("]", 0, stop):
+        return None
+    element = _SPACE.match(text, start + 1).end()
+    try:
+        first, end = _first_element(text, element)
+    except (ValueError, RecursionError):
+        return None
+    comma = _SPACE.match(text, end).end()
+    if not text.startswith(",", comma):
+        return None
+    pos = _SPACE.match(text, comma + 1).end()  # element 1
+    closing = element + len(text[element:end].rstrip("]} \t\n\r"))
+    separator = text[closing:_OPENING.match(text, pos).end()]
+    cut, resume = end - closing, pos - closing  # offsets into the separator
+    items = [first]
+    close = stop - 1  # the array's closing bracket
+    while True:
+        found = text.find(separator, pos + _CHUNK_CHARS, close)
+        chunk = text[pos:close if found < 0 else found + cut]
+        if chunk.count("[") + chunk.count("{") > _MAX_OPENERS:
+            return None
+        try:
+            elements = orjson.loads("[" + chunk + "]")
+        except orjson.JSONDecodeError:  # a bad cut, NaN, 1e400, a lone surrogate, invalid JSON
+            return None
+        if not elements:  # no value between a comma and the closing bracket
+            return None
+        items += elements
+        if found < 0:
+            return items
+        pos = found + resume
+
+
+def _build_items(data, what: str, build, item: str) -> list:
+    """Build each element of the decoded array ``data`` (a single object is an array of
+    one). Each element is released once its objects are built."""
+    if isinstance(data, dict):
+        data = [data]
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be a JSON array or object")
+    if not data:
+        raise EmptyInputError(f"{what} is empty")
+    built = []
+    for i in range(len(data)):
+        obj, data[i] = data[i], None
+        built.append(build(obj, f"{item}[{i}]"))
+    return built
+
+
 def _parse_json_items(text: str, what: str, build, item: str) -> list:
-    """Build each element of a JSON array (a single object is an array of one), with
-    the collector paused. Each decoded element is released once its objects are built.
+    """Build each element of the JSON array ``text``, with the collector paused.
+
+    Items built from orjson's decoding are kept only when every one builds. Any
+    failure is raised from json's decoding, built again from the start: orjson reads
+    an integer outside [-2**63, 2**64) as a float, which a message may echo, and json
+    may reject a depth orjson takes. The warnings of orjson's try are held until it
+    succeeds, so json's order stays, in which a decode error comes before any warning.
     """
     with _gc_paused():
-        data = _load_json(text)
-        if isinstance(data, dict):
-            data = [data]
-        if not isinstance(data, list):
-            raise ParseError(f"{what} must be a JSON array or object")
-        if not data:
-            raise EmptyInputError(f"{what} is empty")
-        built = []
-        for i in range(len(data)):
-            obj, data[i] = data[i], None
-            built.append(build(obj, f"{item}[{i}]"))
-        return built
+        data = _decode_array(text)
+        if data is not None:
+            with warnings.catch_warnings(record=True) as held:
+                try:
+                    built = _build_items(data, what, build, item)
+                except Exception:
+                    built = None
+            del data
+            if built is not None:
+                for w in held:
+                    warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file,
+                                         w.line)
+                return built
+        return _build_items(_load_json(text), what, build, item)
 
 
 def parse_pdp_batch(text: str) -> list[Pdp]:

@@ -333,6 +333,22 @@ class TestReport:
         assert res.exit_code == 0
         assert "catalog target: mean 4.1 ns" in res.output
 
+    @pytest.mark.parametrize("twice", [False, True], ids=["same-stem", "same-path"])
+    def test_spreads_files_sharing_a_cdf_name_exit_2_before_writing(self, runner, tmp_path,
+                                                                   twice):
+        a, b = tmp_path / "a" / "28ghz_los_vv.csv", tmp_path / "b" / "28ghz_los_vv.csv"
+        for f in (a, b):
+            f.parent.mkdir()
+            f.write_text("4.0\n4.2\n")
+        second = a if twice else b
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["report", "--spreads", str(a), "--spreads", str(second),
+                                   "-o", str(out)])
+        assert res.exit_code == EXIT_PARSE
+        assert res.stderr == f"error: {a} and {second} would both write cdf_28ghz_los_vv.csv\n"
+        assert res.stdout == ""
+        assert not out.exists()
+
     def test_fitted_table_both_bands_sectioned(self, runner, tmp_path):
         fits = tmp_path / "fits.csv"
         fits.write_text(

@@ -26,7 +26,6 @@ from mmwindoor.core import (
     full_catalog_dump,
     sounder_lookup,
     to_db,
-    to_linear,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "catalog_golden.json"
@@ -52,11 +51,6 @@ class TestWavelength:
 
 
 class TestDbConversions:
-    def test_round_trip_over_range(self):
-        for i in range(4001):
-            x = -200.0 + 0.1 * i
-            assert to_db(to_linear(x)) == pytest.approx(x, abs=1e-9)
-
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
             to_db(0.0)
@@ -139,9 +133,8 @@ def test_catalog_dump_matches_golden_file():
 
 
 class TestPdpType:
-    def test_delays(self):
+    def test_bins_and_peak(self):
         p = Pdp(2.5, (1.0, 0.0, 0.5))
-        assert p.delays_ns() == (0.0, 2.5, 5.0)
         assert p.n_bins == 3
         assert p.peak_power_mw() == 1.0
 

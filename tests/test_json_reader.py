@@ -7,6 +7,7 @@ default its dataclass declares; whatever the writers emit reads back equal.
 
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,10 +30,12 @@ from mmwindoor.core import (
     band_from_ghz,
     sounder_lookup,
 )
+from mmwindoor import fileio
 from mmwindoor.fileio import (
     ParseError,
     emit_campaign_config,
     emit_campaign_records,
+    emit_pdp_batch,
     parse_campaign_config,
     parse_campaign_records,
     parse_pdp_batch,
@@ -189,6 +192,38 @@ records = st.builds(
 @given(st.lists(records, min_size=1, max_size=3))
 def test_records_round_trip(rs):
     assert parse_campaign_records(emit_campaign_records(rs)) == rs
+
+
+#: Ways to write a batch: by its writer, or as json.dumps writes its objects.
+LAYOUTS = {
+    "writer": lambda emit, items: emit(items),
+    "compact": lambda emit, items: json.dumps(json.loads(emit(items))),
+    "tight": lambda emit, items: json.dumps(json.loads(emit(items)), separators=(",", ":")),
+    "spaced": lambda emit, items: json.dumps(json.loads(emit(items)), indent=" \r\n",
+                                             separators=(" ,\t", " :  ")),
+}
+batches = st.one_of(
+    st.tuples(st.just((emit_pdp_batch, parse_pdp_batch)), st.lists(pdps, min_size=1, max_size=6)),
+    st.tuples(st.just((emit_campaign_records, parse_campaign_records)),
+              st.lists(records, min_size=1, max_size=4)),
+)
+
+
+@SETTINGS
+@given(batches, st.sampled_from(sorted(LAYOUTS)), st.booleans(),
+       st.sampled_from(["", " ", "\r\n\t"]), st.integers(0, 200))
+def test_chunked_decoding_reads_what_json_reads(batch, layout, crlf, pad, chunk_chars):
+    (emit, parse), items = batch
+    text = pad + LAYOUTS[layout](emit, items) + pad
+    if crlf:  # the writers escape every newline inside a string
+        text = text.replace("\n", "\r\n")
+    with mock.patch.object(fileio, "_CHUNK_CHARS", chunk_chars):
+        assert (fileio._decode_array(text) is not None) is (len(items) > 1)
+        got = parse(text)
+    with mock.patch.object(fileio, "_decode_array", lambda text: None):
+        want = parse(text)
+    assert got == want == items
+    assert repr(got) == repr(want)  # float bits too: -0.0 == 0.0 but reprs differ
 
 
 positive = st.floats(min_value=1e-6, max_value=1e6)
