@@ -469,17 +469,17 @@ def delay_spread_lookup(
         ) from None
 
 
+#: The key of each field whose key in the file formats is not its name.
+_FIELD_KEYS = {"band": "band_ghz", "shadow_sigma_db": "sigma_db"}
+
+
 def _row(entry) -> dict:
-    """A catalog entry as a JSON-ready row, in field order: ``band`` becomes
-    ``band_ghz``, ``shadow_sigma_db`` becomes ``sigma_db``, enums their values."""
+    """A catalog entry as a JSON-ready row, in field order: each field under its key,
+    enums as their values."""
     row = {}
     for f in fields(entry):
         value = getattr(entry, f.name)
-        if isinstance(value, FrequencyBand):
-            row["band_ghz"] = value.ghz
-        else:
-            name = "sigma_db" if f.name == "shadow_sigma_db" else f.name
-            row[name] = value.value if isinstance(value, Enum) else value
+        row[_FIELD_KEYS.get(f.name, f.name)] = value.value if isinstance(value, Enum) else value
     return row
 
 

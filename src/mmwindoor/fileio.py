@@ -20,7 +20,8 @@ import re
 import tempfile
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
+from enum import Enum
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -37,6 +38,7 @@ from .core import (
     Polarization,
     SweepEntry,
     UnknownCombinationError,
+    _FIELD_KEYS,
     _slot_setters,
     band_from_ghz,
     sounder_lookup,
@@ -51,6 +53,8 @@ CDF_CSV_HEADER = "value,cumulative_probability"
 _MEMBERS = {cls: {m.value: m for m in cls} for cls in (Environment, Polarization, Directionality)}
 #: A UTF-8 byte order mark, as some editors write it before a CSV header.
 _BOM = "\ufeff"
+#: A line break as the csv module reads one: LF, CRLF or CR.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
 class ParseError(ValueError):
@@ -273,22 +277,16 @@ def parse_pathloss_csv(text: str) -> list[PathLossSample]:
     return samples
 
 
-def _pdp_to_obj(pdp: Pdp) -> dict:
-    return {
-        "bin_spacing_ns": pdp.bin_spacing_ns,
-        "noise_floor_mw": pdp.noise_floor_mw,
-        "powers_mw": list(pdp.powers_mw),
-    }
-
-
 class _Type(NamedTuple):
     """A JSON type: the Python types ``json.loads`` gives for it, its name in
-    messages and, for an array of numbers, their type and the array's length."""
+    messages, for an array of numbers their type and the array's length, and for
+    an object or an array of objects the shape of each object."""
 
     types: frozenset
     name: str
     items: _Type | None = None
     length: int | None = None
+    shape: _Shape | None = None
 
 
 _NUMBER = _Type(frozenset({float, int}), "a number")  # ``bool`` is not a number
@@ -304,17 +302,22 @@ _OBJECT_OR_NULL = _Type(frozenset({dict, type(None)}), "an object")
 
 
 class _Shape:
-    """One kind of JSON object: its keys in reading order with their JSON types.
-    A key is optional when the dataclass the object is read into declares a
-    default for the field of that name; the default stands in for it."""
+    """One kind of JSON object: its keys in reading and writing order with their
+    JSON types. A key is written from the attribute of its name, or from the field
+    ``core._FIELD_KEYS`` renames to it, or from the dotted path ``paths`` gives it.
+    It is optional when the dataclass the object is read into declares a default
+    for that field; the default stands in for it."""
 
-    def __init__(self, cls, types: dict[str, _Type]):
+    def __init__(self, cls, types: dict[str, _Type], paths: dict[str, str] | None = None):
+        paths = {key: name for name, key in _FIELD_KEYS.items()} | (paths or {})
+        attrs = [paths.get(k, k) for k in types]
         declared = {f.name: f.default for f in dataclasses.fields(cls)}
         self.types = types
         self.names = tuple(types)
         self.keys = frozenset(types)
         self.get = itemgetter(*types)
-        self.defaults = tuple(declared.get(k, dataclasses.MISSING) for k in types)
+        self.attrs = attrgetter(*attrs)
+        self.defaults = tuple(declared.get(a, dataclasses.MISSING) for a in attrs)
         self.accepted = frozenset(itertools.product(*(t.types for t in types.values())))
         #: (index, length, element type screen) of each array of numbers.
         self.arrays = tuple((i, t.length, t.items.types.issuperset)
@@ -374,24 +377,39 @@ def _floats(where: str, values) -> tuple[float, ...]:
         raise ParseError(f"{where}: {exc}") from None
 
 
-# One table per JSON object kind, keyed by JSON key, in reading order.
+# One table per JSON object kind, keyed by JSON key, in reading and writing order.
 _PDP = _Shape(Pdp, {"bin_spacing_ns": _NUMBER, "noise_floor_mw": _NUMBER, "powers_mw": _NUMBERS})
 _ENTRY = _Shape(SweepEntry, {"theta_tx_deg": _NUMBER, "phi_tx_deg": _NUMBER,
-                             "theta_rx_deg": _NUMBER, "phi_rx_deg": _NUMBER, "pdp": _OBJECT})
-_SWEEP = _Shape(DirectionalSweep, {"sweep_id": _STRING, "pol": _STRING, "entries": _ARRAY})
+                             "theta_rx_deg": _NUMBER, "phi_rx_deg": _NUMBER,
+                             "pdp": _OBJECT._replace(shape=_PDP)})
+_SWEEP = _Shape(DirectionalSweep, {"sweep_id": _STRING, "pol": _STRING,
+                                   "entries": _ARRAY._replace(shape=_ENTRY)})
 _RECORD = _Shape(CampaignRecord, {"location_id": _STRING, "band_ghz": _NUMBER, "env": _STRING,
                                   "distance_m": _NUMBER, "tx_height_m": _NUMBER,
-                                  "rx_height_m": _NUMBER, "sweeps": _ARRAY})
-_CONFIG = _Shape(CampaignConfig, {"band_ghz": _NUMBER, "env": _STRING, "pol": _STRING,
-                                  "dir": _STRING, "n_locations": _INTEGER,
-                                  "distance_range_m": _NUMBER_PAIR, "seed": _INTEGER,
-                                  "params_override": _OBJECT_OR_NULL,
-                                  "pdp_synthesis": _OBJECT_OR_NULL})
+                                  "rx_height_m": _NUMBER, "sweeps": _ARRAY._replace(shape=_SWEEP)},
+                 {"band_ghz": "spec.band"})
 _PARAMS_OVERRIDE = _Shape(CiModelParams, {"ple": _NUMBER, "sigma_db": _NUMBER, "d0_m": _NUMBER})
 _PDP_SYNTHESIS = _Shape(PdpSynthesisConfig, {
     "tap_count_range": _INTEGER_PAIR, "decay_ns": _NUMBER, "span_ns": _NUMBER,
     "tap_power_sigma_db": _NUMBER, "noise_floor_mw": _NUMBER,
     "fixed_tap_delays_ns": _NUMBERS_OR_NULL})
+_CONFIG = _Shape(CampaignConfig, {
+    "band_ghz": _NUMBER, "env": _STRING, "pol": _STRING, "dir": _STRING,
+    "n_locations": _INTEGER, "distance_range_m": _NUMBER_PAIR, "seed": _INTEGER,
+    "params_override": _OBJECT_OR_NULL._replace(shape=_PARAMS_OVERRIDE),
+    "pdp_synthesis": _OBJECT_OR_NULL._replace(shape=_PDP_SYNTHESIS)})
+
+
+def _to_obj(value, shape: _Shape) -> dict:
+    """``value`` as the JSON object ``shape`` declares, for ``json.dumps``: enums as
+    their values, and each sub-object by its own shape, left out when it is None."""
+    obj = {}
+    for (key, t), v in zip(shape.types.items(), shape.attrs(value)):
+        if t.shape is None:
+            obj[key] = v.value if isinstance(v, Enum) else v
+        elif v is not None:
+            obj[key] = _to_obj(v, t.shape) if dict in t.types else [_to_obj(e, t.shape) for e in v]
+    return obj
 
 
 def _pdp_from_obj(obj, where: str) -> Pdp:
@@ -403,7 +421,7 @@ def _pdp_from_obj(obj, where: str) -> Pdp:
 
 
 def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
-    """The batch as ``json.dumps(..., indent=2)`` of ``_pdp_to_obj`` writes it."""
+    """The batch as ``json.dumps(..., indent=2)`` of its ``_PDP`` objects writes it."""
     if not pdps:
         return "[]\n"
     # Pdp stores its powers as finite floats, so float repr is their JSON form.
@@ -549,36 +567,8 @@ def parse_pdp_batch(text: str) -> list[Pdp]:
     return _parse_json_items(text, "PDP batch", _pdp_from_obj, "pdp")
 
 
-def _record_to_obj(record: CampaignRecord) -> dict:
-    return {
-        "location_id": record.location_id,
-        "band_ghz": record.spec.band.ghz,
-        "env": record.env.value,
-        "distance_m": record.distance_m,
-        "tx_height_m": record.tx_height_m,
-        "rx_height_m": record.rx_height_m,
-        "sweeps": [
-            {
-                "sweep_id": s.sweep_id,
-                "pol": s.pol.value,
-                "entries": [
-                    {
-                        "theta_tx_deg": e.theta_tx_deg,
-                        "phi_tx_deg": e.phi_tx_deg,
-                        "theta_rx_deg": e.theta_rx_deg,
-                        "phi_rx_deg": e.phi_rx_deg,
-                        "pdp": _pdp_to_obj(e.pdp),
-                    }
-                    for e in s.entries
-                ],
-            }
-            for s in record.sweeps
-        ],
-    }
-
-
 def emit_campaign_records(records: Sequence[CampaignRecord]) -> str:
-    return json.dumps([_record_to_obj(r) for r in records], indent=2) + "\n"
+    return json.dumps([_to_obj(r, _RECORD) for r in records], indent=2) + "\n"
 
 
 def _entry_from_obj(obj, sweep: str, j: int) -> SweepEntry:
@@ -615,6 +605,10 @@ def _record_from_obj(obj, where: str) -> CampaignRecord:
     location_id, band_ghz, env, distance_m, tx_height_m, rx_height_m, sweeps = _read(
         obj, where, _RECORD)
     try:
+        location_id.encode()  # every output is UTF-8, which has no lone surrogate
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{where}: location_id: {exc}") from None
+    try:
         band = band_from_ghz(float(band_ghz))
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from None
@@ -641,36 +635,8 @@ def parse_campaign_records(text: str) -> list[CampaignRecord]:
     return _parse_json_items(text, "sweep-record file", _record_from_obj, "record")
 
 
-def config_to_obj(config: CampaignConfig) -> dict:
-    obj = {
-        "band_ghz": config.band.ghz,
-        "env": config.env.value,
-        "pol": config.pol.value,
-        "dir": config.dir.value,
-        "n_locations": config.n_locations,
-        "distance_range_m": list(config.distance_range_m),
-        "seed": config.seed,
-    }
-    if config.params_override is not None:
-        p = config.params_override
-        obj["params_override"] = {"ple": p.ple, "sigma_db": p.shadow_sigma_db, "d0_m": p.d0_m}
-    if config.pdp_synthesis is not None:
-        s = config.pdp_synthesis
-        obj["pdp_synthesis"] = {
-            "tap_count_range": list(s.tap_count_range),
-            "decay_ns": s.decay_ns,
-            "span_ns": s.span_ns,
-            "tap_power_sigma_db": s.tap_power_sigma_db,
-            "noise_floor_mw": s.noise_floor_mw,
-            "fixed_tap_delays_ns": (
-                list(s.fixed_tap_delays_ns) if s.fixed_tap_delays_ns is not None else None
-            ),
-        }
-    return obj
-
-
 def emit_campaign_config(config: CampaignConfig) -> str:
-    return json.dumps(config_to_obj(config), indent=2) + "\n"
+    return json.dumps(_to_obj(config, _CONFIG), indent=2) + "\n"
 
 
 def parse_campaign_config(text: str) -> CampaignConfig:
@@ -759,8 +725,9 @@ def emit_delay_stats_csv(
 
 def parse_spread_values(text: str) -> list[float]:
     """Delay-spread values, finite and >= 0, from either a delay-stats CSV or a
-    one-column file (the form is told by a comma in the first non-blank line)."""
-    lines = text.removeprefix(_BOM).splitlines()
+    one-column file (the form is told by a comma in the first non-blank line). Lines
+    break at LF, CRLF and CR only, as the csv module breaks them."""
+    lines = _LINE_BREAK.split(text.removeprefix(_BOM))
     if "," in next((line for line in lines if line.strip()), ","):  # a blank file: an empty CSV
         values = [value for line, fields in _csv_rows(text, _DELAY_STATS)
                   if (value := _row(_DELAY_STATS, fields, line)) is not None]

@@ -132,6 +132,9 @@ def test_unknown_pdp_key_exits_2(tmp_path):
         ({"Env": "LOS"}, "record[0]: unknown key(s) ['Env']"),
         ({"sweeps": [{"sweep_id": "M1", "pol": "VV", "entries": [], "note": ""}]},
          "record[0].sweeps[0]: unknown key(s) ['note']"),
+        ({"location_id": "\ud800"},  # json.dumps writes the escape; UTF-8 has no such character
+         "record[0]: location_id: 'utf-8' codec can't encode character '\\ud800' in position 0: "
+         "surrogates not allowed"),
     ],
 )
 def test_synthesize_omni_record_shape_exits_2(tmp_path, edits, message):
@@ -273,6 +276,8 @@ def _report_spreads(tmp_path, monkeypatch, text):
 
 
 STATS_ROW = "0,ok,1.0,{},2.0,,,,"
+#: The characters ``str.splitlines`` breaks at besides LF and CR; a line holds them.
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @pytest.mark.parametrize(
@@ -283,8 +288,14 @@ STATS_ROW = "0,ok,1.0,{},2.0,,,,"
          "line 3: rms_delay_spread_ns: must be >= 0, got -3.0"),
         ("5\n-3\n", "line 2: value: must be >= 0, got -3.0"),
         ("\n\n5\nnan\n", "line 4: value: not a finite number: 'nan'"),
+        *((f"1.0{c}2.0\n", f"line 1: value: not a number: {f'1.0{c}2.0'!r}")
+          for c in OTHER_LINE_BREAKS),
+        *((f"1.0{c}\r\n2.0\rabc\n", "line 3: value: not a number: 'abc'")
+          for c in OTHER_LINE_BREAKS),
     ],
-    ids=["short-row", "negative-csv", "negative-column", "line-after-blank-lines"],
+    ids=["short-row", "negative-csv", "negative-column", "line-after-blank-lines",
+         *(f"U+{ord(c):04X}-inside-a-line" for c in OTHER_LINE_BREAKS),
+         *(f"U+{ord(c):04X}-then-crlf-and-cr" for c in OTHER_LINE_BREAKS)],
 )
 def test_report_bad_spread_row_exits_2_naming_file_and_line(tmp_path, monkeypatch, text, message):
     res = _report_spreads(tmp_path, monkeypatch, text)

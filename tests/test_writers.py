@@ -2,7 +2,8 @@
 
 The reference emitters below are the ``json.dumps(indent=2)`` and
 ``csv.writer`` implementations the byte-stable formats were defined with;
-every writer must reproduce their bytes exactly.
+every writer must reproduce their bytes exactly. The JSON references list
+each object's keys by hand, so they check the writers' tables too.
 """
 
 import csv
@@ -29,6 +30,8 @@ from mmwindoor.fileio import (
     FIT_CSV_HEADER,
     PATHLOSS_CSV_HEADER,
     OutageRow,
+    emit_campaign_config,
+    emit_campaign_records,
     emit_cdf_csv,
     emit_delay_stats_csv,
     emit_fit_csv,
@@ -36,6 +39,7 @@ from mmwindoor.fileio import (
     emit_pdp_batch,
 )
 from mmwindoor.pdp import DelayStats
+from test_json_reader import configs, records
 
 SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
@@ -58,16 +62,80 @@ class _Writer:
         self.buf.write(one.getvalue().removesuffix("\r\n") + "\n")
 
 
-def reference_emit_pdp_batch(pdps):
-    objs = [
-        {
-            "bin_spacing_ns": p.bin_spacing_ns,
-            "noise_floor_mw": p.noise_floor_mw,
-            "powers_mw": list(p.powers_mw),
+def _pdp_to_obj(pdp):
+    return {
+        "bin_spacing_ns": pdp.bin_spacing_ns,
+        "noise_floor_mw": pdp.noise_floor_mw,
+        "powers_mw": list(pdp.powers_mw),
+    }
+
+
+def _record_to_obj(record):
+    return {
+        "location_id": record.location_id,
+        "band_ghz": record.spec.band.ghz,
+        "env": record.env.value,
+        "distance_m": record.distance_m,
+        "tx_height_m": record.tx_height_m,
+        "rx_height_m": record.rx_height_m,
+        "sweeps": [
+            {
+                "sweep_id": s.sweep_id,
+                "pol": s.pol.value,
+                "entries": [
+                    {
+                        "theta_tx_deg": e.theta_tx_deg,
+                        "phi_tx_deg": e.phi_tx_deg,
+                        "theta_rx_deg": e.theta_rx_deg,
+                        "phi_rx_deg": e.phi_rx_deg,
+                        "pdp": _pdp_to_obj(e.pdp),
+                    }
+                    for e in s.entries
+                ],
+            }
+            for s in record.sweeps
+        ],
+    }
+
+
+def _config_to_obj(config):
+    obj = {
+        "band_ghz": config.band.ghz,
+        "env": config.env.value,
+        "pol": config.pol.value,
+        "dir": config.dir.value,
+        "n_locations": config.n_locations,
+        "distance_range_m": list(config.distance_range_m),
+        "seed": config.seed,
+    }
+    if config.params_override is not None:
+        p = config.params_override
+        obj["params_override"] = {"ple": p.ple, "sigma_db": p.shadow_sigma_db, "d0_m": p.d0_m}
+    if config.pdp_synthesis is not None:
+        s = config.pdp_synthesis
+        obj["pdp_synthesis"] = {
+            "tap_count_range": list(s.tap_count_range),
+            "decay_ns": s.decay_ns,
+            "span_ns": s.span_ns,
+            "tap_power_sigma_db": s.tap_power_sigma_db,
+            "noise_floor_mw": s.noise_floor_mw,
+            "fixed_tap_delays_ns": (
+                list(s.fixed_tap_delays_ns) if s.fixed_tap_delays_ns is not None else None
+            ),
         }
-        for p in pdps
-    ]
-    return json.dumps(objs, indent=2) + "\n"
+    return obj
+
+
+def reference_emit_pdp_batch(pdps):
+    return json.dumps([_pdp_to_obj(p) for p in pdps], indent=2) + "\n"
+
+
+def reference_emit_campaign_records(records):
+    return json.dumps([_record_to_obj(r) for r in records], indent=2) + "\n"
+
+
+def reference_emit_campaign_config(config):
+    return json.dumps(_config_to_obj(config), indent=2) + "\n"
 
 
 def reference_emit_pathloss_csv(rows):
@@ -181,6 +249,13 @@ def summaries(draw):
 @given(st.lists(pdps, max_size=6))
 def test_emit_pdp_batch_matches_json_dumps(batch):
     assert emit_pdp_batch(batch) == reference_emit_pdp_batch(batch)
+
+
+@SETTINGS
+@given(st.lists(records, max_size=4), configs())
+def test_json_writers_match_the_hand_listed_objects(rs, config):
+    assert emit_campaign_records(rs) == reference_emit_campaign_records(rs)
+    assert emit_campaign_config(config) == reference_emit_campaign_config(config)
 
 
 @SETTINGS
