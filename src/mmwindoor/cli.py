@@ -261,7 +261,7 @@ def _omni_rows(ctx: click.Context, records: list[core.CampaignRecord]
     rows: list[core.PathLossSample | fileio.OutageRow] = []
     for record in records:
         pols = sorted({s.pol for s in record.sweeps}, key=lambda p: p.value)
-        for pol in pols:
+        for pol in pols or [None]:  # no sweeps: the library raises EmptyInputError naming it
             try:
                 pl_db = omni.omni_path_loss_db(record, pol, threshold, dyn_range)
             except core.NoMultipathError as exc:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     EmptyInputError,
     FrequencyBand,
@@ -86,6 +84,8 @@ def fit_ci_model(
     if not 0.0 < d0_m < math.inf:
         raise ValueError(f"d0_m must be finite and > 0, got {d0_m!r}")
 
+    import numpy as np  # here, not at import: commands without arrays never load numpy
+
     d = np.array([s.distance_m for s in samples], dtype=float)
     pl = np.array([s.path_loss_db for s in samples], dtype=float)
     if np.any(d < d0_m):
@@ -142,6 +142,8 @@ def summarize_spreads(values: Sequence[float]) -> SpreadSummary:
     """Mean, population standard deviation, max and p90 of delay-spread values."""
     if len(values) == 0:
         raise EmptyInputError("cannot summarize zero delay-spread values")
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         mean_ns, std_ns = float(arr.mean()), float(arr.std())

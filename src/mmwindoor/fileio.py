@@ -61,7 +61,7 @@ class ParseError(ValueError):
     """Malformed input file; carries the 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
+        self.message, self.line = message, line
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
@@ -207,21 +207,44 @@ FIT_CSV_HEADER = ",".join(_FITTED.columns)
 DELAY_STATS_CSV_HEADER = ",".join(_DELAY_STATS.columns)
 
 
+def _csv_reader(text: str):
+    return csv.reader(io.StringIO(text.removeprefix(_BOM), newline=""))  # as csv asks of a file
+
+
+@contextlib.contextmanager
 def _csv_rows(text: str, table: _Csv):
-    """Yield (line, fields) for each row past the header; a leading BOM and blank rows
-    before the header are skipped. No header is an EmptyInputError; a wrong header or
-    a record the csv module rejects is a ParseError naming its line."""
-    reader = csv.reader(io.StringIO(text.removeprefix(_BOM), newline=""))  # as csv asks of a file
-    rows = enumerate(reader, start=1)
+    """Give the rows past the header as (record, fields), counting CSV records from 1.
+    A ParseError raised in the block that names a record names the physical line the
+    record starts on instead (LF, CRLF and CR each end a line). A quoted field may hold
+    line breaks, so the records are read again for that, and only then."""
     try:
-        line, header = next(itertools.dropwhile(lambda row: _is_blank(row[1]), rows), (1, None))
+        yield _records(text, table)
+    except ParseError as exc:
+        if exc.line is None:
+            raise
+        reader = _csv_reader(text)
+        end = 0  # the last line of the record before
+        for _ in itertools.islice(reader, exc.line - 1):
+            end = reader.line_num
+        raise ParseError(exc.message, end + 1) from None
+
+
+def _records(text: str, table: _Csv):
+    """Yield (record, fields) for each row past the header; a leading BOM and blank
+    rows before the header are skipped. No header is an EmptyInputError; a wrong
+    header or a record the csv module rejects is a ParseError naming its record."""
+    reader = _csv_reader(text)
+    records = itertools.count(1)
+    rows = zip(records, reader)  # zip draws from ``records`` first: it counts a rejected record too
+    try:
+        record, header = next(itertools.dropwhile(lambda row: _is_blank(row[1]), rows), (1, None))
         if header is None:
             raise EmptyInputError(table.empty)
         if [h.strip() for h in header] != list(table.columns):
-            raise ParseError(f"unexpected header {','.join(header)!r}", line)
+            raise ParseError(f"unexpected header {','.join(header)!r}", record)
         yield from rows
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(str(exc), line=reader.line_num) from None
+        raise ParseError(str(exc), next(records) - 1) from None
 
 
 def _is_blank(fields: list[str]) -> bool:
@@ -230,7 +253,8 @@ def _is_blank(fields: list[str]) -> bool:
 
 def _row(table: _Csv, fields: list[str], line: int):
     """What ``table`` builds from one row, or None for a blank row. A wrong field
-    count, a bad token or an out-of-domain value is a ParseError naming ``line``."""
+    count, a bad token or an out-of-domain value is a ParseError naming ``line``
+    (a CSV record, or a line of a one-column file)."""
     if _is_blank(fields):
         return None
     if len(fields) != len(table.columns):
@@ -261,8 +285,8 @@ def parse_pathloss_csv(text: str) -> list[PathLossSample]:
     bands: dict[str, FrequencyBand] = {}  # band token -> band, filled by the row reader
     samples: list[PathLossSample] = []
     append = samples.append
-    with _gc_paused():
-        for line, fields in _csv_rows(text, _PATHLOSS):
+    with _gc_paused(), _csv_rows(text, _PATHLOSS) as rows:
+        for record, fields in rows:
             try:
                 loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = fields
                 append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s],
@@ -270,7 +294,7 @@ def parse_pathloss_csv(text: str) -> list[PathLossSample]:
                 continue
             except (KeyError, ValueError):
                 pass
-            sample = _row(_PATHLOSS, fields, line)
+            sample = _row(_PATHLOSS, fields, record)
             if type(sample) is PathLossSample:
                 bands[fields[1]] = sample.band
                 append(sample)
@@ -685,13 +709,15 @@ def emit_fit_csv(models: Iterable[CiModelParams]) -> str:
 def parse_fit_csv(text: str) -> list[CiModelParams]:
     """The models of a fitted table, in file order; a stratum may appear once."""
     models = {}  # stratum -> model
-    for line, fields in _csv_rows(text, _FITTED):
-        model = _row(_FITTED, fields, line)
-        if model is not None:
-            if model.stratum in models:
-                raise ParseError(f"repeated stratum ({model.band.ghz!r} GHz, {model.env.value}, "
-                                 f"{model.pol.value}, {model.dir.value})", line)
-            models[model.stratum] = model
+    with _csv_rows(text, _FITTED) as rows:
+        for record, fields in rows:
+            model = _row(_FITTED, fields, record)
+            if model is not None:
+                if model.stratum in models:
+                    raise ParseError(f"repeated stratum ({model.band.ghz!r} GHz, "
+                                     f"{model.env.value}, {model.pol.value}, {model.dir.value})",
+                                     record)
+                models[model.stratum] = model
     if not models:
         raise EmptyInputError("fitted-table CSV has no rows")
     return list(models.values())
@@ -729,8 +755,9 @@ def parse_spread_values(text: str) -> list[float]:
     break at LF, CRLF and CR only, as the csv module breaks them."""
     lines = _LINE_BREAK.split(text.removeprefix(_BOM))
     if "," in next((line for line in lines if line.strip()), ","):  # a blank file: an empty CSV
-        values = [value for line, fields in _csv_rows(text, _DELAY_STATS)
-                  if (value := _row(_DELAY_STATS, fields, line)) is not None]
+        with _csv_rows(text, _DELAY_STATS) as rows:
+            values = [value for record, fields in rows
+                      if (value := _row(_DELAY_STATS, fields, record)) is not None]
     else:
         values = [_row(_SPREAD_LINES, [token.strip()], line)
                   for line, token in enumerate(lines, start=1) if token.strip()]

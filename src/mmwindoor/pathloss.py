@@ -8,13 +8,17 @@ zero-mean Gaussian shadowing term in dB (lognormal in linear units).
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import CiModelParams, FrequencyBand
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _as_rng(rng_seed_or_stream) -> np.random.Generator:
+    import numpy as np  # here, not at import: commands without draws never load numpy
+
     if isinstance(rng_seed_or_stream, np.random.Generator):
         return rng_seed_or_stream
     return np.random.default_rng(rng_seed_or_stream)

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     CiModelParams,
@@ -33,6 +32,9 @@ from .core import (
     catalog_lookup,
 )
 from .pathloss import free_space_pl_db, sample_path_loss_db
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 #: The longest synthetic delay, 1 ms: a profile of at most 400 001 bins of 2.5 ns, some
@@ -124,6 +126,8 @@ def _block_streams(config: CampaignConfig, kind: int):
     The generator of block b is ``SeedSequence(seed).spawn(...)[b].spawn(3)[kind]``,
     so it is the same whatever the campaign's size.
     """
+    import numpy as np  # here, not at import: commands without draws never load numpy
+
     n = config.n_locations
     for b, start in enumerate(range(0, n, _BLOCK)):
         seq = np.random.SeedSequence(config.seed, spawn_key=(b, kind))

@@ -213,6 +213,13 @@ def test_synthesize_omni_power_overflow_exits_3_naming_the_record(tmp_path):
     assert "error: record 'R1' (VV): intermediate overflow in fsum" in res.output
 
 
+def test_synthesize_omni_record_without_sweeps_exits_4(tmp_path):
+    res = _invoke(["synthesize-omni", _records(tmp_path, sweeps=[])])
+    assert res.exit_code == EXIT_EMPTY
+    assert res.stdout == ""
+    assert res.stderr == "error: no samples: record 'R1' has no sweeps\n"
+
+
 def test_outage_warnings_name_the_polarization(tmp_path):
     silent = {**ENTRY, "pdp": {"bin_spacing_ns": 2.5, "powers_mw": [0.0, 0.0]}}
     sweeps = [{"sweep_id": "M1", "pol": pol, "entries": [silent]} for pol in ("VV", "VH")]

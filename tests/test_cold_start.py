@@ -1,0 +1,74 @@
+"""Commands that draw or reduce no arrays never load numpy.
+
+``catalog``, ``synthesize-omni``, ``report`` without ``--spreads``, ``--help``
+and every flag error use scalar math only, so importing numpy would be most
+of their start-up time. The test process has numpy loaded already, so each
+case runs in a child process whose environment holds only ``PYTHONPATH``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = resources.files("mmwindoor") / "data"
+
+#: Runs ``CODE``, then prints whether numpy is loaded as the last line of stdout.
+_CHILD = """
+import sys
+try:
+{code}
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = 0
+print()
+print("numpy" in sys.modules, code)
+"""
+
+
+def _run(code: str, cwd: Path) -> tuple[bool, int]:
+    """Whether the child running ``code`` loaded numpy, and its exit code."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = _CHILD.format(code="\n".join("    " + line for line in code.splitlines()))
+    # -B: the child writes no byte code into the source tree.
+    res = subprocess.run([sys.executable, "-B", "-c", child], env={"PYTHONPATH": path}, cwd=cwd,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    loaded, exit_code = res.stdout.splitlines()[-1].split()
+    return loaded == "True", int(exit_code)
+
+
+def _cli(*args: str) -> str:
+    return f"import mmwindoor.cli\nsys.argv = ['mmwindoor', *{list(args)!r}]\nmmwindoor.cli.main()"
+
+
+@pytest.mark.parametrize("code, exit_code", [
+    ("import mmwindoor", 0),
+    ("import mmwindoor.cli", 0),
+    (_cli("catalog"), 0),
+    (_cli("catalog", "--full"), 0),
+    (_cli("synthesize-omni", str(DATA / "sweep_records_28ghz.json")), 0),
+    (_cli("report"), 0),
+    (_cli("--help"), 0),
+    (_cli("catalog", "--no-such-flag"), 2),
+    (_cli("--d0-m", "0", "catalog"), 3),
+], ids=["import", "import-cli", "catalog", "catalog-full", "synthesize-omni", "report",
+        "help", "bad-flag", "bad-flag-value"])
+def test_numpy_is_not_loaded(code, exit_code, tmp_path):
+    assert _run(code, tmp_path) == (False, exit_code)
+
+
+@pytest.mark.parametrize("code", [
+    _cli("fit", str(DATA / "campaign_28ghz_nlos_vv_omni.csv")),
+    _cli("pdp-stats", str(DATA / "pdp_examples.json")),
+], ids=["fit", "pdp-stats"])
+def test_commands_that_reduce_arrays_load_numpy(code, tmp_path):
+    """The check above can see numpy: a command that needs it loads it."""
+    assert _run(code, tmp_path) == (True, 0)

@@ -28,6 +28,9 @@ from mmwindoor.core import (
 )
 from mmwindoor.estimation import SpreadSummary
 from mmwindoor.fileio import (
+    DELAY_STATS_CSV_HEADER,
+    FIT_CSV_HEADER,
+    PATHLOSS_CSV_HEADER,
     ParseError,
     emit_delay_stats_csv,
     emit_fit_csv,
@@ -125,6 +128,33 @@ def test_carriage_return_in_a_location_id(tmp_path):
         assert res.exit_code == 0, res.output
         outputs.append(res.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("parse, header, spanning, bad, field", [
+    (parse_pathloss_csv, PATHLOSS_CSV_HEADER, '"a{nl}b",28.0,LOS,VV,omni,10.0,70.0',
+     "c,28.0,los,VV,omni,20.0,78.0", "env"),
+    (parse_fit_csv, FIT_CSV_HEADER, '28.0,LOS,VV,omni,"2.0{nl}",3.0,1.0',
+     "28.0,NLOS,VV,omni,x,3.0,1.0", "ple"),
+    (parse_spread_values, DELAY_STATS_CSV_HEADER, '0,"o{nl}k",1.0,2.0,3.0,,,,',
+     "1,ok,1.0,nan,3.0,,,,", "rms_delay_spread_ns"),
+], ids=["pathloss", "fitted", "delay-stats"])
+def test_errors_name_the_physical_line(parse, header, spanning, bad, field, newline):
+    """A quoted field may hold a line break, so a record may span lines: an error
+    names the line its record starts on, counted from the top of the file."""
+    lines = [header, spanning.format(nl=newline), "", bad, ""]  # lines 1, 2-3, 4 and 5
+    with pytest.raises(ParseError) as got:
+        parse(newline.join(lines))
+    assert got.value.line == 5 and str(got.value).startswith(f"line 5: {field}: ")
+
+
+def test_a_rejected_record_names_its_first_line(tmp_path):
+    path = tmp_path / "pathloss.csv"
+    path.write_text(PATHLOSS_CSV_HEADER + '\n"a\nb",28.0,LOS,VV,omni,10.0,70.0\n'
+                    '"\n' + "x" * 140_000 + '",28.0,LOS,VV,omni,20.0,78.0\n')
+    res = CliRunner().invoke(main, ["fit", str(path)])
+    assert res.exit_code == EXIT_PARSE  # the csv module rejects it on line 5
+    assert res.stderr == "error: line 4: field larger than field limit (131072)\n"
 
 
 # --------------------------------------------------------------------------- fuzzing

@@ -56,7 +56,9 @@ def reference_parse_pathloss_csv(text: str) -> list[PathLossSample]:
     if [h.strip() for h in header] != PATHLOSS_CSV_HEADER.split(","):
         raise ParseError(f"unexpected header {','.join(header)!r}", line=1)
     samples = []
-    for line_no, row in enumerate(reader, start=2):
+    end = reader.line_num  # the last line of the record before: a quoted field may span lines
+    for row in reader:
+        line_no, end = end + 1, reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 7:
