@@ -38,10 +38,12 @@ _WARNINGS = (core.DistanceRangeWarning, core.DuplicateAngleWarning, core.SweepSp
 
 
 class _Boundary(click.Group):
-    """Runs every command under one exit-code table and one warning sink."""
+    """Runs every command under one exit-code table and one warning sink, with the
+    cyclic collector paused: a command makes no cycles worth collecting, and each
+    collection would walk every object it has parsed."""
 
     def invoke(self, ctx: click.Context):
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), fileio._gc_paused():
             for category in _WARNINGS:
                 warnings.simplefilter("always", category)
             warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)

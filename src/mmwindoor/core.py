@@ -239,9 +239,9 @@ class Pdp:
         if not (math.isfinite(noise_floor_mw) and noise_floor_mw >= 0.0):
             raise ValueError(f"noise_floor_mw must be finite and >= 0, got {noise_floor_mw!r}")
         set_bin_spacing_ns, set_powers_mw, set_noise_floor_mw = _PDP_SETTERS
-        set_bin_spacing_ns(self, bin_spacing_ns)
+        set_bin_spacing_ns(self, float(bin_spacing_ns))
         set_powers_mw(self, powers)
-        set_noise_floor_mw(self, noise_floor_mw)
+        set_noise_floor_mw(self, float(noise_floor_mw))
 
     @property
     def n_bins(self) -> int:

@@ -149,6 +149,9 @@ def summarize_spreads(values: Sequence[float]) -> SpreadSummary:
         mean_ns, std_ns = float(arr.mean()), float(arr.std())
     if not (math.isfinite(mean_ns) and math.isfinite(std_ns)):
         raise OverflowError(f"the spread values overflow a float (mean {mean_ns}, std {std_ns})")
+    # numpy's mean of equal values can round one ulp past them; the mean lies between.
+    lo, hi = float(arr.min()), float(arr.max())
     return SpreadSummary(
-        mean_ns=mean_ns, std_ns=std_ns, max_ns=float(arr.max()), p90_ns=percentile(values, 0.9)
+        mean_ns=min(max(mean_ns, lo), hi), std_ns=std_ns, max_ns=hi,
+        p90_ns=percentile(values, 0.9),
     )

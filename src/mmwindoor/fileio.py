@@ -96,6 +96,55 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+#: orjson's exponent where repr's differs: repr signs a positive one and writes two
+#: digits at least (orjson ``1e16``, ``1e-7``; repr ``1e+16``, ``1e-07``).
+_EXPONENT = re.compile(r"e(-?)(\d+)")
+#: orjson writes the decade [1e-5, 1e-4) positionally (``0.000015``), repr as
+#: ``1.5e-05``. A digit before the match means a longer number (``10.000015``).
+_DECADE = re.compile(r"0\.0000(\d+)")
+
+
+def _exponent(m: re.Match) -> str:
+    sign, digits = m.groups()
+    return m[0] if sign and len(digits) > 1 else "e" + (sign or "+") + digits.zfill(2)
+
+
+def _decade(m: re.Match) -> str:
+    start = m.start()
+    if start and m.string[start - 1].isdigit():
+        return m[0]
+    digits = m[1]
+    return digits[0] + ("." + digits[1:] if len(digits) > 1 else "") + "e-05"
+
+
+def _repr_layout(text: str) -> str:
+    """orjson's text of floats with each finite one laid out as repr writes it.
+
+    orjson writes the shortest round-trip digits, as repr does, and differs only in
+    layout: its exponents and the decade [1e-5, 1e-4), rewritten here, and ``null``
+    for a non-finite value.
+    """
+    if "e" in text:
+        text = _EXPONENT.sub(_exponent, text)
+    if "0.0000" in text:
+        text = _DECADE.sub(_decade, text)
+    return text
+
+
+def _reprs(values: Iterable) -> list[str]:
+    """``[repr(float(x)) for x in values]``, from one ``orjson.dumps`` of the floats."""
+    import orjson  # off the import path of the commands that write no column of floats
+
+    floats = list(map(float, values))
+    if not floats:
+        return []
+    text = _repr_layout(orjson.dumps(floats).decode())
+    texts = text[1:-1].split(",")
+    if "null" in text:  # a non-finite value, which repr formats itself
+        texts = [repr(x) if t == "null" else t for t, x in zip(texts, floats)]
+    return texts
+
+
 def _csv_field(value) -> str:
     """One field with minimal quoting: a field holding a comma, a quote, a line
     feed or a carriage return is quoted, with quotes doubled. (``csv.writer``
@@ -106,13 +155,6 @@ def _csv_field(value) -> str:
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _json_number(x) -> str:
-    """A finite number as ``json.dumps`` writes it."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return int.__repr__(x) if isinstance(x, int) else float.__repr__(x)
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -267,13 +309,18 @@ def _row(table: _Csv, fields: list[str], line: int):
 
 
 def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
+    rows = list(rows)
+    strata = {}  # (band, env, pol, dir) -> their four cells, formatted once
+    losses = iter(_reprs([r.path_loss_db for r in rows if not isinstance(r, OutageRow)]))
     lines = [PATHLOSS_CSV_HEADER]
-    for r in rows:
-        pl = "" if isinstance(r, OutageRow) else _fmt(r.path_loss_db)
-        lines.append(
-            f"{_csv_field(r.location_id)},{_fmt(r.band.ghz)},{r.env.value},{r.pol.value},"
-            f"{r.dir.value},{_fmt(r.distance_m)},{pl}"
-        )
+    for r, distance in zip(rows, _reprs([r.distance_m for r in rows])):
+        stratum = (r.band, r.env, r.pol, r.dir)
+        cells = strata.get(stratum)
+        if cells is None:
+            cells = strata[stratum] = (f"{_fmt(r.band.ghz)},{r.env.value},{r.pol.value},"
+                                       f"{r.dir.value}")
+        pl = "" if isinstance(r, OutageRow) else next(losses)
+        lines.append(f"{_csv_field(r.location_id)},{cells},{distance},{pl}")
     return "\n".join(lines) + "\n"
 
 
@@ -444,18 +491,34 @@ def _pdp_from_obj(obj, where: str) -> Pdp:
         raise ParseError(f"{where}: {exc}") from None
 
 
+#: About how many powers ``emit_pdp_batch`` formats with one ``orjson.dumps``: their
+#: text is held only until the chunk's profiles are laid out.
+_EMIT_CHUNK_BINS = 1 << 13
+
+
 def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
     """The batch as ``json.dumps(..., indent=2)`` of its ``_PDP`` objects writes it."""
     if not pdps:
         return "[]\n"
-    # Pdp stores its powers as finite floats, so float repr is their JSON form.
-    objs = [
-        '  {\n    "bin_spacing_ns": %s,\n    "noise_floor_mw": %s,\n'
-        '    "powers_mw": [\n      %s\n    ]\n  }'
-        % (_json_number(p.bin_spacing_ns), _json_number(p.noise_floor_mw),
-           ",\n      ".join(map(float.__repr__, p.powers_mw)))
-        for p in pdps
-    ]
+    import orjson  # off the import path of the commands that write no batch
+
+    objs = []
+    start = 0
+    while start < len(pdps):
+        stop, bins = start, 0
+        while stop < len(pdps) and bins < _EMIT_CHUNK_BINS:
+            bins += len(pdps[stop].powers_mw)
+            stop += 1
+        chunk = pdps[start:stop]
+        # Pdp stores its numbers as finite floats, so float repr is their JSON form.
+        # The chunk's powers go out as one array of arrays, "[[p, ...],[p, ...]]".
+        arrays = _repr_layout(orjson.dumps([p.powers_mw for p in chunk]).decode())
+        for p, powers in zip(chunk, arrays[2:-2].split("],[")):
+            objs.append(
+                '  {\n    "bin_spacing_ns": %r,\n    "noise_floor_mw": %r,\n'
+                '    "powers_mw": [\n      %s\n    ]\n  }'
+                % (p.bin_spacing_ns, p.noise_floor_mw, powers.replace(",", ",\n      ")))
+        start = stop
     objs[0] = "[\n" + objs[0]  # the brackets ride on the end parts: one join, no copy of the whole
     objs[-1] += "\n]\n"
     return ",\n".join(objs)
@@ -725,7 +788,7 @@ def parse_fit_csv(text: str) -> list[CiModelParams]:
 
 def emit_cdf_csv(pairs: Sequence[tuple[float, float]]) -> str:
     lines = [CDF_CSV_HEADER]
-    lines += (f"{_fmt(value)},{_fmt(prob)}" for value, prob in pairs)
+    lines += map("{},{}".format, _reprs([v for v, _ in pairs]), _reprs([p for _, p in pairs]))
     return "\n".join(lines) + "\n"
 
 
@@ -733,14 +796,14 @@ def emit_delay_stats_csv(
     per_pdp: Sequence[tuple[int, str, object]], summary: SpreadSummary | None
 ) -> str:
     """Rows of (index, status, DelayStats-or-None) plus one trailing summary row."""
+    found = [stats for _, _, stats in per_pdp if stats is not None]
+    cells = map("{},{},{}".format, _reprs([s.mean_excess_delay_ns for s in found]),
+                _reprs([s.rms_delay_spread_ns for s in found]),
+                _reprs([s.total_power_mw for s in found]))
     lines = [DELAY_STATS_CSV_HEADER]
     for index, status, stats in per_pdp:
-        if stats is None:
-            cells = ",,"
-        else:
-            cells = (f"{_fmt(stats.mean_excess_delay_ns)},{_fmt(stats.rms_delay_spread_ns)},"
-                     f"{_fmt(stats.total_power_mw)}")
-        lines.append(f"{_csv_field(index)},{_csv_field(status)},{cells},,,,")
+        lines.append(f"{_csv_field(index)},{_csv_field(status)},"
+                     f"{',,' if stats is None else next(cells)},,,,")
     if summary is not None:
         lines.append(
             f"summary,,,,,{_fmt(summary.mean_ns)},{_fmt(summary.std_ns)},"

@@ -326,6 +326,13 @@ class TestReport:
         assert cdf[1] == "1.0,0.1"
         assert cdf[10] == "10.0,1.0"
 
+    def test_equal_spreads_summarize(self, runner, tmp_path):
+        f = tmp_path / "spreads.txt"
+        f.write_text("0.1\n0.1\n0.1\n")
+        res = runner.invoke(main, ["report", "--spreads", str(f), "-o", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "n=3, mean 0.100 ns" in res.output
+
     def test_stratum_labeled_spreads_compared_to_catalog(self, runner, tmp_path):
         f = tmp_path / "28ghz_los_vv.txt"
         f.write_text("4.0\n4.2\n")

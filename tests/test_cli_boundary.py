@@ -2,6 +2,7 @@
 single table, warnings print as they are raised, and anything outside the table
 still propagates."""
 
+import gc
 import json
 import warnings
 from importlib import resources
@@ -152,3 +153,22 @@ def test_error_filters_still_apply_inside_commands(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         res = CliRunner().invoke(main, ["pdp-stats", str(DATA / "pdp_examples.json")])
     assert isinstance(res.exception, RuntimeWarning)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_run_with_the_collector_paused(monkeypatch, tmp_path, enabled):
+    seen = []
+
+    def write(path, text):
+        seen.append(gc.isenabled())
+
+    monkeypatch.setattr(fileio, "atomic_write", write)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        res = CliRunner().invoke(main, ["pdp-stats", str(DATA / "pdp_examples.json"),
+                                        "--csv-out", str(tmp_path / "ds.csv")])
+        assert res.exit_code == 0, res.output
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

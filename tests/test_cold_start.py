@@ -1,8 +1,9 @@
-"""Commands that draw or reduce no arrays never load numpy.
+"""Commands that draw or reduce no arrays never load numpy, and commands that
+decode no batch and write no column of floats never load orjson.
 
 ``catalog``, ``synthesize-omni``, ``report`` without ``--spreads``, ``--help``
 and every flag error use scalar math only, so importing numpy would be most
-of their start-up time. The test process has numpy loaded already, so each
+of their start-up time. The test process has both loaded already, so each
 case runs in a child process whose environment holds only ``PYTHONPATH``.
 """
 
@@ -19,7 +20,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = resources.files("mmwindoor") / "data"
 
-#: Runs ``CODE``, then prints whether numpy is loaded as the last line of stdout.
+#: The modules a child reports on, in the order it prints them.
+_WATCHED = ("numpy", "orjson")
+#: Runs ``CODE``, then prints which of ``_WATCHED`` are loaded as the last line of stdout.
 _CHILD = """
 import sys
 try:
@@ -29,20 +32,21 @@ except SystemExit as exc:
 else:
     code = 0
 print()
-print("numpy" in sys.modules, code)
+print(*(name in sys.modules for name in {watched!r}), code)
 """
 
 
-def _run(code: str, cwd: Path) -> tuple[bool, int]:
-    """Whether the child running ``code`` loaded numpy, and its exit code."""
+def _run(code: str, cwd: Path) -> tuple[set[str], int]:
+    """Which of ``_WATCHED`` the child running ``code`` loaded, and its exit code."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    child = _CHILD.format(code="\n".join("    " + line for line in code.splitlines()))
+    child = _CHILD.format(code="\n".join("    " + line for line in code.splitlines()),
+                          watched=_WATCHED)
     # -B: the child writes no byte code into the source tree.
     res = subprocess.run([sys.executable, "-B", "-c", child], env={"PYTHONPATH": path}, cwd=cwd,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    loaded, exit_code = res.stdout.splitlines()[-1].split()
-    return loaded == "True", int(exit_code)
+    *loaded, exit_code = res.stdout.splitlines()[-1].split()
+    return {name for name, flag in zip(_WATCHED, loaded) if flag == "True"}, int(exit_code)
 
 
 def _cli(*args: str) -> str:
@@ -62,7 +66,8 @@ def _cli(*args: str) -> str:
 ], ids=["import", "import-cli", "catalog", "catalog-full", "synthesize-omni", "report",
         "help", "bad-flag", "bad-flag-value"])
 def test_numpy_is_not_loaded(code, exit_code, tmp_path):
-    assert _run(code, tmp_path) == (False, exit_code)
+    loaded, got = _run(code, tmp_path)
+    assert "numpy" not in loaded and got == exit_code
 
 
 @pytest.mark.parametrize("code", [
@@ -71,4 +76,24 @@ def test_numpy_is_not_loaded(code, exit_code, tmp_path):
 ], ids=["fit", "pdp-stats"])
 def test_commands_that_reduce_arrays_load_numpy(code, tmp_path):
     """The check above can see numpy: a command that needs it loads it."""
-    assert _run(code, tmp_path) == (True, 0)
+    loaded, got = _run(code, tmp_path)
+    assert "numpy" in loaded and got == 0
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import mmwindoor.cli", set()),
+    (_cli("catalog"), set()),
+    (_cli("--help"), set()),
+    (_cli("report"), set()),
+    (_cli("fit", str(DATA / "campaign_28ghz_nlos_vv_omni.csv"), "--csv-out", "fit.csv"),
+     {"numpy"}),
+], ids=["import-cli", "catalog", "help", "report", "fit"])
+def test_orjson_is_not_loaded(code, loaded, tmp_path):
+    """These commands decode no PDP batch or sweep record and write floats one at a time."""
+    assert _run(code, tmp_path) == (loaded, 0)
+
+
+def test_a_command_that_writes_a_float_column_loads_orjson(tmp_path):
+    """The check above can see orjson: ``report --spreads`` writes its CDF through it."""
+    (tmp_path / "spreads.txt").write_text("1.0\n2.0\n")
+    assert "orjson" in _run(_cli("report", "--spreads", "spreads.txt"), tmp_path)[0]

@@ -224,6 +224,13 @@ class TestSummarizeSpreads:
         target = delay_spread_lookup(BAND_28GHZ, Environment.LOS, Polarization.VV)
         assert summary.mean_ns == pytest.approx(target.mean_ns, abs=0.35)
 
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1.3, 2.5, 3.3, 5.9, 7.1, 9.9, 288.0])
+    def test_equal_values_summarize_to_that_value(self, value):
+        # numpy's mean of n equal values can round one ulp past them (3 x 0.1, 6 x 0.7).
+        for n in range(1, 64):
+            s = summarize_spreads([value] * n)
+            assert (s.mean_ns, s.max_ns, s.p90_ns) == (value, value, value), n
+
     def test_population_std(self):
         s = summarize_spreads([0.0, 10.0])
         assert s.mean_ns == 5.0

@@ -460,6 +460,14 @@ def test_json_loader_releases_each_element_once_built():
         "item[0]", "item[1]", "item[2]"]
 
 
+@pytest.mark.parametrize("spacing, floor", [(True, False), (2, 0)])
+def test_pdp_numbers_given_as_int_or_bool_emit_as_floats(spacing, floor):
+    text = emit_pdp_batch([Pdp(spacing, (1,), floor)])
+    assert '"bin_spacing_ns": %r,' % float(spacing) in text
+    assert '"noise_floor_mw": %r,' % float(floor) in text
+    assert emit_pdp_batch(parse_pdp_batch(text)) == text
+
+
 def test_cdf_csv_layout():
     text = emit_cdf_csv([(1.0, 0.5), (2.0, 1.0)])
     assert text.splitlines()[0] == "value,cumulative_probability"

@@ -18,6 +18,7 @@ from mmwindoor.core import (
     BAND_28GHZ,
     Directionality,
     Environment,
+    FrequencyBand,
     PathLossSample,
     Pdp,
     Polarization,
@@ -94,8 +95,12 @@ def test_slotted_value_type(cls):
 
 
 def test_values_are_stored_as_checked():
-    # A profile's powers become a tuple of floats; an entry's angle key folds azimuths.
+    # A profile's numbers become floats; an entry's angle key folds azimuths.
     assert dataclasses.replace(Pdp(2.5, (1.0,)), powers_mw=[2, 0]).powers_mw == (2.0, 0.0)
+    for spacing, floor in [(True, False), (2, 0), (FrequencyBand(2.5), FrequencyBand(1e-9))]:
+        pdp = Pdp(spacing, (1.0,), floor)
+        assert (type(pdp.bin_spacing_ns), type(pdp.noise_floor_mw)) == (float, float)
+        assert (pdp.bin_spacing_ns, pdp.noise_floor_mw) == (spacing, floor)
     entry = SweepEntry(360.0, 0.0, 390.0, 0.0, PDP)
     assert entry.angle == (0.0, 0.0, 30.0, 0.0)
     assert pickle.loads(pickle.dumps(entry)).angle == entry.angle

@@ -9,7 +9,9 @@ each object's keys by hand, so they check the writers' tables too.
 import csv
 import io
 import json
+import random
 import sys
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from mmwindoor.core import (
     Pdp,
     Polarization,
 )
+from mmwindoor import fileio
 from mmwindoor.estimation import SpreadSummary
 from mmwindoor.fileio import (
     CDF_CSV_HEADER,
@@ -252,6 +255,13 @@ def test_emit_pdp_batch_matches_json_dumps(batch):
 
 
 @SETTINGS
+@given(st.lists(pdps, max_size=6), st.integers(min_value=1, max_value=60))
+def test_emit_pdp_batch_across_chunk_boundaries(batch, chunk_bins):
+    with mock.patch.object(fileio, "_EMIT_CHUNK_BINS", chunk_bins):
+        assert emit_pdp_batch(batch) == reference_emit_pdp_batch(batch)
+
+
+@SETTINGS
 @given(st.lists(records, max_size=4), configs())
 def test_json_writers_match_the_hand_listed_objects(rs, config):
     assert emit_campaign_records(rs) == reference_emit_campaign_records(rs)
@@ -305,4 +315,45 @@ def test_emit_fit_csv_matches_csv_writer(rows):
 @SETTINGS
 @given(st.lists(st.tuples(any_float, any_float), max_size=20))
 def test_emit_cdf_csv_matches_csv_writer(pairs):
+    assert emit_cdf_csv(pairs) == reference_emit_cdf_csv(pairs)
+
+
+def _long_floats(rng, n):
+    """Zeros, the decade [1e-5, 1e-4) and magnitudes from 1e-12 to 1e20: every layout
+    the float writers rewrite."""
+    return [rng.choice([0.0, rng.uniform(1e-5, 1e-4), 10.0 ** rng.uniform(-12.0, 20.0)])
+            for _ in range(n)]
+
+
+def test_long_inputs_match_the_references():
+    """Inputs long enough that ``emit_pdp_batch`` formats several chunks, one profile
+    longer than a chunk among them, and each CSV writer formats long columns."""
+    rng = random.Random(73)
+    lengths = [rng.randint(1, 400) for _ in range(120)]
+    lengths[50] = 3 * fileio._EMIT_CHUNK_BINS + 7
+    batch = [Pdp(rng.choice([2.5, 1.0, 7]), _long_floats(rng, n), rng.choice([0, 1e-9, 3e-5]))
+             for n in lengths]
+    assert sum(lengths) > 5 * fileio._EMIT_CHUNK_BINS
+    assert emit_pdp_batch(batch) == reference_emit_pdp_batch(batch)
+
+    n = 5000
+    distances, losses = _long_floats(rng, n), _long_floats(rng, n)
+    rows = [OutageRow(f"loc{i}", BAND_73GHZ, Environment.NLOS, Polarization.VH,
+                      Directionality.OMNI, d + 1.0) if i % 7 == 3 else
+            PathLossSample(f"loc,{i}", rng.choice([BAND_28GHZ, BAND_73GHZ]), Environment.LOS,
+                           Polarization.VV, Directionality.OMNI, d + 1.0, pl + 1e-5)
+            for i, (d, pl) in enumerate(zip(distances, losses))]
+    assert emit_pathloss_csv(rows) == reference_emit_pathloss_csv(rows)
+    assert emit_pathloss_csv(iter(rows)) == reference_emit_pathloss_csv(rows)
+
+    per_pdp = [(i, "no-multipath", None) if i % 5 == 2 else
+               (i, "ok", DelayStats(a, a * a, b, c))
+               for i, (a, b, c) in enumerate(zip(_long_floats(rng, n), _long_floats(rng, n),
+                                                 _long_floats(rng, n)))]
+    summary = SpreadSummary(mean_ns=1.5e-5, std_ns=1e16, max_ns=2e-5, p90_ns=1e-7)
+    assert emit_delay_stats_csv(per_pdp, summary) == reference_emit_delay_stats_csv(per_pdp,
+                                                                                    summary)
+
+    pairs = list(zip(_long_floats(rng, n) + [float("nan"), float("-inf")],
+                     _long_floats(rng, n) + [float("inf"), 0.5]))
     assert emit_cdf_csv(pairs) == reference_emit_cdf_csv(pairs)
