@@ -143,6 +143,8 @@ def catalog(full, output):
 @click.pass_context
 def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     """Fit close-in models to path-loss samples, one fit per stratum."""
+    if band_ghz is not None and not 0.0 < band_ghz < math.inf:  # a band's own rule
+        raise ValueError(f"--band-ghz must be finite and > 0, got {band_ghz}")
     samples = fileio.parse_pathloss_csv(_read_text(input_csv))
     strata = {
         (band, env, pol, dir_): group
@@ -164,7 +166,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     ):
         stratum = f"({band.label}, {env.value}, {pol.value}, {dir_.value})"
         try:  # a fit that is no model (ple <= 0, or NLOS_BEST omni) is skipped
-            result = estimation.fit_ci_model(group, band=band, d0_m=d0_m)
+            result = estimation.fit_ci_model(group, d0_m=d0_m)
             model = core.CiModelParams(band, env, pol, dir_, result.ple_hat,
                                        result.sigma_hat_db, d0_m)
         except OverflowError as exc:
@@ -175,7 +177,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
         models.append(model)
         click.echo(
             f"{band.label:>9} {env.value:>9} {pol.value:>4} {dir_.value:>13} "
-            f"{result.n_samples:>6d} {model.ple:>7.3f} {model.shadow_sigma_db:>9.3f}"
+            f"{len(group):>6d} {model.ple:>7.3f} {model.shadow_sigma_db:>9.3f}"
         )
     if not models:
         raise core.EmptyInputError("every stratum was empty or unfittable")
@@ -312,7 +314,7 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
         profiles = simulate.generate_pdp_campaign(config)
         stats_text = fileio.emit_delay_stats_csv(*_delay_table(ctx, profiles))
     samples = simulate.generate_pathloss_campaign(config)
-    fitres = estimation.fit_ci_model(samples, band=config.band, d0_m=params.d0_m)
+    fitres = estimation.fit_ci_model(samples, d0_m=params.d0_m)
 
     _write(_out_path(ctx, "campaign.csv", out_dir), fileio.emit_pathloss_csv(samples),
            f"wrote {{}} ({len(samples)} locations)")

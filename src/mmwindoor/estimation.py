@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    EmptyInputError,
-    FrequencyBand,
-    PathLossSample,
-    StratumMismatchError,
-)
+from .core import EmptyInputError, PathLossSample, StratumMismatchError
 from .pathloss import free_space_pl_db
 
 _stratum_of = PathLossSample.stratum.fget  # the stratum, read without the property
@@ -30,13 +25,6 @@ class FitResult:
 
     ple_hat: float
     sigma_hat_db: float
-    n_samples: int
-    residuals_db: tuple[float, ...]
-    d0_m: float
-    band: FrequencyBand
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residuals_db", tuple(self.residuals_db))
 
 
 @dataclass(frozen=True)
@@ -55,16 +43,11 @@ class SpreadSummary:
             raise ValueError("p90_ns cannot exceed max_ns")
 
 
-def fit_ci_model(
-    samples: Sequence[PathLossSample],
-    band: FrequencyBand | None = None,
-    d0_m: float = 1.0,
-) -> FitResult:
+def fit_ci_model(samples: Sequence[PathLossSample], d0_m: float = 1.0) -> FitResult:
     """MMSE fit of the close-in model exponent and shadow factor.
 
-    All samples must belong to a single (band, env, pol, dir) stratum; pass
-    ``band`` to additionally assert which band is expected. Distances below
-    d0 are rejected: the model is anchored there and does not extrapolate.
+    All samples must belong to a single (band, env, pol, dir) stratum. Distances
+    below d0 are rejected: the model is anchored there and does not extrapolate.
     """
     samples = list(samples)
     if not samples:
@@ -76,13 +59,7 @@ def fit_ci_model(
         raise StratumMismatchError(
             f"samples span {len(strata)} strata; fit one (band, env, pol, dir) at a time"
         )
-    if band is not None and samples[0].band != band:
-        raise StratumMismatchError(
-            f"samples are {samples[0].band.label}, expected {band.label}"
-        )
-    band = samples[0].band
-    if not 0.0 < d0_m < math.inf:
-        raise ValueError(f"d0_m must be finite and > 0, got {d0_m!r}")
+    anchor_db = free_space_pl_db(samples[0].band, d0_m)  # checks d0_m
 
     import numpy as np  # here, not at import: commands without arrays never load numpy
 
@@ -92,7 +69,7 @@ def fit_ci_model(
         raise ValueError(f"all sample distances must be >= d0 = {d0_m} m")
 
     with np.errstate(over="ignore", invalid="ignore"):  # finite inputs, non-finite sums
-        a = pl - free_space_pl_db(band, d0_m)
+        a = pl - anchor_db
         b = 10.0 * np.log10(d / d0_m)
         denom = float(np.dot(b, b))
         if denom == 0.0:
@@ -102,14 +79,7 @@ def fit_ci_model(
         sigma_hat = math.sqrt(float(np.mean(residuals**2)))
     if not (math.isfinite(ple_hat) and math.isfinite(sigma_hat)):
         raise OverflowError(f"the samples overflow a float (ple {ple_hat}, sigma {sigma_hat})")
-    return FitResult(
-        ple_hat=ple_hat,
-        sigma_hat_db=sigma_hat,
-        n_samples=len(samples),
-        residuals_db=tuple(residuals.tolist()),
-        d0_m=d0_m,
-        band=band,
-    )
+    return FitResult(ple_hat, sigma_hat)
 
 
 def empirical_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
@@ -146,12 +116,13 @@ def summarize_spreads(values: Sequence[float]) -> SpreadSummary:
 
     arr = np.asarray(list(values), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_ns, std_ns = float(arr.mean()), float(arr.std())
+        mean_ns, lo, hi = float(arr.mean()), float(arr.min()), float(arr.max())
+        # numpy's mean of equal values can round one ulp past them; the mean lies
+        # between, and the std is taken about that mean, so equal values give 0.
+        centre = min(max(mean_ns, lo), hi)
+        std_ns = math.sqrt(float(np.mean((arr - centre) ** 2)))
     if not (math.isfinite(mean_ns) and math.isfinite(std_ns)):
         raise OverflowError(f"the spread values overflow a float (mean {mean_ns}, std {std_ns})")
-    # numpy's mean of equal values can round one ulp past them; the mean lies between.
-    lo, hi = float(arr.min()), float(arr.max())
     return SpreadSummary(
-        mean_ns=min(max(mean_ns, lo), hi), std_ns=std_ns, max_ns=hi,
-        p90_ns=percentile(values, 0.9),
+        mean_ns=centre, std_ns=std_ns, max_ns=hi, p90_ns=percentile(values, 0.9)
     )

@@ -33,14 +33,21 @@ NAN, INF = math.nan, math.inf
 STRATUM = (BAND_28GHZ, Environment.LOS, Polarization.VV, Directionality.OMNI)
 
 
+CAMPAIGN_CSV = str(resources.files("mmwindoor") / "data" / "campaign_28ghz_nlos_vv_omni.csv")
+
+
 @pytest.mark.parametrize("args, message", [
-    (["--threshold-db", "nan"], "--threshold-db and --dynamic-range-db must be >= 0"),
-    (["--dynamic-range-db", "nan"], "--threshold-db and --dynamic-range-db must be >= 0"),
-    (["--d0-m", "nan"], "--d0-m must be finite and > 0, got nan"),
-    (["--d0-m", "inf"], "--d0-m must be finite and > 0, got inf"),
+    (["--threshold-db", "nan", "catalog"], "--threshold-db and --dynamic-range-db must be >= 0"),
+    (["--dynamic-range-db", "nan", "catalog"], "--threshold-db and --dynamic-range-db must be >= 0"),
+    (["--d0-m", "nan", "catalog"], "--d0-m must be finite and > 0, got nan"),
+    (["--d0-m", "inf", "catalog"], "--d0-m must be finite and > 0, got inf"),
+    (["fit", CAMPAIGN_CSV, "--band-ghz", "nan"], "--band-ghz must be finite and > 0, got nan"),
+    (["fit", CAMPAIGN_CSV, "--band-ghz", "inf"], "--band-ghz must be finite and > 0, got inf"),
+    (["fit", CAMPAIGN_CSV, "--band-ghz", "0"], "--band-ghz must be finite and > 0, got 0.0"),
+    (["fit", CAMPAIGN_CSV, "--band-ghz", "-5"], "--band-ghz must be finite and > 0, got -5.0"),
 ])
 def test_cli_flags(args, message):
-    res = CliRunner().invoke(main, [*args, "catalog"])
+    res = CliRunner().invoke(main, args)
     assert res.exit_code == EXIT_VALIDATION
     assert res.stderr == f"error: {message}\n"
 
