@@ -55,6 +55,9 @@ _MEMBERS = {cls: {m.value: m for m in cls} for cls in (Environment, Polarization
 _BOM = "\ufeff"
 #: A line break as the csv module reads one: LF, CRLF or CR.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
+#: Past the blank lines, the first line with text, from its first character that is
+#: not a space (``\s`` is what ``str.strip`` takes away, line breaks included).
+_FIRST_LINE = re.compile(r"\s*([^\r\n]*)")
 
 
 class ParseError(ValueError):
@@ -157,18 +160,32 @@ def _csv_field(value) -> str:
     return text
 
 
+#: How many characters ``atomic_write`` encodes at a time: the encoded copy of a
+#: text is at most one slice, not the whole.
+_WRITE_CHARS = 1 << 20
+
+
 def atomic_write(path: str | Path, text: str) -> None:
     """Write via a temp file in the target directory, then rename into place.
 
     The file gets the mode a plain ``open`` would create, ``0o666 & ~umask``,
-    not the owner-only mode of the temp file.
+    not the owner-only mode of the temp file. The temp file is synced before
+    the rename and its directory after it, so a crash leaves the old file or
+    the whole new one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            try:
+                for start in range(0, len(text), _WRITE_CHARS):
+                    fh.write(text[start:start + _WRITE_CHARS].encode("utf-8"))
+            except UnicodeEncodeError:
+                text.encode("utf-8")  # raise it at the position in the whole text
+                raise
+            fh.flush()
+            os.fsync(fh.fileno())
         umask = os.umask(0)  # reading the mask means setting it; restore it at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -177,6 +194,19 @@ def atomic_write(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _fsync_directory(path.parent)
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Sync ``directory``'s entries, where the platform can open a directory."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # e.g. Windows, which opens no directory
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _parse_enum(cls, token: str, field: str):
@@ -250,7 +280,12 @@ DELAY_STATS_CSV_HEADER = ",".join(_DELAY_STATS.columns)
 
 
 def _csv_reader(text: str):
-    return csv.reader(io.StringIO(text.removeprefix(_BOM), newline=""))  # as csv asks of a file
+    """csv rows of ``text`` past one leading BOM, read as from a file opened with
+    ``newline=""``. The text is held as its UTF-8 bytes, about one byte a character,
+    where ``io.StringIO`` holds four; lone surrogates pass through both ways."""
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return csv.reader(io.TextIOWrapper(data, encoding="utf-8-sig", errors="surrogatepass",
+                                       newline=""))
 
 
 @contextlib.contextmanager
@@ -816,12 +851,13 @@ def parse_spread_values(text: str) -> list[float]:
     """Delay-spread values, finite and >= 0, from either a delay-stats CSV or a
     one-column file (the form is told by a comma in the first non-blank line). Lines
     break at LF, CRLF and CR only, as the csv module breaks them."""
-    lines = _LINE_BREAK.split(text.removeprefix(_BOM))
-    if "," in next((line for line in lines if line.strip()), ","):  # a blank file: an empty CSV
+    first = _FIRST_LINE.match(text, text.startswith(_BOM))[1]
+    if not first or "," in first:  # a blank file: an empty CSV
         with _csv_rows(text, _DELAY_STATS) as rows:
             values = [value for record, fields in rows
                       if (value := _row(_DELAY_STATS, fields, record)) is not None]
     else:
+        lines = _LINE_BREAK.split(text.removeprefix(_BOM))
         values = [_row(_SPREAD_LINES, [token.strip()], line)
                   for line, token in enumerate(lines, start=1) if token.strip()]
     if not values:

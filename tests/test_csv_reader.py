@@ -7,12 +7,14 @@ ParseError or EmptyInputError, and the command that reads it exits 0, 2, 3
 or 4, never with a traceback.
 """
 
+import csv
+import io
 import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmwindoor.cli import EXIT_EMPTY, EXIT_PARSE, EXIT_VALIDATION, main
 from mmwindoor.core import (
@@ -26,6 +28,7 @@ from mmwindoor.core import (
     Polarization,
     band_from_ghz,
 )
+from mmwindoor import fileio
 from mmwindoor.estimation import SpreadSummary
 from mmwindoor.fileio import (
     DELAY_STATS_CSV_HEADER,
@@ -155,6 +158,92 @@ def test_a_rejected_record_names_its_first_line(tmp_path):
     res = CliRunner().invoke(main, ["fit", str(path)])
     assert res.exit_code == EXIT_PARSE  # the csv module rejects it on line 5
     assert res.stderr == "error: line 4: field larger than field limit (131072)\n"
+
+
+# --------------------------------------------------------------------------- line source
+
+#: What a line source may get wrong: each break csv or ``str.splitlines`` knows, NUL,
+#: lone surrogates, 2-, 3- and 4-byte UTF-8 characters, a BOM, and csv's own characters.
+LINE_CHARS = st.sampled_from(["\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                              "\x85", "\u2028", "\u2029", "\x00", "\ud800", "\udfff", "é", "€",
+                              "\U0001d11e", "\ufeff", ",", '"', " ", "a"])
+
+
+def _read_all(reader):
+    """Each row with ``line_num`` after it, then the csv.Error and ``line_num`` if raised."""
+    got = []
+    try:
+        for row in reader:
+            got.append((row, reader.line_num))
+    except csv.Error as exc:
+        got.append((str(exc), reader.line_num))
+    return got
+
+
+def _stringio_reader(text):
+    """The reference: csv over ``io.StringIO``, as csv asks of a file, past one BOM."""
+    return csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+
+
+@pytest.mark.parametrize("limit", [131072, 5], ids=["default-limit", "field-limit-5"])
+@settings(SETTINGS, max_examples=300)
+@given(st.lists(LINE_CHARS, max_size=80).map("".join))
+def test_line_source_reads_as_stringio(limit, text):
+    old = csv.field_size_limit(limit)  # a small limit makes csv.Error common
+    try:
+        assert _read_all(fileio._csv_reader(text)) == _read_all(_stringio_reader(text))
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("piece", ["\r\n", "\U0001d11e", "é\r\n"],
+                         ids=["CRLF", "4-byte", "2-byte-CRLF"])
+@pytest.mark.parametrize("offset", range(8188, 8193))
+def test_line_source_across_the_chunk_edge(piece, offset):
+    # The text is decoded 8192 bytes at a time; ``piece`` straddles that edge.
+    text = "a" * offset + piece + 'b,"c\r\nd"\r\ne'
+    got = _read_all(fileio._csv_reader(text))
+    assert got == _read_all(_stringio_reader(text))
+    assert got[-2][0][-1] == "c\r\nd" and got[-1][0] == ["e"]
+
+
+def test_a_lone_surrogate_in_a_location_id_is_kept():
+    text = (f"{PATHLOSS_CSV_HEADER}\nL\ud800,28.0,LOS,VV,omni,10.0,70.0\n"
+            "\udfff,28.0,LOS,VV,omni,20.0,80.0\n")
+    assert parse_pathloss_csv(text) == [
+        PathLossSample(loc, BAND_28GHZ, Environment.LOS, Polarization.VV, Directionality.OMNI,
+                       d, pl) for loc, d, pl in (("L\ud800", 10.0, 70.0), ("\udfff", 20.0, 80.0))]
+
+
+def _spread_values_by_split(text):
+    """The reference for ``parse_spread_values``: the whole text split into lines,
+    and its form told from the first non-blank one."""
+    lines = fileio._LINE_BREAK.split(text.removeprefix("\ufeff"))
+    if "," in next((line for line in lines if line.strip()), ","):
+        with fileio._csv_rows(text, fileio._DELAY_STATS) as rows:
+            values = [value for record, fields in rows
+                      if (value := fileio._row(fileio._DELAY_STATS, fields, record)) is not None]
+    else:
+        values = [fileio._row(fileio._SPREAD_LINES, [token.strip()], line)
+                  for line, token in enumerate(lines, start=1) if token.strip()]
+    if not values:
+        raise EmptyInputError("no delay-spread values found")
+    return values
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, EmptyInputError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@example("\ufeff\n" + DELAY_STATS_CSV_HEADER + "\n0,ok,1.0,2.0,3.0,,,,\n")  # past a BOM's line
+@given(st.lists(LINE_CHARS | st.sampled_from(["1.5", "2", "x", "\t", DELAY_STATS_CSV_HEADER,
+                                               "0,ok,1.0,2.0,3.0,,,,"]), max_size=20).map("".join))
+def test_spread_values_form_is_told_as_from_the_split_text(text):
+    assert _outcome(parse_spread_values, text) == _outcome(_spread_values_by_split, text)
 
 
 # --------------------------------------------------------------------------- fuzzing

@@ -4,6 +4,7 @@ import os
 import stat
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -502,6 +503,45 @@ def test_atomic_write_replaces_content(tmp_path):
     atomic_write(target, "second")
     assert target.read_text() == "second"
     assert list(target.parent.iterdir()) == [target]
+
+
+def test_atomic_write_syncs_the_file_then_renames_then_syncs_the_directory(tmp_path, monkeypatch):
+    target = tmp_path / "file.txt"
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def traced_fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(st.st_mode) else st.st_size))
+        fsync(fd)
+
+    def traced_replace(src, dst):
+        calls.append(("replace", Path(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(os, "replace", traced_replace)
+    atomic_write(target, "é" * 10)
+    # the temp file is synced with all 20 bytes flushed, before the rename
+    assert calls == [("fsync", 20), ("replace", target), ("fsync", "directory")]
+
+
+@pytest.mark.parametrize("slice_chars", [1, 3, 1 << 20])
+def test_atomic_write_slices_write_the_whole_text(tmp_path, monkeypatch, slice_chars):
+    monkeypatch.setattr(fileio, "_WRITE_CHARS", slice_chars)
+    text = "a\r\nb\ré€\U0001d11e\n" * 5
+    atomic_write(tmp_path / "f", text)
+    assert (tmp_path / "f").read_bytes() == text.encode("utf-8")
+
+
+def test_atomic_write_names_a_lone_surrogate_in_the_whole_text(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_WRITE_CHARS", 4)
+    text = "abcdefghij\ud800"
+    with pytest.raises(UnicodeEncodeError) as got:
+        atomic_write(tmp_path / "f", text)
+    assert str(got.value) == ("'utf-8' codec can't encode character '\\ud800' in position 10: "
+                              "surrogates not allowed")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
