@@ -53,8 +53,6 @@ CDF_CSV_HEADER = "value,cumulative_probability"
 _MEMBERS = {cls: {m.value: m for m in cls} for cls in (Environment, Polarization, Directionality)}
 #: A UTF-8 byte order mark, as some editors write it before a CSV header.
 _BOM = "\ufeff"
-#: A line break as the csv module reads one: LF, CRLF or CR.
-_LINE_BREAK = re.compile(r"\r\n?|\n")
 #: Past the blank lines, the first line with text, from its first character that is
 #: not a space (``\s`` is what ``str.strip`` takes away, line breaks included).
 _FIRST_LINE = re.compile(r"\s*([^\r\n]*)")
@@ -160,9 +158,16 @@ def _csv_field(value) -> str:
     return text
 
 
-#: How many characters ``atomic_write`` encodes at a time: the encoded copy of a
-#: text is at most one slice, not the whole.
-_WRITE_CHARS = 1 << 20
+#: How many characters of a text are encoded at a time, in both directions: a CSV
+#: input's bytes and an output's are held one slice at a time, never whole.
+_SLICE_CHARS = 1 << 16
+
+
+def _utf8_slices(text: str, errors: str = "strict"):
+    """``text``'s UTF-8 bytes, ``_SLICE_CHARS`` characters at a time. A slice of a
+    ``str`` ends between code points, so no character's bytes are split."""
+    for start in range(0, len(text), _SLICE_CHARS):
+        yield text[start:start + _SLICE_CHARS].encode("utf-8", errors)
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -179,8 +184,7 @@ def atomic_write(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             try:
-                for start in range(0, len(text), _WRITE_CHARS):
-                    fh.write(text[start:start + _WRITE_CHARS].encode("utf-8"))
+                fh.writelines(_utf8_slices(text))
             except UnicodeEncodeError:
                 text.encode("utf-8")  # raise it at the position in the whole text
                 raise
@@ -279,13 +283,36 @@ FIT_CSV_HEADER = ",".join(_FITTED.columns)
 DELAY_STATS_CSV_HEADER = ",".join(_DELAY_STATS.columns)
 
 
+class _Utf8Source(io.RawIOBase):
+    """A binary stream of ``text``'s UTF-8 bytes, lone surrogates passed through,
+    that encodes the next slice only when the last one is read."""
+
+    def __init__(self, text: str):
+        self._slices = _utf8_slices(text, "surrogatepass")
+        self._rest = memoryview(b"")  # what is left of the slice being read
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if not self._rest:  # no slice is empty, so an empty one is the end
+            self._rest = memoryview(next(self._slices, b""))
+        n = min(len(buffer), len(self._rest))
+        buffer[:n], self._rest = self._rest[:n], self._rest[n:]
+        return n
+
+
+def _lines(text: str):
+    """The lines of ``text`` past one leading BOM, as from a file opened with
+    ``newline=""``: each ends at LF, CRLF or CR and keeps its line break. The text
+    is held as one encoded slice at a time, never as a whole second copy."""
+    return io.TextIOWrapper(_Utf8Source(text), encoding="utf-8-sig", errors="surrogatepass",
+                            newline="")
+
+
 def _csv_reader(text: str):
-    """csv rows of ``text`` past one leading BOM, read as from a file opened with
-    ``newline=""``. The text is held as its UTF-8 bytes, about one byte a character,
-    where ``io.StringIO`` holds four; lone surrogates pass through both ways."""
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    return csv.reader(io.TextIOWrapper(data, encoding="utf-8-sig", errors="surrogatepass",
-                                       newline=""))
+    """csv rows of ``_lines(text)``; the lines are split, and their fields read, in C."""
+    return csv.reader(_lines(text))
 
 
 @contextlib.contextmanager
@@ -356,7 +383,8 @@ def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
                                        f"{r.dir.value}")
         pl = "" if isinstance(r, OutageRow) else next(losses)
         lines.append(f"{_csv_field(r.location_id)},{cells},{distance},{pl}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last line's terminator, inside the one join
+    return "\n".join(lines)
 
 
 def parse_pathloss_csv(text: str) -> list[PathLossSample]:
@@ -801,7 +829,8 @@ def emit_fit_csv(models: Iterable[CiModelParams]) -> str:
     for m in models:  # enum values and float reprs never need quoting
         lines.append(f"{_fmt(m.band.ghz)},{m.env.value},{m.pol.value},{m.dir.value},"
                      f"{_fmt(m.ple)},{_fmt(m.shadow_sigma_db)},{_fmt(m.d0_m)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_fit_csv(text: str) -> list[CiModelParams]:
@@ -824,7 +853,8 @@ def parse_fit_csv(text: str) -> list[CiModelParams]:
 def emit_cdf_csv(pairs: Sequence[tuple[float, float]]) -> str:
     lines = [CDF_CSV_HEADER]
     lines += map("{},{}".format, _reprs([v for v, _ in pairs]), _reprs([p for _, p in pairs]))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def emit_delay_stats_csv(
@@ -844,7 +874,8 @@ def emit_delay_stats_csv(
             f"summary,,,,,{_fmt(summary.mean_ns)},{_fmt(summary.std_ns)},"
             f"{_fmt(summary.max_ns)},{_fmt(summary.p90_ns)}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_spread_values(text: str) -> list[float]:
@@ -857,9 +888,8 @@ def parse_spread_values(text: str) -> list[float]:
             values = [value for record, fields in rows
                       if (value := _row(_DELAY_STATS, fields, record)) is not None]
     else:
-        lines = _LINE_BREAK.split(text.removeprefix(_BOM))
         values = [_row(_SPREAD_LINES, [token.strip()], line)
-                  for line, token in enumerate(lines, start=1) if token.strip()]
+                  for line, token in enumerate(_lines(text), start=1) if token.strip()]
     if not values:
         raise EmptyInputError("no delay-spread values found")
     return values

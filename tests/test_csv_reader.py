@@ -9,8 +9,10 @@ or 4, never with a traceback.
 
 import csv
 import io
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -185,10 +187,7 @@ def _stringio_reader(text):
     return csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
 
 
-@pytest.mark.parametrize("limit", [131072, 5], ids=["default-limit", "field-limit-5"])
-@settings(SETTINGS, max_examples=300)
-@given(st.lists(LINE_CHARS, max_size=80).map("".join))
-def test_line_source_reads_as_stringio(limit, text):
+def _reads_as_stringio(limit, text):
     old = csv.field_size_limit(limit)  # a small limit makes csv.Error common
     try:
         assert _read_all(fileio._csv_reader(text)) == _read_all(_stringio_reader(text))
@@ -196,11 +195,37 @@ def test_line_source_reads_as_stringio(limit, text):
         csv.field_size_limit(old)
 
 
-@pytest.mark.parametrize("piece", ["\r\n", "\U0001d11e", "é\r\n"],
-                         ids=["CRLF", "4-byte", "2-byte-CRLF"])
-@pytest.mark.parametrize("offset", range(8188, 8193))
+LIMITS = pytest.mark.parametrize("limit", [131072, 5], ids=["default-limit", "field-limit-5"])
+#: Slices this small put every character of a short text next to a slice edge.
+SMALL_SLICES = pytest.mark.parametrize("slice_chars", [1, 2, 3], ids="slice-{}".format)
+
+
+@LIMITS
+@settings(SETTINGS, max_examples=300)
+@given(st.lists(LINE_CHARS, max_size=80).map("".join))
+def test_line_source_reads_as_stringio(limit, text):
+    _reads_as_stringio(limit, text)
+
+
+@SMALL_SLICES
+@LIMITS
+@settings(SETTINGS, max_examples=300)
+@example("\ufeff\ufeffa\r\n")
+@example("\ufeff")
+@example("\r\n\r")
+@example("\ud800\r\U0001d11e\n")
+@given(st.lists(LINE_CHARS, max_size=80).map("".join))
+def test_line_source_in_small_slices_reads_as_stringio(slice_chars, limit, text):
+    with mock.patch.object(fileio, "_SLICE_CHARS", slice_chars):
+        _reads_as_stringio(limit, text)
+
+
+@pytest.mark.parametrize("piece", ["\r\n", "\U0001d11e", "é\r\n", "\ufeff", "\ud800"],
+                         ids=["CRLF", "4-byte", "2-byte-CRLF", "BOM", "lone-surrogate"])
+@pytest.mark.parametrize("offset", [*range(8188, 8193), *range(65534, 65537)])
 def test_line_source_across_the_chunk_edge(piece, offset):
-    # The text is decoded 8192 bytes at a time; ``piece`` straddles that edge.
+    # The text is decoded 8192 bytes at a time, and encoded 2^16 characters at a time;
+    # ``piece`` sits on either side of, or straddles, one of those edges.
     text = "a" * offset + piece + 'b,"c\r\nd"\r\ne'
     got = _read_all(fileio._csv_reader(text))
     assert got == _read_all(_stringio_reader(text))
@@ -216,9 +241,9 @@ def test_a_lone_surrogate_in_a_location_id_is_kept():
 
 
 def _spread_values_by_split(text):
-    """The reference for ``parse_spread_values``: the whole text split into lines,
-    and its form told from the first non-blank one."""
-    lines = fileio._LINE_BREAK.split(text.removeprefix("\ufeff"))
+    """The reference for ``parse_spread_values``: the whole text split into lines at
+    LF, CRLF and CR, and its form told from the first non-blank one."""
+    lines = re.split(r"\r\n?|\n", text.removeprefix("\ufeff"))
     if "," in next((line for line in lines if line.strip()), ","):
         with fileio._csv_rows(text, fileio._DELAY_STATS) as rows:
             values = [value for record, fields in rows
@@ -238,12 +263,26 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
+SPREAD_TEXTS = st.lists(LINE_CHARS | st.sampled_from(["1.5", "2", "x", "\t",
+                                                      DELAY_STATS_CSV_HEADER,
+                                                      "0,ok,1.0,2.0,3.0,,,,"]),
+                        max_size=20).map("".join)
+
+
 @SETTINGS
 @example("\ufeff\n" + DELAY_STATS_CSV_HEADER + "\n0,ok,1.0,2.0,3.0,,,,\n")  # past a BOM's line
-@given(st.lists(LINE_CHARS | st.sampled_from(["1.5", "2", "x", "\t", DELAY_STATS_CSV_HEADER,
-                                               "0,ok,1.0,2.0,3.0,,,,"]), max_size=20).map("".join))
+@given(SPREAD_TEXTS)
 def test_spread_values_form_is_told_as_from_the_split_text(text):
     assert _outcome(parse_spread_values, text) == _outcome(_spread_values_by_split, text)
+
+
+@SMALL_SLICES
+@SETTINGS
+@example("\ufeff1.5\r\n2\r\r\n")
+@given(SPREAD_TEXTS)
+def test_spread_values_in_small_slices_as_from_the_split_text(slice_chars, text):
+    with mock.patch.object(fileio, "_SLICE_CHARS", slice_chars):
+        assert _outcome(parse_spread_values, text) == _outcome(_spread_values_by_split, text)
 
 
 # --------------------------------------------------------------------------- fuzzing

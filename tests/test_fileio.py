@@ -526,16 +526,24 @@ def test_atomic_write_syncs_the_file_then_renames_then_syncs_the_directory(tmp_p
     assert calls == [("fsync", 20), ("replace", target), ("fsync", "directory")]
 
 
-@pytest.mark.parametrize("slice_chars", [1, 3, 1 << 20])
+@pytest.mark.parametrize("slice_chars", [1, 3, 1 << 16, 1 << 20])
 def test_atomic_write_slices_write_the_whole_text(tmp_path, monkeypatch, slice_chars):
-    monkeypatch.setattr(fileio, "_WRITE_CHARS", slice_chars)
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", slice_chars)
     text = "a\r\nb\ré€\U0001d11e\n" * 5
     atomic_write(tmp_path / "f", text)
     assert (tmp_path / "f").read_bytes() == text.encode("utf-8")
 
 
+@pytest.mark.parametrize("piece", ["\r\n", "\U0001d11e"], ids=["CR-LF", "4-byte"])
+@pytest.mark.parametrize("before", [0, 1], ids="{}-before-the-edge".format)
+def test_atomic_write_across_a_slice_edge(tmp_path, piece, before):
+    text = "é" * (fileio._SLICE_CHARS - before) + piece + "€" * fileio._SLICE_CHARS
+    atomic_write(tmp_path / "f", text)
+    assert (tmp_path / "f").read_bytes() == text.encode("utf-8")
+
+
 def test_atomic_write_names_a_lone_surrogate_in_the_whole_text(tmp_path, monkeypatch):
-    monkeypatch.setattr(fileio, "_WRITE_CHARS", 4)
+    monkeypatch.setattr(fileio, "_SLICE_CHARS", 4)
     text = "abcdefghij\ud800"
     with pytest.raises(UnicodeEncodeError) as got:
         atomic_write(tmp_path / "f", text)
