@@ -4,7 +4,7 @@ Subcommands: ``catalog``, ``fit``, ``pdp-stats``, ``synthesize-omni``,
 ``simulate`` and ``report``. Exit codes: 0 success, 2 malformed input
 (parse, an undecodable input or an unwritable output path), 3 invalid
 values (validation), 4 empty input. Commands raise; one boundary around them
-maps exceptions to exit codes and prints each warning when it is raised. The
+maps exceptions to exit codes and prints every warning through one sink. The
 default output directory comes from ``MMWINDOOR_OUTPUT_DIR`` when set.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -34,7 +35,8 @@ _EXIT_CODES = (
     (fileio.ParseError, EXIT_PARSE, ""),
     ((ValueError, OverflowError, core.UnknownCombinationError), EXIT_VALIDATION, ""),
 )
-_WARNINGS = (core.DistanceRangeWarning, core.DuplicateAngleWarning, core.SweepSpacingWarning)
+_WARNINGS = (core.DistanceRangeWarning, core.DuplicateAngleWarning, core.SweepSpacingWarning,
+             core.OutageWarning, core.SkippedStratumWarning)
 
 
 class _Boundary(click.Group):
@@ -172,7 +174,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
         except OverflowError as exc:
             raise OverflowError(f"stratum {stratum}: {exc}") from None
         except ValueError as exc:
-            click.echo(f"warning: skipping stratum {stratum}: {exc}", err=True)
+            warnings.warn(f"skipping stratum {stratum}: {exc}", core.SkippedStratumWarning)
             continue
         models.append(model)
         click.echo(
@@ -200,8 +202,8 @@ def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
 @click.pass_context
 def pdp_stats(ctx, input_json, csv_out):
     """Delay statistics for a batch of PDPs: one row per PDP plus a summary."""
-    profiles = fileio.parse_pdp_batch(_read_text(input_json))
-    per_pdp, summary = _delay_table(ctx, profiles)
+    per_pdp = fileio.parse_pdp_batch(_read_text(input_json), each=_delay_row(ctx))
+    summary = _spread_summary(per_pdp)
     lines = [f"{'pdp':>5} {'status':>14} {'mean_ns':>10} {'rms_ns':>10} {'power_mw':>12}"]
     for i, status, stats in per_pdp:
         if stats is None:
@@ -223,24 +225,28 @@ def pdp_stats(ctx, input_json, csv_out):
         _write(csv_out, fileio.emit_delay_stats_csv(per_pdp, summary))
 
 
-def _delay_table(ctx: click.Context, profiles: list[core.Pdp]) -> tuple[list, object]:
-    """One ``(index, status, DelayStats or None)`` row per thresholded profile, and the
-    summary of their RMS delay spreads (None when no profile had detectable multipath)."""
+def _delay_row(ctx: click.Context):
+    """The step ``(i, profile) -> (i, status, DelayStats or None)`` that thresholds one
+    profile and takes its delay statistics."""
     threshold, dyn_range = ctx.obj["threshold_db"], ctx.obj["dynamic_range_db"]
-    per_pdp = []
-    spreads = []
-    for i, profile in enumerate(profiles):
+
+    def row(i: int, profile: core.Pdp) -> tuple:
         cleaned = pdp.threshold_pdp(profile, threshold, dyn_range)
         try:
-            stats = pdp.delay_stats(cleaned)
+            return i, "ok", pdp.delay_stats(cleaned)
         except core.NoMultipathError:
-            per_pdp.append((i, "no-multipath", None))
-            continue
+            return i, "no-multipath", None
         except (OverflowError, ValueError) as exc:  # finite inputs, non-finite sums or moments
             raise ValueError(f"pdp[{i}]: {exc}") from None
-        per_pdp.append((i, "ok", stats))
-        spreads.append(stats.rms_delay_spread_ns)
-    return per_pdp, estimation.summarize_spreads(spreads) if spreads else None
+
+    return row
+
+
+def _spread_summary(per_pdp: list):
+    """The summary of the rows' RMS delay spreads; None when no profile had detectable
+    multipath."""
+    spreads = [stats.rms_delay_spread_ns for _, _, stats in per_pdp if stats is not None]
+    return estimation.summarize_spreads(spreads) if spreads else None
 
 
 @main.command(name="synthesize-omni")
@@ -250,27 +256,28 @@ def _delay_table(ctx: click.Context, profiles: list[core.Pdp]) -> tuple[list, ob
 @click.pass_context
 def synthesize_omni(ctx, record_json, csv_out):
     """Synthesize omnidirectional path loss from directional sweep records."""
-    records = fileio.parse_campaign_records(_read_text(record_json))
-    text = fileio.emit_pathloss_csv(_omni_rows(ctx, records))
+    per_record = fileio.parse_campaign_records(_read_text(record_json), each=_omni_rows(ctx))
+    text = fileio.emit_pathloss_csv(itertools.chain.from_iterable(per_record))
     if csv_out:
         _write(csv_out, text)
     else:
         click.echo(text, nl=False)
 
 
-def _omni_rows(ctx: click.Context, records: list[core.CampaignRecord]
-               ) -> list[core.PathLossSample | fileio.OutageRow]:
-    """One omni path-loss sample, or outage row, per record and polarization."""
+def _omni_rows(ctx: click.Context):
+    """The step ``(i, record) -> rows`` that gives one omni path-loss sample, or outage
+    row, per polarization of one record."""
     threshold, dyn_range = ctx.obj["threshold_db"], ctx.obj["dynamic_range_db"]
-    rows: list[core.PathLossSample | fileio.OutageRow] = []
-    for record in records:
+
+    def rows(i: int, record: core.CampaignRecord) -> list[core.PathLossSample | fileio.OutageRow]:
+        found: list[core.PathLossSample | fileio.OutageRow] = []
         pols = sorted({s.pol for s in record.sweeps}, key=lambda p: p.value)
         for pol in pols or [None]:  # no sweeps: the library raises EmptyInputError naming it
             try:
                 pl_db = omni.omni_path_loss_db(record, pol, threshold, dyn_range)
             except core.NoMultipathError as exc:
-                click.echo(f"warning: {exc}; emitting outage row", err=True)
-                rows.append(
+                warnings.warn(f"{exc}; emitting outage row", core.OutageWarning)
+                found.append(
                     fileio.OutageRow(record.location_id, record.spec.band, record.env,
                                      pol, Directionality.OMNI, record.distance_m)
                 )
@@ -278,7 +285,7 @@ def _omni_rows(ctx: click.Context, records: list[core.CampaignRecord]
             except OverflowError as exc:  # finite powers whose sums are not
                 raise OverflowError(
                     f"record {record.location_id!r} ({pol.value}): {exc}") from None
-            rows.append(
+            found.append(
                 core.PathLossSample(
                     location_id=record.location_id,
                     band=record.spec.band,
@@ -289,6 +296,8 @@ def _omni_rows(ctx: click.Context, records: list[core.CampaignRecord]
                     path_loss_db=pl_db,
                 )
             )
+        return found
+
     return rows
 
 
@@ -312,7 +321,9 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
     params = config.params()
     if config.pdp_synthesis is not None:
         profiles = simulate.generate_pdp_campaign(config)
-        stats_text = fileio.emit_delay_stats_csv(*_delay_table(ctx, profiles))
+        per_pdp = list(map(_delay_row(ctx), itertools.count(), profiles))
+        stats_text = fileio.emit_delay_stats_csv(per_pdp, _spread_summary(per_pdp))
+        del per_pdp
     samples = simulate.generate_pathloss_campaign(config)
     fitres = estimation.fit_ci_model(samples, d0_m=params.d0_m)
 

@@ -53,6 +53,14 @@ class SweepSpacingWarning(UserWarning):
     """Azimuth sampling finer than the antenna beamwidth; synthesized power may double-count."""
 
 
+class OutageWarning(UserWarning):
+    """A location's synthesized power is undetectable; an outage row stands in for its loss."""
+
+
+class SkippedStratumWarning(UserWarning):
+    """A stratum's fit is no close-in model, so no model is written for it."""
+
+
 def to_db(linear: float) -> float:
     """Convert a linear power ratio (or mW) to dB (or dBm)."""
     if linear <= 0.0:
@@ -329,6 +337,10 @@ class CampaignRecord:
         object.__setattr__(self, "sweeps", tuple(self.sweeps))
         if not (math.isfinite(self.distance_m) and self.distance_m > 0.0):
             raise ValueError(f"distance_m must be finite and > 0, got {self.distance_m!r}")
+        for key in ("tx_height_m", "rx_height_m"):
+            height = getattr(self, key)
+            if not 0.0 < height < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {height!r}")
         if self.env is Environment.NLOS_BEST:
             raise ValueError("a measured record is LOS or NLOS; NLOS_BEST is a model category")
         lo, hi = MEASURED_DISTANCE_RANGE_M

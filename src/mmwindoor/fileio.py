@@ -611,7 +611,7 @@ def _gc_paused():
 
 #: About how many characters of a JSON array one orjson call decodes. A chunk is
 #: small beside the array, so orjson's copy of its input and its document tree are too.
-_CHUNK_CHARS = 1 << 18
+_CHUNK_CHARS = 1 << 16
 #: The most ``[`` and ``{`` one orjson call may see. orjson 3.8 recurses once per level
 #: of nesting, without a limit; 2**14 levels take under 2 MiB of stack.
 _MAX_OPENERS = 1 << 14
@@ -621,15 +621,19 @@ _OPENING = re.compile(r'[\[{ \t\n\r]*(?:"[^"\\]*")?')
 _first_element = json.JSONDecoder().raw_decode
 
 
-def _decode_array(text: str) -> list | None:
-    """The elements of the JSON array ``text``, or None where json must decode it:
-    no array of two or more elements, or one orjson rejects.
+class _JsonOnly(Exception):
+    """Raised where json must decode the whole text: orjson's reading is not kept."""
+
+
+def _orjson_chunks(text: str):
+    """The elements of the JSON array ``text``, as lists decoded one orjson chunk at a
+    time. ``_JsonOnly`` is raised, before the first list or later, where json must
+    decode it: no array of two or more elements, or a chunk orjson rejects.
 
     Element 0 is json's; orjson decodes the rest in chunks of about ``_CHUNK_CHARS``,
     cut where the text between elements 0 and 1 (element 0's closing brackets, the
     comma, element 1's opening up to its first key) occurs again. The cut is only a
     hint: one inside a string or a nested value leaves a chunk that is no array.
-    Each chunk is decoded before any item is built.
     """
     import orjson  # off the import path of the commands that read no batch
 
@@ -638,83 +642,135 @@ def _decode_array(text: str) -> list | None:
     while stop > start and text[stop - 1] in " \t\n\r":
         stop -= 1
     if not text.startswith("[", start) or not text.endswith("]", 0, stop):
-        return None
+        raise _JsonOnly
     element = _SPACE.match(text, start + 1).end()
     try:
         first, end = _first_element(text, element)
     except (ValueError, RecursionError):
-        return None
+        raise _JsonOnly from None
     comma = _SPACE.match(text, end).end()
     if not text.startswith(",", comma):
-        return None
+        raise _JsonOnly
     pos = _SPACE.match(text, comma + 1).end()  # element 1
     closing = element + len(text[element:end].rstrip("]} \t\n\r"))
     separator = text[closing:_OPENING.match(text, pos).end()]
     cut, resume = end - closing, pos - closing  # offsets into the separator
-    items = [first]
+    elements = [first]
+    del first  # the list alone holds element 0, which it drops when element 0 is built
     close = stop - 1  # the array's closing bracket
     while True:
+        yield elements
         found = text.find(separator, pos + _CHUNK_CHARS, close)
         chunk = text[pos:close if found < 0 else found + cut]
         if chunk.count("[") + chunk.count("{") > _MAX_OPENERS:
-            return None
+            raise _JsonOnly
         try:
             elements = orjson.loads("[" + chunk + "]")
         except orjson.JSONDecodeError:  # a bad cut, NaN, 1e400, a lone surrogate, invalid JSON
-            return None
+            raise _JsonOnly from None
+        del chunk
         if not elements:  # no value between a comma and the closing bracket
-            return None
-        items += elements
+            raise _JsonOnly
         if found < 0:
-            return items
+            yield elements
+            return
         pos = found + resume
 
 
-def _build_items(data, what: str, build, item: str) -> list:
-    """Build each element of the decoded array ``data`` (a single object is an array of
-    one). Each element is released once its objects are built."""
+def _json_chunks(text: str, what: str) -> list[list]:
+    """The elements of ``text`` as json decodes it whole, as one list (a single object
+    is an array of one). A decode error, no array or object, or an empty array is raised."""
+    data = _load_json(text)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
         raise ParseError(f"{what} must be a JSON array or object")
     if not data:
         raise EmptyInputError(f"{what} is empty")
-    built = []
-    for i in range(len(data)):
-        obj, data[i] = data[i], None
-        built.append(build(obj, f"{item}[{i}]"))
-    return built
+    return [data]
 
 
-def _parse_json_items(text: str, what: str, build, item: str) -> list:
-    """Build each element of the JSON array ``text``, with the collector paused.
+def _show(held: list) -> None:
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
-    Items built from orjson's decoding are kept only when every one builds. Any
-    failure is raised from json's decoding, built again from the start: orjson reads
-    an integer outside [-2**63, 2**64) as a float, which a message may echo, and json
-    may reject a depth orjson takes. The warnings of orjson's try are held until it
-    succeeds, so json's order stays, in which a decode error comes before any warning.
+
+def _use_items(chunks, build, item: str, each, orjson_pass: bool) -> list:
+    """Build each element of ``chunks``, pass it to ``each`` at once and keep only what
+    ``each`` returns (the item itself without ``each``). An element is dropped from its
+    chunk as it is built, and the item once ``each`` is done with it.
+
+    On orjson's pass a build error ends the pass with ``_JsonOnly``, for json to say
+    which error comes first. Warnings are held: the build's are shown first, then
+    ``each``'s, each in the order raised, and ``each``'s only once every element is
+    built. Once ``each`` raises it is called no more, and its error is raised only if
+    every element builds.
+    """
+    results = []
+    error = None  # what ``each`` raised
+    built, used = [], []  # the warnings of building and of ``each``
+    try:
+        with warnings.catch_warnings(record=True) as held:
+            i = 0
+            for elements in chunks:
+                for k in range(len(elements)):
+                    obj, elements[k] = elements[k], None
+                    try:
+                        value = build(obj, f"{item}[{i}]")
+                    except Exception:
+                        if orjson_pass:
+                            raise _JsonOnly from None
+                        raise
+                    finally:
+                        del obj
+                        built += held
+                        held.clear()
+                    if error is None:
+                        try:
+                            results.append(value if each is None else each(i, value))
+                        except Exception as exc:
+                            error = exc
+                        used += held
+                        held.clear()
+                    del value
+                    i += 1
+    except Exception:
+        if not orjson_pass:  # a build error, after the warnings of the builds before it
+            _show(built)
+        raise
+    _show(built + used)
+    if error is not None:
+        raise error
+    return results
+
+
+def _parse_json_items(text: str, what: str, build, item: str, each=None) -> list:
+    """What ``each(i, item)`` returns for each item built from the JSON array ``text``,
+    or the items without ``each``, with the collector paused.
+
+    orjson's decoding is kept only when every element builds. Any failure is raised
+    from json's decoding, built again from the start: orjson reads an integer outside
+    [-2**63, 2**64) as a float, which a message may echo, and json may reject a depth
+    orjson takes. So json's order stays, in which a decode error comes before any
+    build error, and a build error before any error of ``each``. The warnings of
+    orjson's try are dropped with it, and ``each`` is called again from item 0, so it
+    must do nothing beyond its result and its warnings.
     """
     with _gc_paused():
-        data = _decode_array(text)
-        if data is not None:
-            with warnings.catch_warnings(record=True) as held:
-                try:
-                    built = _build_items(data, what, build, item)
-                except Exception:
-                    built = None
-            del data
-            if built is not None:
-                for w in held:
-                    warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file,
-                                         w.line)
-                return built
-        return _build_items(_load_json(text), what, build, item)
+        try:
+            return _use_items(_orjson_chunks(text), build, item, each, True)
+        except _JsonOnly:
+            pass
+        return _use_items(_json_chunks(text, what), build, item, each, False)
 
 
-def parse_pdp_batch(text: str) -> list[Pdp]:
-    """Parse a batch (array) of PDP objects; a single object counts as a batch of one."""
-    return _parse_json_items(text, "PDP batch", _pdp_from_obj, "pdp")
+def parse_pdp_batch(text: str, *, each=None) -> list:
+    """Parse a batch (array) of PDP objects; a single object counts as a batch of one.
+    With ``each``, each ``Pdp`` is passed to ``each(i, pdp)`` as soon as it is built
+    and only what that returns is kept. Where orjson's reading is dropped for json's,
+    ``each`` is called again from item 0 (on a valid file too, after a lone surrogate
+    escape), so it must have no effect beyond its result and its warnings."""
+    return _parse_json_items(text, "PDP batch", _pdp_from_obj, "pdp", each)
 
 
 def emit_campaign_records(records: Sequence[CampaignRecord]) -> str:
@@ -781,8 +837,12 @@ def _record_from_obj(obj, where: str) -> CampaignRecord:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def parse_campaign_records(text: str) -> list[CampaignRecord]:
-    return _parse_json_items(text, "sweep-record file", _record_from_obj, "record")
+def parse_campaign_records(text: str, *, each=None) -> list:
+    """Parse an array of sweep records; a single object counts as an array of one.
+    With ``each``, as ``parse_pdp_batch`` takes it: called as soon as each record is
+    built, and perhaps again from record 0, so with no effect beyond its result and its
+    warnings."""
+    return _parse_json_items(text, "sweep-record file", _record_from_obj, "record", each)
 
 
 def emit_campaign_config(config: CampaignConfig) -> str:

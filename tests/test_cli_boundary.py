@@ -131,8 +131,77 @@ def test_warnings_print_when_raised(tmp_path):
                         "angle; emitting outage row")
 
 
+def _entry(theta_tx, theta_rx, powers):
+    return {"theta_tx_deg": theta_tx, "phi_tx_deg": 0.0, "theta_rx_deg": theta_rx,
+            "phi_rx_deg": 0.0,
+            "pdp": {"bin_spacing_ns": 2.5, "noise_floor_mw": 1e-09, "powers_mw": powers}}
+
+
+def test_warnings_of_many_records_keep_their_lines_and_order(tmp_path):
+    """Build warnings (distances out of span) come first, in record order, then those of
+    the omni step (re-measured angles and outages), as when every record was built
+    before any was synthesized."""
+    loud, silent = [1e-06, 2e-07, 0.0], [0.0, 0.0, 0.0]
+
+    def record(location_id, distance_m, sweeps):
+        return {"location_id": location_id, "band_ghz": 28.0, "env": "NLOS",
+                "distance_m": distance_m,
+                "sweeps": [{"sweep_id": s, "pol": pol, "entries": entries}
+                           for s, pol, entries in sweeps]}
+
+    records = [
+        record("R0", 60.0, [("M1", "VV", [_entry(0.0, 0.0, loud), _entry(0.0, 30.0, loud)])]),
+        record("R1", 10.0, [("M1", "VV", [_entry(0.0, 0.0, loud)]),
+                            ("M2", "VV", [_entry(0.0, 0.0, loud), _entry(45.0, 0.0, loud)])]),
+        record("R2", 12.0, [("M1", pol, [_entry(0.0, 0.0, silent)]) for pol in ("VV", "VH")]),
+        record("R3", 50.0, [("M1", "VH", [_entry(0.0, 0.0, silent)]),
+                            ("M2", "VH", [_entry(0.0, 0.0, silent)])]),
+    ]
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    res = CliRunner().invoke(main, ["synthesize-omni", str(path)])
+    assert res.exit_code == 0, res.output
+    span = "lies outside the measured span [3.9, 45.9] m; models extrapolate here"
+    remeasured = ("1 pointing angle(s) were re-measured across sweeps; keeping the strongest "
+                  "acquisition of each")
+    outage = "no detectable multipath at any pointing angle; emitting outage row"
+    assert res.stderr == (
+        f"warning: distance 60.0 m {span}\n"
+        f"warning: distance 50.0 m {span}\n"
+        f"warning: record 'R1' (VV): {remeasured}\n"
+        f"warning: record 'R2' (VH): {outage}\n"
+        f"warning: record 'R2' (VV): {outage}\n"
+        f"warning: record 'R3' (VH): {remeasured}\n"
+        f"warning: record 'R3' (VH): {outage}\n")
+    assert res.stdout == (
+        "location_id,band_ghz,env,pol,dir,distance_m,path_loss_db\n"
+        "R0,28.0,NLOS,VV,omni,60.0,110.19788758288394\n"
+        "R1,28.0,NLOS,VV,omni,10.0,110.19788758288394\n"
+        "R2,28.0,NLOS,VH,omni,12.0,\n"
+        "R2,28.0,NLOS,VV,omni,12.0,\n"
+        "R3,28.0,NLOS,VH,omni,50.0,\n")
+
+
+def test_a_bad_record_comes_after_the_build_warnings_before_it(tmp_path):
+    """As when every record was built before any was synthesized: the records before a
+    bad one print their build warnings, and none of the omni step's."""
+    loud = [1e-06, 2e-07, 0.0]
+    remeasured = [{"sweep_id": s, "pol": "VV", "entries": [_entry(0.0, 0.0, loud)]}
+                  for s in ("M1", "M2")]
+    records = [{"location_id": location_id, "band_ghz": 28.0, "env": "NLOS",
+                "distance_m": distance_m, "sweeps": remeasured}
+               for location_id, distance_m in (("R0", 60.0), ("R1", 10.0), (5, 10.0))]
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    res = CliRunner().invoke(main, ["synthesize-omni", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == ("warning: distance 60.0 m lies outside the measured span [3.9, 45.9] "
+                          "m; models extrapolate here\n"
+                          "error: record[2]: location_id must be a string, got 5\n")
+
+
 def test_exceptions_outside_the_table_propagate(monkeypatch):
-    def broken(text):
+    def broken(text, each=None):
         raise KeyError("a bug")
 
     monkeypatch.setattr(fileio, "parse_pdp_batch", broken)
@@ -144,7 +213,7 @@ def test_exceptions_outside_the_table_propagate(monkeypatch):
 def test_error_filters_still_apply_inside_commands(monkeypatch):
     """The boundary makes only the package's own warnings "always"; an "error"
     filter for any other category still raises inside a command."""
-    def noisy(text):
+    def noisy(text, each=None):
         warnings.warn("from numpy, say", RuntimeWarning)
         return []
 

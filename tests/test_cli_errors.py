@@ -207,10 +207,39 @@ def test_pdp_stats_power_overflow_exits_3_naming_the_pdp(tmp_path):
     assert "error: pdp[1]: intermediate overflow in fsum" in res.output
 
 
+@pytest.mark.parametrize("last, code, message", [
+    ('{"bin_spacing_ns": 2.5, "powers_mw": [1.0,]}', EXIT_PARSE,
+     "line 3: invalid JSON: Expecting value: line 3 column 43 (char 178)"),
+    ('{"bin_spacing_ns": 2.5, "powers_mw": [-1.0]}', EXIT_PARSE,
+     "pdp[2]: powers_mw[0] must be finite and >= 0, got -1.0"),
+    (json.dumps(ENTRY["pdp"]), EXIT_VALIDATION, "pdp[0]: intermediate overflow in fsum"),
+], ids=["invalid-json", "invalid-profile", "valid"])
+def test_pdp_stats_input_errors_come_before_an_overflow_in_profile_0(tmp_path, last, code,
+                                                                      message):
+    """Profile 0's delay statistics overflow as soon as it is built, yet a decode error
+    or a bad profile later in the file is the error reported."""
+    path = tmp_path / "pdps.json"
+    path.write_text("[" + ",\n".join([json.dumps(OVERFLOWING_PDP), json.dumps(ENTRY["pdp"]),
+                                      last]) + "]\n")
+    res = _invoke(["pdp-stats", str(path)])
+    assert res.exit_code == code
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
+
+
 def test_synthesize_omni_power_overflow_exits_3_naming_the_record(tmp_path):
     res = _invoke(["synthesize-omni", _records(tmp_path, pdp=OVERFLOWING_PDP)])
     assert res.exit_code == EXIT_VALIDATION
     assert "error: record 'R1' (VV): intermediate overflow in fsum" in res.output
+
+
+def test_synthesize_omni_non_finite_height_exits_2_naming_the_record(tmp_path):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([{"location_id": "R1", "band_ghz": 28.0, "env": "LOS",
+                                 "distance_m": 10.0, "rx_height_m": float("nan"), "sweeps": []}]))
+    res = _invoke(["synthesize-omni", str(path)])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == "error: record[0]: rx_height_m must be finite and > 0, got nan\n"
 
 
 def test_synthesize_omni_record_without_sweeps_exits_4(tmp_path):

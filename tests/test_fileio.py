@@ -461,6 +461,17 @@ def test_json_loader_releases_each_element_once_built():
         "item[0]", "item[1]", "item[2]"]
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "0", "0.0", "-1.5"])
+@pytest.mark.parametrize("key", ["tx_height_m", "rx_height_m"])
+def test_a_record_height_must_be_finite_and_positive(key, value):
+    record = ('{"location_id": "R%d", "band_ghz": 28.0, "env": "LOS", "distance_m": 10.0, '
+              '"sweeps": [], "%s": %s}')
+    text = "[" + ", ".join([record % (0, key, "2.0"), record % (1, key, value)]) + "]"
+    with pytest.raises(ParseError) as got:
+        parse_campaign_records(text)
+    assert str(got.value) == f"record[1]: {key} must be finite and > 0, got {float(value)!r}"
+
+
 @pytest.mark.parametrize("spacing, floor", [(True, False), (2, 0)])
 def test_pdp_numbers_given_as_int_or_bool_emit_as_floats(spacing, floor):
     text = emit_pdp_batch([Pdp(spacing, (1,), floor)])

@@ -63,12 +63,17 @@ def _float_corpus() -> list[str]:
     return [s if rng.random() < 0.5 else "-" + s.removeprefix("-") for s in corpus]
 
 
+def _decoded(text: str) -> list:
+    """The elements of ``text`` as orjson's chunks give them; ``_JsonOnly`` where json
+    must decode it."""
+    return [element for chunk in fileio._orjson_chunks(text) for element in chunk]
+
+
 def test_decoded_floats_are_bit_identical_to_float(monkeypatch):
     corpus = _float_corpus()
     assert len(corpus) >= 10 ** 5
     monkeypatch.setattr(fileio, "_CHUNK_CHARS", 1 << 16)
-    decoded = fileio._decode_array("[" + ",\n".join(corpus) + "]")
-    assert decoded is not None, "orjson did not decode the corpus"
+    decoded = _decoded("[" + ",\n".join(corpus) + "]")
     assert len(decoded) == len(corpus)
     wrong = [(s, v) for s, v in zip(corpus, decoded) if _bits(float(v)) != _bits(float(s))]
     assert not wrong, wrong[:5]
@@ -77,7 +82,8 @@ def test_decoded_floats_are_bit_identical_to_float(monkeypatch):
 def test_numbers_past_the_largest_double_go_to_json():
     halfway = f"{decimal.Decimal(2 ** 1024 - 2 ** 970):e}"  # ties to even: to 2**1024, so inf
     for text in (halfway, "1.7976931348623159e308", "1e400", "-1e400"):
-        assert fileio._decode_array(f"[1.0, {text}]") is None
+        with pytest.raises(fileio._JsonOnly):
+            _decoded(f"[1.0, {text}]")
         assert json.loads(text) in (math.inf, -math.inf)
 
 
@@ -110,20 +116,33 @@ def _outcome(args, out):
     return res.exit_code, res.stdout, res.stderr, written
 
 
-def _parity(command, text, tmp_path, monkeypatch, *, by_orjson):
-    """The outcome of ``command`` on ``text``, checked equal to json's; ``by_orjson``
-    says whether orjson's decoding is the one kept."""
+def _parity(command, text, tmp_path, monkeypatch, *, by_orjson, decodes=None):
+    """The outcome of ``command`` on ``text``, checked equal to json's. ``decodes``
+    (``by_orjson`` if not given) says whether orjson's chunks decode the text, and
+    ``by_orjson`` whether that decoding is the one kept: every element builds, so json
+    never reads the text."""
     src, out = tmp_path / "input.json", tmp_path / "out.csv"
     src.write_text(text, encoding="utf-8")
     monkeypatch.setattr(fileio, "_CHUNK_CHARS", 16)  # a cut after every element
-    decode = fileio._decode_array
-    decoded = []
-    monkeypatch.setattr(fileio, "_decode_array", lambda t: decoded.append(decode(t)) or decoded[-1])
+    try:
+        _decoded(text)
+    except fileio._JsonOnly:
+        assert not (by_orjson if decodes is None else decodes), "orjson rejected the text"
+    else:
+        assert by_orjson if decodes is None else decodes, "orjson decoded the text"
+    json_chunks = fileio._json_chunks
+    json_passes = []
+    monkeypatch.setattr(fileio, "_json_chunks",
+                        lambda *args: json_passes.append(args) or json_chunks(*args))
     got = _outcome([command, str(src)], out)
-    assert (decoded[0] is not None) is by_orjson
-    monkeypatch.setattr(fileio, "_decode_array", lambda t: None)
+    assert (not json_passes) is by_orjson
+    monkeypatch.setattr(fileio, "_orjson_chunks", _json_only)
     assert got == _outcome([command, str(src)], out)
     return got
+
+
+def _json_only(text):
+    raise fileio._JsonOnly
 
 
 @pytest.mark.parametrize("power", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -147,7 +166,9 @@ def test_integer_beyond_uint64_in_a_power_keeps_its_value(tmp_path, monkeypatch)
 
 def test_integer_beyond_uint64_in_a_message_is_echoed_as_json_reads_it(tmp_path, monkeypatch):
     text = _records(_record(), _record(str(2 ** 64)))
-    code, _, stderr, _ = _parity("synthesize-omni", text, tmp_path, monkeypatch, by_orjson=True)
+    # orjson decodes it; the build error sends it to json
+    code, _, stderr, _ = _parity("synthesize-omni", text, tmp_path, monkeypatch,
+                                 by_orjson=False, decodes=True)
     assert code == EXIT_PARSE
     assert f"record[1]: location_id must be a string, got {2 ** 64}" in stderr
 
@@ -169,13 +190,16 @@ def test_warnings_of_an_orjson_decoding_are_printed_once_in_order(tmp_path, monk
 def test_a_deep_value_json_rejects_is_json_s_error_before_any_warning(tmp_path, monkeypatch):
     deep = "[" * 5000 + "]" * 5000  # orjson takes it; json's recursion limit does not
     text = _records(_record('"R0"', distance="1000.0"), _record(deep))
-    code, _, stderr, _ = _parity("synthesize-omni", text, tmp_path, monkeypatch, by_orjson=True)
+    # orjson decodes it; the build error sends it to json
+    code, _, stderr, _ = _parity("synthesize-omni", text, tmp_path, monkeypatch,
+                                 by_orjson=False, decodes=True)
     assert code == EXIT_PARSE and "recursion" in stderr and "warning" not in stderr
 
 
 def test_nesting_past_the_stack_bound_never_reaches_orjson():
     deep = "[" * (fileio._MAX_OPENERS + 1) + "]" * (fileio._MAX_OPENERS + 1)
-    assert fileio._decode_array(f"[1, {deep}]") is None
+    with pytest.raises(fileio._JsonOnly):
+        _decoded(f"[1, {deep}]")
 
 
 @pytest.mark.parametrize("text, code, by_orjson", [

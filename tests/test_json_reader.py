@@ -169,6 +169,7 @@ pdps = st.builds(
     powers_mw=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=5).map(tuple),
     noise_floor_mw=st.floats(min_value=0.0, max_value=1.0),
 )
+heights = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 entries = st.builds(SweepEntry, finite, finite, finite, finite, pdp=pdps)
 sweeps = st.builds(
     DirectionalSweep,
@@ -183,8 +184,8 @@ records = st.builds(
     env=st.sampled_from([Environment.LOS, Environment.NLOS]),
     sweeps=st.lists(sweeps, max_size=2).map(tuple),
     spec=st.sampled_from([sounder_lookup(BAND_28GHZ), sounder_lookup(BAND_73GHZ)]),
-    tx_height_m=finite,
-    rx_height_m=finite,
+    tx_height_m=heights,
+    rx_height_m=heights,
 )
 
 
@@ -217,13 +218,19 @@ def test_chunked_decoding_reads_what_json_reads(batch, layout, crlf, pad, chunk_
     text = pad + LAYOUTS[layout](emit, items) + pad
     if crlf:  # the writers escape every newline inside a string
         text = text.replace("\n", "\r\n")
-    with mock.patch.object(fileio, "_CHUNK_CHARS", chunk_chars):
-        assert (fileio._decode_array(text) is not None) is (len(items) > 1)
+    json_chunks, json_passes = fileio._json_chunks, []
+    with mock.patch.object(fileio, "_CHUNK_CHARS", chunk_chars), mock.patch.object(
+            fileio, "_json_chunks", lambda *args: json_passes.append(args) or json_chunks(*args)):
         got = parse(text)
-    with mock.patch.object(fileio, "_decode_array", lambda text: None):
+    assert (not json_passes) is (len(items) > 1)
+    with mock.patch.object(fileio, "_orjson_chunks", _json_only):
         want = parse(text)
     assert got == want == items
     assert repr(got) == repr(want)  # float bits too: -0.0 == 0.0 but reprs differ
+
+
+def _json_only(text):
+    raise fileio._JsonOnly
 
 
 positive = st.floats(min_value=1e-6, max_value=1e6)

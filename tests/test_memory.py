@@ -1,23 +1,44 @@
 """Transient memory at the I/O boundary, by tracemalloc: reading a CSV and writing a
-file each hold one bounded slice of the text's bytes at a time, never a whole copy."""
+file each hold one bounded slice of the text's bytes at a time, never a whole copy, and
+a JSON batch read item by item holds one chunk of its items at a time. One guard runs a
+command in a child process and bounds its peak resident memory."""
 
+import json
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
-from mmwindoor.core import BAND_28GHZ, Directionality, Environment, PathLossSample, Polarization
+import pytest
+
+from mmwindoor.core import (BAND_28GHZ, Directionality, Environment, PathLossSample, Pdp,
+                            Polarization)
 from mmwindoor.fileio import (PATHLOSS_CSV_HEADER, atomic_write, emit_pathloss_csv,
-                              parse_pathloss_csv)
+                              emit_pdp_batch, parse_campaign_records, parse_pathloss_csv,
+                              parse_pdp_batch)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _transient(call):
-    """``call()``'s peak traced memory less what it still holds after, in bytes,
-    and its result."""
+def _traced(call):
+    """``call()``'s peak traced memory less what it still holds after, what it still
+    holds after, both in bytes, and its result."""
     tracemalloc.start()
     try:
         result = call()
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - current, result
+    return peak - current, current, result
+
+
+def _transient(call):
+    """``call()``'s peak traced memory less what it still holds after, in bytes,
+    and its result."""
+    transient, _, result = _traced(call)
+    return transient, result
 
 
 def test_parsing_a_csv_takes_about_one_copy_of_its_text():
@@ -56,3 +77,79 @@ def test_writing_a_file_holds_one_bounded_slice(tmp_path):
     transient, _ = _transient(lambda: atomic_write(target, text))
     assert target.stat().st_size == len(text)
     assert transient < 512 << 10, transient
+
+
+def _powers(rng: random.Random, n: int) -> list[float]:
+    """Receiver-noise powers, in mW, written with all their digits as a sounder's are."""
+    return [rng.expovariate(1e9) for _ in range(n)]
+
+
+def _pdp_batch_text(n_profiles: int) -> str:
+    rng = random.Random(11)
+    return emit_pdp_batch([Pdp(2.5, _powers(rng, 320), 1e-9) for _ in range(n_profiles)])
+
+
+def _records_text(n_records: int) -> str:
+    """Sweep records of 2 polarizations x 12 pointings of 40-bin profiles."""
+    rng = random.Random(7)
+    return json.dumps([
+        {"location_id": f"L{k:04d}", "band_ghz": 28.0, "env": "NLOS", "distance_m": 4.0 + k % 40,
+         "sweeps": [{"sweep_id": f"M{s + 1}", "pol": pol, "entries": [
+             {"theta_tx_deg": 0.0, "phi_tx_deg": 0.0, "theta_rx_deg": 30.0 * j, "phi_rx_deg": 0.0,
+              "pdp": {"bin_spacing_ns": 2.5, "noise_floor_mw": 1e-09,
+                      "powers_mw": _powers(rng, 40)}} for j in range(12)]}
+             for s, pol in enumerate(("VV", "VH"))]}
+        for k in range(n_records)])
+
+
+@pytest.mark.parametrize("parse, text, step", [
+    (parse_pdp_batch, lambda: _pdp_batch_text(600), lambda i, pdp: pdp.powers_mw[0]),
+    (parse_campaign_records, lambda: _records_text(160), lambda i, record: record.distance_m),
+], ids=["pdp-batch", "sweep-records"])
+def test_items_used_as_they_are_built_hold_one_chunk_of_the_batch(parse, text, step):
+    text = text()
+    assert len(text) >= 4_000_000
+    transient, _, values = _traced(lambda: parse(text, each=step))
+    assert all(type(v) is float for v in values)
+    assert transient <= 0.1 * len(text), transient / len(text)
+    _, held, items = _traced(lambda: parse(text))
+    assert len(items) == len(values)
+    assert held >= len(text), held / len(text)
+
+
+def _peak_rss_kib(code: str, cwd: Path) -> int:
+    """VmHWM of a child that runs ``code``, in KiB."""
+    child = code + (
+        "\nwith open('/proc/self/status', encoding='ascii') as fh:"
+        "\n    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    # -B: the child writes no byte code into the source tree.
+    res = subprocess.run([sys.executable, "-B", "-c", child], env={"PYTHONPATH": path},
+                         cwd=cwd, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return int(res.stdout.splitlines()[-1])
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM line in /proc/self/status")
+def test_synthesize_omni_peak_rss_stays_under_two_and_a_half_inputs(tmp_path):
+    """Reading the file holds its bytes and its text together, about two copies; the
+    records are synthesized as they are built, so no decoded batch adds a third."""
+    path = tmp_path / "records.json"
+    path.write_text(_records_text(300), encoding="utf-8")
+    size_kib = path.stat().st_size / 1024
+    assert size_kib > 7 * 1024
+    bare = _peak_rss_kib("import mmwindoor.cli", tmp_path)
+    run = _peak_rss_kib(
+        "import mmwindoor.cli\n"
+        "mmwindoor.cli.main.main(args=['synthesize-omni', 'records.json', '--csv-out', 'omni.csv'],"
+        " prog_name='mmwindoor', standalone_mode=False)", tmp_path)
+    assert (tmp_path / "omni.csv").exists()
+    assert run - bare < 2.5 * size_kib, (run - bare) / size_kib

@@ -18,6 +18,7 @@ import math
 import re
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,6 +36,7 @@ from mmwindoor.core import (
     band_from_ghz,
     sounder_lookup,
 )
+from mmwindoor import fileio
 from mmwindoor.fileio import (
     ParseError,
     _parse_enum,
@@ -434,6 +436,42 @@ def _assert_same_outcome(reference, load, text, newly):
         assert isinstance(new_exc, ParseError)
 
 
+def _step(i, item):
+    """An ``each`` that warns for every item and refuses some, judged by their repr."""
+    warnings.warn(f"step {i}", UserWarning)
+    if len(repr(item)) % 3 == 0:
+        raise ValueError(f"step {i} refused")
+    return i, repr(item)
+
+
+def _stepped(call):
+    """What ``call()`` returns, or the type and message of what it raises, and the
+    messages of the warnings it shows, in order."""
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        try:
+            outcome = call(), None
+        except Exception as exc:  # noqa: BLE001 - any error is compared
+            outcome = None, (type(exc), str(exc))
+    return outcome, [str(w.message) for w in shown]
+
+
+def _json_only(text):
+    raise fileio._JsonOnly
+
+
+def _assert_each_matches_the_list(parse, text):
+    """``parse(text, each=_step)`` has the outcome of ``_step`` over ``parse(text)``'s
+    items, warnings included: through orjson, with a cut after every element or with
+    none, and through json."""
+    want = _stepped(lambda: [_step(i, x) for i, x in enumerate(parse(text))])
+    for chunk_chars in (16, fileio._CHUNK_CHARS):
+        with mock.patch.object(fileio, "_CHUNK_CHARS", chunk_chars):
+            assert _stepped(lambda: parse(text, each=_step)) == want
+    with mock.patch.object(fileio, "_orjson_chunks", _json_only):
+        assert _stepped(lambda: parse(text, each=_step)) == want
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(st.lists(json_record, min_size=1, max_size=2), st.data())
 def test_record_loader_matches_reference(records, data):
@@ -444,6 +482,7 @@ def test_record_loader_matches_reference(records, data):
     # is the error reported only in a document that is valid apart from the edit.
     assume(not newly or _outcome(reference_parse_campaign_records, json.dumps(doc))[1] is None)
     _assert_same_outcome(reference_parse_campaign_records, parse_campaign_records, text, newly)
+    _assert_each_matches_the_list(parse_campaign_records, text)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -451,6 +490,7 @@ def test_record_loader_matches_reference(records, data):
 def test_pdp_loader_matches_reference(pdps, data):
     text, newly = (json.dumps(pdps), False) if data.draw(st.booleans()) else _mutated(data, pdps, "pdp")
     _assert_same_outcome(reference_parse_pdp_batch, parse_pdp_batch, text, newly)
+    _assert_each_matches_the_list(parse_pdp_batch, text)
 
 
 json_config = st.fixed_dictionaries(
