@@ -70,10 +70,11 @@ def _read_text(path: str) -> str:
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """Put ``path`` before the message of a ParseError or OverflowError raised inside."""
+    """Put ``path`` before the message of a ParseError, OverflowError or EmptyInputError
+    raised inside."""
     try:
         yield
-    except (fileio.ParseError, OverflowError) as exc:
+    except (fileio.ParseError, OverflowError, core.EmptyInputError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -375,6 +376,12 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         with _naming(fit_csv):
             models = fileio.parse_fit_csv(text)
     fitted = {m.stratum: m for m in models}
+    cataloged = {e.stratum for e in core.CI_MODEL_CATALOG}
+    for m in models:  # in file order
+        if m.stratum not in cataloged:
+            warnings.warn(f"skipping stratum ({m.band.label}, {m.env.value}, {m.pol.value}, "
+                          f"{m.dir.value}): no cataloged model to compare with",
+                          core.SkippedStratumWarning)
 
     click.echo("close-in model parameters (catalog vs fitted)")
     bands = sorted({p.band for p in core.CI_MODEL_CATALOG})

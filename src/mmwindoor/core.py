@@ -58,7 +58,8 @@ class OutageWarning(UserWarning):
 
 
 class SkippedStratumWarning(UserWarning):
-    """A stratum's fit is no close-in model, so no model is written for it."""
+    """A stratum is left out: its fit is no close-in model, so ``fit`` writes no model for
+    it, or its fitted model has no cataloged model, so ``report`` compares it with none."""
 
 
 def to_db(linear: float) -> float:

@@ -39,15 +39,11 @@ from .core import (
     SweepEntry,
     UnknownCombinationError,
     _FIELD_KEYS,
-    _slot_setters,
     band_from_ghz,
     sounder_lookup,
 )
 from .estimation import SpreadSummary
 from .simulate import CampaignConfig, PdpSynthesisConfig
-
-CDF_CSV_HEADER = "value,cumulative_probability"
-
 
 #: Each enum's members by value, as ``_parse_enum`` and the path-loss screen look them up.
 _MEMBERS = {cls: {m.value: m for m in cls} for cls in (Environment, Polarization, Directionality)}
@@ -66,9 +62,10 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class OutageRow:
-    """A location whose synthesized power was undetectable; no loss value exists."""
+    """A location whose synthesized power was undetectable: its ``path_loss_db`` is None,
+    a class attribute and not a field, and is written as a blank cell in a path-loss CSV."""
 
     location_id: str
     band: FrequencyBand
@@ -77,24 +74,11 @@ class OutageRow:
     dir: Directionality
     distance_m: float
 
-    def __init__(self, location_id: str, band: FrequencyBand, env: Environment,
-                 pol: Polarization, dir: Directionality, distance_m: float) -> None:
-        if not 0.0 < distance_m < math.inf:
-            raise ValueError(f"distance_m must be finite and > 0, got {distance_m!r}")
-        set_location_id, set_band, set_env, set_pol, set_dir, set_distance_m = _OUTAGE_SETTERS
-        set_location_id(self, location_id)
-        set_band(self, band)
-        set_env(self, env)
-        set_pol(self, pol)
-        set_dir(self, dir)
-        set_distance_m(self, distance_m)
+    path_loss_db = None
 
-
-_OUTAGE_SETTERS = _slot_setters(OutageRow)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    def __post_init__(self) -> None:
+        if not 0.0 < self.distance_m < math.inf:
+            raise ValueError(f"distance_m must be finite and > 0, got {self.distance_m!r}")
 
 
 #: orjson's exponent where repr's differs: repr signs a positive one and writes two
@@ -242,45 +226,82 @@ def _spread(token: str, field: str) -> float:
     return x
 
 
-def _blank_or(read):
-    """``read``, except that a blank token reads as None."""
-    return lambda token, field: None if not token.strip() else read(token, field)
+class _Column(NamedTuple):
+    """One CSV column: ``read`` turns a token into its value (token, name -> value), and
+    ``write`` a column of values into their cells."""
+
+    read: Callable
+    write: Callable
+
+
+def _blank_or(column: _Column) -> _Column:
+    """``column``, except that a blank token reads as None and None writes as a blank cell."""
+    read, write = column
+
+    def write_blank_or(values):
+        values = list(values)
+        cells = iter(write([v for v in values if v is not None]))
+        return ("" if v is None else next(cells) for v in values)
+
+    return _Column(lambda token, field: None if not token.strip() else read(token, field),
+                   write_blank_or)
 
 
 class _Csv(NamedTuple):
-    """One CSV input: its header names in file order, each with the token reader of
-    its column (token, name -> value); what ``build`` makes of a row's values; and the
-    message for no header. Readers, and ``build``, raise ValueError for a bad row."""
+    """One CSV format: its header names in file order, each with its ``_Column``; what
+    ``build`` makes of a row's values (None: the format is only written); and the message
+    for no header. Readers, and ``build``, raise ValueError for a bad row."""
 
     columns: dict
-    build: Callable
+    build: Callable | None = None
     empty: str = ""
 
 
-_TEXT = lambda token, field: token  # any text, kept as is
-_ENV, _POL, _DIR = (functools.partial(_parse_enum, cls)
+_TEXT = _Column(lambda token, field: token, lambda values: map(_csv_field, values))  # kept as is
+# An enum member's ``_value_`` is its value, read in C; ``.value`` is a Python property.
+_ENV, _POL, _DIR = (_Column(functools.partial(_parse_enum, cls),
+                            lambda values: map(attrgetter("_value_"), values))
                     for cls in (Environment, Polarization, Directionality))
-_PATHLOSS = _Csv({"location_id": _TEXT,
-                  "band_ghz": _band, "env": _ENV, "pol": _POL, "dir": _DIR,
-                  "distance_m": _parse_float, "path_loss_db": _blank_or(_parse_float)},
+_FLOAT = _Column(_parse_float, _reprs)
+_SPREAD = _Column(_spread, _reprs)
+_STAT = _Column(_TEXT.read, _reprs)  # a delay statistic: written, never read
+#: A float written by ``repr`` alone, so that ``fit`` never loads orjson for its table.
+_REPR = _Column(_parse_float, lambda values: map(repr, map(float, values)))
+_PATHLOSS = _Csv({"location_id": _TEXT, "band_ghz": _Column(_band, _reprs),
+                  "env": _ENV, "pol": _POL, "dir": _DIR,
+                  "distance_m": _FLOAT, "path_loss_db": _blank_or(_FLOAT)},
                  lambda *v: OutageRow(*v[:6]) if v[6] is None else PathLossSample(*v),
                  "empty path-loss CSV: no header row")
-_FITTED = _Csv({"band_ghz": _band, "env": _ENV, "pol": _POL, "dir": _DIR,
-                "ple": _parse_float, "sigma_db": _parse_float, "d0_m": _parse_float},
+_FITTED = _Csv({"band_ghz": _Column(_band, _REPR.write), "env": _ENV, "pol": _POL, "dir": _DIR,
+                "ple": _REPR, "sigma_db": _REPR, "d0_m": _REPR},
                CiModelParams, "empty fitted-table CSV")
 # Of a delay-stats row only the spread is read; the summary row holds none.
 _DELAY_STATS = _Csv(dict.fromkeys(
     ("pdp_index", "status", "mean_excess_delay_ns", "rms_delay_spread_ns", "total_power_mw",
-     "sigma_tau_mean_ns", "sigma_tau_std_ns", "sigma_tau_max_ns", "sigma_tau_p90_ns"), _TEXT)
-    | {"rms_delay_spread_ns": _blank_or(_spread)},
+     "sigma_tau_mean_ns", "sigma_tau_std_ns", "sigma_tau_max_ns", "sigma_tau_p90_ns"), _STAT)
+    | {"pdp_index": _TEXT, "status": _TEXT, "rms_delay_spread_ns": _blank_or(_SPREAD)},
     lambda index, status, mean, rms, *_: None if index == "summary" else rms,
     "spread-values file is empty")
 # A one-column spread file has no header; each of its non-blank lines is one row.
-_SPREAD_LINES = _Csv({"value": _spread}, lambda value: value)
+_SPREAD_LINES = _Csv({"value": _SPREAD}, lambda value: value)
+_CDF = _Csv({"value": _FLOAT, "cumulative_probability": _FLOAT})
 
 PATHLOSS_CSV_HEADER = ",".join(_PATHLOSS.columns)
 FIT_CSV_HEADER = ",".join(_FITTED.columns)
 DELAY_STATS_CSV_HEADER = ",".join(_DELAY_STATS.columns)
+CDF_CSV_HEADER = ",".join(_CDF.columns)
+#: The attribute each key or header name is written from, where the two differ.
+_ATTRIBUTES = {key: name for name, key in _FIELD_KEYS.items()}
+
+
+def _emit_csv(table: _Csv, rows: Iterable, getters: Sequence[Callable] = ()) -> str:
+    """``table``'s header, then one line per row. Each column's values are taken from the
+    rows by its getter, or else from the attribute of its header name, and written by
+    its ``write``."""
+    rows = list(rows)
+    getters = getters or [attrgetter(_ATTRIBUTES.get(name, name)) for name in table.columns]
+    cells = [column.write(map(get, rows)) for column, get in zip(table.columns.values(), getters)]
+    return "\n".join([",".join(table.columns), *map(",".join, zip(*cells)), ""])
 
 
 class _Utf8Source(io.RawIOBase):
@@ -364,27 +385,14 @@ def _row(table: _Csv, fields: list[str], line: int):
     if len(fields) != len(table.columns):
         raise ParseError(f"expected {len(table.columns)} fields, found {len(fields)}", line)
     try:
-        return table.build(*[read(token, name)
-                             for (name, read), token in zip(table.columns.items(), fields)])
+        return table.build(*[column.read(token, name)
+                             for (name, column), token in zip(table.columns.items(), fields)])
     except ValueError as exc:
         raise ParseError(str(exc), line) from None
 
 
 def emit_pathloss_csv(rows: Iterable[PathLossSample | OutageRow]) -> str:
-    rows = list(rows)
-    strata = {}  # (band, env, pol, dir) -> their four cells, formatted once
-    losses = iter(_reprs([r.path_loss_db for r in rows if not isinstance(r, OutageRow)]))
-    lines = [PATHLOSS_CSV_HEADER]
-    for r, distance in zip(rows, _reprs([r.distance_m for r in rows])):
-        stratum = (r.band, r.env, r.pol, r.dir)
-        cells = strata.get(stratum)
-        if cells is None:
-            cells = strata[stratum] = (f"{_fmt(r.band.ghz)},{r.env.value},{r.pol.value},"
-                                       f"{r.dir.value}")
-        pl = "" if isinstance(r, OutageRow) else next(losses)
-        lines.append(f"{_csv_field(r.location_id)},{cells},{distance},{pl}")
-    lines.append("")  # the last line's terminator, inside the one join
-    return "\n".join(lines)
+    return _emit_csv(_PATHLOSS, rows)
 
 
 def parse_pathloss_csv(text: str) -> list[PathLossSample]:
@@ -443,7 +451,7 @@ class _Shape:
     for that field; the default stands in for it."""
 
     def __init__(self, cls, types: dict[str, _Type], paths: dict[str, str] | None = None):
-        paths = {key: name for name, key in _FIELD_KEYS.items()} | (paths or {})
+        paths = _ATTRIBUTES | (paths or {})
         attrs = [paths.get(k, k) for k in types]
         declared = {f.name: f.default for f in dataclasses.fields(cls)}
         self.types = types
@@ -885,12 +893,7 @@ def parse_campaign_config(text: str) -> CampaignConfig:
 
 def emit_fit_csv(models: Iterable[CiModelParams]) -> str:
     """Fitted models in the catalog's column layout, for direct diffing."""
-    lines = [FIT_CSV_HEADER]
-    for m in models:  # enum values and float reprs never need quoting
-        lines.append(f"{_fmt(m.band.ghz)},{m.env.value},{m.pol.value},{m.dir.value},"
-                     f"{_fmt(m.ple)},{_fmt(m.shadow_sigma_db)},{_fmt(m.d0_m)}")
-    lines.append("")
-    return "\n".join(lines)
+    return _emit_csv(_FITTED, models)
 
 
 def parse_fit_csv(text: str) -> list[CiModelParams]:
@@ -911,10 +914,7 @@ def parse_fit_csv(text: str) -> list[CiModelParams]:
 
 
 def emit_cdf_csv(pairs: Sequence[tuple[float, float]]) -> str:
-    lines = [CDF_CSV_HEADER]
-    lines += map("{},{}".format, _reprs([v for v, _ in pairs]), _reprs([p for _, p in pairs]))
-    lines.append("")
-    return "\n".join(lines)
+    return _emit_csv(_CDF, pairs, (itemgetter(0), itemgetter(1)))
 
 
 def emit_delay_stats_csv(
@@ -930,10 +930,8 @@ def emit_delay_stats_csv(
         lines.append(f"{_csv_field(index)},{_csv_field(status)},"
                      f"{',,' if stats is None else next(cells)},,,,")
     if summary is not None:
-        lines.append(
-            f"summary,,,,,{_fmt(summary.mean_ns)},{_fmt(summary.std_ns)},"
-            f"{_fmt(summary.max_ns)},{_fmt(summary.p90_ns)}"
-        )
+        lines.append("summary,,,,," + ",".join(_STAT.write(
+            [summary.mean_ns, summary.std_ns, summary.max_ns, summary.p90_ns])))
     lines.append("")
     return "\n".join(lines)
 

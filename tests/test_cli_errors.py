@@ -372,12 +372,32 @@ def test_report_bad_fitted_row_exits_2_naming_the_line(tmp_path, rows, message):
 def test_report_finds_each_fitted_stratum(tmp_path):
     path = tmp_path / "fits.csv"
     path.write_text(f"{FIT_CSV_HEADER}\n73.5,NLOS,VH,directional,4.5,10.5,1.0\n"
-                    f"{FITTED_ROW.format(1.25, 2.0, 1.0)}\n")
+                    f"{FITTED_ROW.format(1.25, 2.0, 1.0)}\n60.0,LOS,VV,omni,2.0,3.0,1.0\n")
     res = _invoke(["report", "--fit-csv", str(path)])
     assert res.exit_code == 0, res.output
     assert "      LOS   VV          omni    1.1    1.7    1.250    2.000  +0.150  +0.300\n" in res.stdout
     assert "     NLOS   VH   directional    6.4   15.8    4.500   10.500  -1.900  -5.300\n" in res.stdout
     assert "     NLOS   VV          omni    2.7    9.6" + " " * 34 + "\n" in res.stdout
+    # A fitted model with no cataloged model is in no table, and one warning says so.
+    assert "60 GHz" not in res.stdout
+    assert res.stderr == ("warning: skipping stratum (60 GHz, LOS, VV, omni): "
+                          "no cataloged model to compare with\n")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("nm.csv", f"{DELAY_STATS_CSV_HEADER}\n0,no-multipath,,,,,,,\n",
+     "no delay-spread values found"),
+    ("fits.csv", f"{FIT_CSV_HEADER}\n", "fitted-table CSV has no rows"),
+], ids=["spreads-no-multipath-only", "fitted-header-only"])
+def test_report_empty_input_exits_4_naming_the_file(tmp_path, monkeypatch, name, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.txt").write_text("1.0\n2.0\n")
+    (tmp_path / name).write_text(text)
+    option = "--fit-csv" if name == "fits.csv" else "--spreads"
+    res = _invoke(["report", "--spreads", "ok.txt", option, name, "-o", "out"])
+    assert res.exit_code == EXIT_EMPTY
+    assert res.stderr == f"error: no samples: {name}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_bad_outage_row_exits_2_naming_line_and_field(tmp_path):
