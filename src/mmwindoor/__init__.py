@@ -18,6 +18,7 @@ from .core import (
     SPEED_OF_LIGHT_M_S,
     CampaignRecord,
     CiModelParams,
+    DelayStats,
     Directionality,
     DirectionalSweep,
     DistanceRangeWarning,
@@ -65,7 +66,6 @@ from .pathloss import (
     xpd_per_decade_db,
 )
 from .pdp import (
-    DelayStats,
     delay_stats,
     excess_delay_rebase,
     integrate_power_mw,

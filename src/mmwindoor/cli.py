@@ -35,8 +35,14 @@ _EXIT_CODES = (
     (fileio.ParseError, EXIT_PARSE, ""),
     ((ValueError, OverflowError, core.UnknownCombinationError), EXIT_VALIDATION, ""),
 )
+
+
+class _IgnoredOptionWarning(UserWarning):
+    """An option that is accepted for compatibility and has no effect."""
+
+
 _WARNINGS = (core.DistanceRangeWarning, core.DuplicateAngleWarning, core.SweepSpacingWarning,
-             core.OutageWarning, core.SkippedStratumWarning)
+             core.OutageWarning, core.SkippedStratumWarning, _IgnoredOptionWarning)
 
 
 class _Boundary(click.Group):
@@ -95,9 +101,9 @@ def _out_path(ctx: click.Context, name: str, explicit_dir: str | None) -> Path:
 @click.group(cls=_Boundary)
 @click.option("--d0-m", default=1.0, show_default=True, help="Close-in reference distance in meters.")
 @click.option("--seed", default=None, type=int, help="Override the random seed (simulate).")
-@click.option("--threshold-db", default=5.0, show_default=True,
+@click.option("--threshold-db", default=pdp.THRESHOLD_DB_ABOVE_NOISE, show_default=True,
               help="Multipath detection threshold above the noise floor, dB.")
-@click.option("--dynamic-range-db", default=30.0, show_default=True,
+@click.option("--dynamic-range-db", default=pdp.DYNAMIC_RANGE_DB, show_default=True,
               help="Maximum dynamic range below the PDP peak, dB.")
 @click.option("--output-dir", envvar="MMWINDOOR_OUTPUT_DIR", default=".",
               type=click.Path(file_okay=False),
@@ -167,7 +173,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     for (band, env, pol, dir_), group in sorted(
         strata.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2].value, kv[0][3].value)
     ):
-        stratum = f"({band.label}, {env.value}, {pol.value}, {dir_.value})"
+        stratum = _stratum_label(band, env, pol, dir_)
         try:  # a fit that is no model (ple <= 0, or NLOS_BEST omni) is skipped
             result = estimation.fit_ci_model(group, d0_m=d0_m)
             model = core.CiModelParams(band, env, pol, dir_, result.ple_hat,
@@ -186,6 +192,11 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
         raise core.EmptyInputError("every stratum was empty or unfittable")
     if csv_out:
         _write(csv_out, fileio.emit_fit_csv(models))
+
+
+def _stratum_label(band: core.FrequencyBand, env: Environment, pol: Polarization,
+                   dir_: Directionality) -> str:
+    return f"({band.label}, {env.value}, {pol.value}, {dir_.value})"
 
 
 def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
@@ -312,7 +323,7 @@ def _omni_rows(ctx: click.Context):
 def simulate_cmd(ctx, config_json, out_dir, workers):
     """Generate a synthetic campaign, then fit it back against its own parameters."""
     if workers is not None:
-        click.echo("warning: --workers is ignored; generation is serial", err=True)
+        warnings.warn("--workers is ignored; generation is serial", _IgnoredOptionWarning)
     config = fileio.parse_campaign_config(_read_text(config_json))
     if ctx.obj["seed"] is not None:
         config = dataclasses.replace(config, seed=ctx.obj["seed"])
@@ -375,13 +386,21 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         text = _read_text(fit_csv)
         with _naming(fit_csv):
             models = fileio.parse_fit_csv(text)
-    fitted = {m.stratum: m for m in models}
-    cataloged = {e.stratum for e in core.CI_MODEL_CATALOG}
+    # A fitted model is compared only with a cataloged model of its stratum and anchor:
+    # exponents relative to different d0 do not compare.
+    cataloged = {e.stratum: e for e in core.CI_MODEL_CATALOG}
+    fitted = {}
     for m in models:  # in file order
-        if m.stratum not in cataloged:
-            warnings.warn(f"skipping stratum ({m.band.label}, {m.env.value}, {m.pol.value}, "
-                          f"{m.dir.value}): no cataloged model to compare with",
-                          core.SkippedStratumWarning)
+        entry = cataloged.get(m.stratum)
+        if entry is None:
+            reason = "no cataloged model to compare with"
+        elif m.d0_m != entry.d0_m:
+            reason = f"fitted at d0_m {m.d0_m!r}, cataloged at d0_m {entry.d0_m!r}"
+        else:
+            fitted[m.stratum] = m
+            continue
+        warnings.warn(f"skipping stratum {_stratum_label(*m.stratum)}: {reason}",
+                      core.SkippedStratumWarning)
 
     click.echo("close-in model parameters (catalog vs fitted)")
     bands = sorted({p.band for p in core.CI_MODEL_CATALOG})

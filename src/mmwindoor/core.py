@@ -2,8 +2,8 @@
 
 All linear powers are milliwatts; dB-valued powers are dBm, gains are dBi,
 losses are dB. Every type is an immutable value object, safe to share across
-threads or processes. The types built once per sample, profile or pointing are
-slotted, and their ``__init__`` stores each field once through its slot.
+threads or processes. The types built once per sample, profile, pointing or set of
+delay moments are slotted, and their ``__init__`` stores each field once through its slot.
 """
 
 from __future__ import annotations
@@ -98,6 +98,10 @@ class FrequencyBand(float):
     def __new__(cls, ghz: float) -> FrequencyBand:
         if not (math.isfinite(ghz) and ghz > 0.0):  # a str is a TypeError, never parsed
             raise ValueError(f"band_ghz must be finite and > 0, got {ghz!r}")
+        # Past about 1.8e299 GHz the carrier overflows and the wavelength is 0.0; below
+        # about 1.7e-309 GHz, a subnormal, the wavelength overflows.
+        if not 0.0 < SPEED_OF_LIGHT_M_S / (ghz * 1e9) < math.inf:
+            raise ValueError(f"band_ghz must give a finite carrier and wavelength, got {ghz!r}")
         return super().__new__(cls, ghz)
 
     ghz = property(float)
@@ -297,6 +301,28 @@ class SweepEntry:
 _ENTRY_SETTERS = _slot_setters(SweepEntry)
 
 
+@dataclass(frozen=True, slots=True, init=False)
+class DelayStats:
+    """Power-weighted delay moments of one PDP."""
+
+    mean_excess_delay_ns: float
+    second_moment_ns2: float
+    rms_delay_spread_ns: float
+    total_power_mw: float
+
+    def __init__(self, mean_excess_delay_ns: float, second_moment_ns2: float,
+                 rms_delay_spread_ns: float, total_power_mw: float) -> None:
+        values = (mean_excess_delay_ns, second_moment_ns2, rms_delay_spread_ns, total_power_mw)
+        for name, v, store in zip(_STATS_NAMES, values, _STATS_SETTERS):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            store(self, v)
+
+
+_STATS_NAMES = tuple(f.name for f in fields(DelayStats))
+_STATS_SETTERS = _slot_setters(DelayStats)
+
+
 def _azimuth_key(deg: float) -> float:
     """``deg`` folded into [0, 360), to the nearest 1e-9 deg. The last % maps the 360.0
     that rounding gives (359.9999999999, or -1e-20 % 360.0) onto 0."""
@@ -442,8 +468,20 @@ DELAY_SPREAD_CATALOG: tuple[SpreadTarget, ...] = (
 )
 
 _CI_INDEX = {p.stratum: p for p in CI_MODEL_CATALOG}
-_SOUNDER_INDEX = {s.band: s for s in SOUNDER_CATALOG}
+_SOUNDER_INDEX = {(s.band,): s for s in SOUNDER_CATALOG}
 _SPREAD_INDEX = {(t.band, t.env, t.pol): t for t in DELAY_SPREAD_CATALOG}
+
+
+def _lookup(index: dict, what: str, band: FrequencyBand | float, *rest: Enum):
+    """The entry of ``index`` under ``(band, *rest)``, the band taken as ``band_from_ghz``
+    takes it; a miss is an UnknownCombinationError naming ``what`` and the key."""
+    key = (band_from_ghz(band), *rest)
+    try:
+        return index[key]
+    except KeyError:
+        names = ", ".join([key[0].label, *(member.value for member in rest)])
+        raise UnknownCombinationError(
+            f"no cataloged {what} for {f'({names})' if rest else names}") from None
 
 
 def catalog_lookup(
@@ -453,33 +491,17 @@ def catalog_lookup(
     dir: Directionality,
 ) -> CiModelParams:
     """Return the cataloged model for one stratum; raise if the combination was not measured."""
-    band = band_from_ghz(band)
-    try:
-        return _CI_INDEX[(band, env, pol, dir)]
-    except KeyError:
-        raise UnknownCombinationError(
-            f"no cataloged model for ({band.label}, {env.value}, {pol.value}, {dir.value})"
-        ) from None
+    return _lookup(_CI_INDEX, "model", band, env, pol, dir)
 
 
 def sounder_lookup(band: FrequencyBand | float) -> SounderSpec:
-    band = band_from_ghz(band)
-    try:
-        return _SOUNDER_INDEX[band]
-    except KeyError:
-        raise UnknownCombinationError(f"no cataloged sounder for {band.label}") from None
+    return _lookup(_SOUNDER_INDEX, "sounder", band)
 
 
 def delay_spread_lookup(
     band: FrequencyBand | float, env: Environment, pol: Polarization
 ) -> SpreadTarget:
-    band = band_from_ghz(band)
-    try:
-        return _SPREAD_INDEX[(band, env, pol)]
-    except KeyError:
-        raise UnknownCombinationError(
-            f"no cataloged delay-spread statistics for ({band.label}, {env.value}, {pol.value})"
-        ) from None
+    return _lookup(_SPREAD_INDEX, "delay-spread statistics", band, env, pol)
 
 
 #: The key of each field whose key in the file formats is not its name.

@@ -130,6 +130,14 @@ def _reprs(values: Iterable) -> list[str]:
     return texts
 
 
+def _distinct_reprs(values: Iterable) -> Iterable[str]:
+    """``_reprs(values)``, each distinct value formatted once: a band column repeats the
+    few bands of its strata."""
+    values = list(values)
+    texts = dict(zip(distinct := dict.fromkeys(values), _reprs(distinct)))
+    return map(texts.__getitem__, values)
+
+
 def _csv_field(value) -> str:
     """One field with minimal quoting: a field holding a comma, a quote, a line
     feed or a carriage return is quoted, with quotes doubled. (``csv.writer``
@@ -212,7 +220,6 @@ def _parse_float(token: str, field: str) -> float:
         raise ParseError(f"{field}: not a number: {token!r}") from None
 
 
-@functools.lru_cache(maxsize=64)  # a band token is resolved once, though outage rows repeat it
 def _band(token: str, field: str) -> FrequencyBand:
     return band_from_ghz(_parse_float(token, field))
 
@@ -267,7 +274,7 @@ _SPREAD = _Column(_spread, _reprs)
 _STAT = _Column(_TEXT.read, _reprs)  # a delay statistic: written, never read
 #: A float written by ``repr`` alone, so that ``fit`` never loads orjson for its table.
 _REPR = _Column(_parse_float, lambda values: map(repr, map(float, values)))
-_PATHLOSS = _Csv({"location_id": _TEXT, "band_ghz": _Column(_band, _reprs),
+_PATHLOSS = _Csv({"location_id": _TEXT, "band_ghz": _Column(_band, _distinct_reprs),
                   "env": _ENV, "pol": _POL, "dir": _DIR,
                   "distance_m": _FLOAT, "path_loss_db": _blank_or(_FLOAT)},
                  lambda *v: OutageRow(*v[:6]) if v[6] is None else PathLossSample(*v),

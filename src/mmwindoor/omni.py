@@ -24,7 +24,7 @@ from .core import (
     SweepSpacingWarning,
     to_db,
 )
-from .pdp import integrate_power_mw, threshold_pdp
+from .pdp import DYNAMIC_RANGE_DB, THRESHOLD_DB_ABOVE_NOISE, integrate_power_mw, threshold_pdp
 
 _ANGLE_KEY = tuple[float, float, float, float]
 
@@ -68,12 +68,9 @@ def _link_budget_pl_db(spec: SounderSpec, pr_mw: float, outage_message: str) -> 
     return spec.max_tx_power_dbm + spec.tx_antenna_gain_dbi + spec.rx_antenna_gain_dbi - to_db(pr_mw)
 
 
-def unique_angle_powers_mw(
-    record: CampaignRecord,
-    pol: Polarization | None = None,
-    threshold_db_above_noise: float = 5.0,
-    dynamic_range_db: float = 30.0,
-) -> dict[_ANGLE_KEY, float]:
+def unique_angle_powers_mw(record: CampaignRecord, pol: Polarization | None = None,
+                           threshold_db_above_noise: float = THRESHOLD_DB_ABOVE_NOISE,
+                           dynamic_range_db: float = DYNAMIC_RANGE_DB) -> dict[_ANGLE_KEY, float]:
     """Thresholded multipath power per unique pointing-angle tuple.
 
     Sweeps may revisit an angle (re-measurements); duplicates collapse to the
@@ -111,23 +108,17 @@ def unique_angle_powers_mw(
     return powers
 
 
-def omni_received_power_mw(
-    record: CampaignRecord,
-    pol: Polarization | None = None,
-    threshold_db_above_noise: float = 5.0,
-    dynamic_range_db: float = 30.0,
-) -> float:
+def omni_received_power_mw(record: CampaignRecord, pol: Polarization | None = None,
+                           threshold_db_above_noise: float = THRESHOLD_DB_ABOVE_NOISE,
+                           dynamic_range_db: float = DYNAMIC_RANGE_DB) -> float:
     """Synthesized omnidirectional received power in mW (sum over unique angles)."""
     powers = unique_angle_powers_mw(record, pol, threshold_db_above_noise, dynamic_range_db)
     return math.fsum(powers.values())
 
 
-def omni_path_loss_db(
-    record: CampaignRecord,
-    pol: Polarization | None = None,
-    threshold_db_above_noise: float = 5.0,
-    dynamic_range_db: float = 30.0,
-) -> float:
+def omni_path_loss_db(record: CampaignRecord, pol: Polarization | None = None,
+                      threshold_db_above_noise: float = THRESHOLD_DB_ABOVE_NOISE,
+                      dynamic_range_db: float = DYNAMIC_RANGE_DB) -> float:
     """Omnidirectional path loss from the synthesized received power.
 
     Raises :class:`NoMultipathError` when no angle detected any power (the
@@ -140,8 +131,8 @@ def omni_path_loss_db(
 
 
 def directional_path_loss_db(record: CampaignRecord, pdp: Pdp,
-                             threshold_db_above_noise: float = 5.0,
-                             dynamic_range_db: float = 30.0) -> float:
+                             threshold_db_above_noise: float = THRESHOLD_DB_ABOVE_NOISE,
+                             dynamic_range_db: float = DYNAMIC_RANGE_DB) -> float:
     """Path loss of a single pointing's PDP under the record's link budget."""
     p = integrate_power_mw(threshold_pdp(pdp, threshold_db_above_noise, dynamic_range_db))
     return _link_budget_pl_db(record.spec, p, "no detectable multipath in this PDP")

@@ -28,7 +28,11 @@ def free_space_pl_db(band: FrequencyBand, d0_m: float) -> float:
     """Free-space path loss 20*log10(4*pi*d0 / wavelength) in dB."""
     if not 0.0 < d0_m < math.inf:
         raise ValueError(f"d0_m must be finite and > 0, got {d0_m!r}")
-    return 20.0 * math.log10(4.0 * math.pi * d0_m / band.wavelength_m)
+    ratio = 4.0 * math.pi * d0_m / band.wavelength_m
+    if not 0.0 < ratio < math.inf:  # each is finite, yet their quotient may not be
+        raise ValueError(f"d0_m {d0_m!r} at {band.label}: 4*pi*d0/wavelength is {ratio!r}, "
+                         "outside the float range")
+    return 20.0 * math.log10(ratio)
 
 
 def mean_path_loss_db(params: CiModelParams, distance_m: float) -> float:

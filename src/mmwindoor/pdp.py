@@ -9,37 +9,19 @@ summation; long profiles with wide dynamic range lose digits under naive sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from itertools import compress, count
 
-from .core import NoMultipathError, Pdp, _slot_setters
+from .core import DelayStats, NoMultipathError, Pdp
+
+#: The multipath detection rule: a bin counts when its power is at least
+#: ``THRESHOLD_DB_ABOVE_NOISE`` dB above the noise floor and at most ``DYNAMIC_RANGE_DB`` dB
+#: below the peak. Every default threshold in the package is one of these two names.
+THRESHOLD_DB_ABOVE_NOISE = 5.0
+DYNAMIC_RANGE_DB = 30.0
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class DelayStats:
-    """Power-weighted delay moments of one PDP."""
-
-    mean_excess_delay_ns: float
-    second_moment_ns2: float
-    rms_delay_spread_ns: float
-    total_power_mw: float
-
-    def __init__(self, mean_excess_delay_ns: float, second_moment_ns2: float,
-                 rms_delay_spread_ns: float, total_power_mw: float) -> None:
-        values = (mean_excess_delay_ns, second_moment_ns2, rms_delay_spread_ns, total_power_mw)
-        for name, v, store in zip(_STATS_NAMES, values, _STATS_SETTERS):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            store(self, v)
-
-
-_STATS_NAMES = tuple(f.name for f in fields(DelayStats))
-_STATS_SETTERS = _slot_setters(DelayStats)
-
-
-def threshold_pdp(
-    pdp: Pdp, threshold_db_above_noise: float = 5.0, dynamic_range_db: float = 30.0
-) -> Pdp:
+def threshold_pdp(pdp: Pdp, threshold_db_above_noise: float = THRESHOLD_DB_ABOVE_NOISE,
+                  dynamic_range_db: float = DYNAMIC_RANGE_DB) -> Pdp:
     """Zero every bin below the noise threshold or the peak dynamic-range cut.
 
     A bin survives when its power reaches both ``noise_floor + threshold`` and

@@ -58,6 +58,8 @@ class PdpSynthesisConfig:
         lo, hi = self.tap_count_range
         if not (1 <= lo <= hi):
             raise ValueError(f"tap_count_range: need 1 <= min <= max, got {self.tap_count_range!r}")
+        if hi > 2**63 - 1:  # rng.integers(lo, hi + 1) takes int64 bounds only
+            raise ValueError(f"tap_count_range: max must be <= 2**63 - 1, got {hi!r}")
         if not self.decay_ns > 0.0:  # +inf allowed: no decay
             raise ValueError(f"decay_ns: must be > 0, got {self.decay_ns!r}")
         if not (math.isfinite(self.span_ns) and self.span_ns >= 0.0):

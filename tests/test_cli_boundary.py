@@ -95,6 +95,17 @@ def test_simulate_writes_in_stdout_order(tmp_path):
     assert lines[3:] == [f"wrote {out / 'pdps.json'}", f"wrote {out / 'delay_stats.csv'}"]
 
 
+def test_ignored_workers_option_warns_through_the_sink(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    runner = CliRunner()
+    for _ in range(2):  # a warning category the sink prints every time it is raised
+        res = runner.invoke(main, ["simulate", str(config), "-o", str(tmp_path / "out"),
+                                   "--workers", "4"])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == "warning: --workers is ignored; generation is serial\n"
+
+
 def test_report_overflowing_spreads_exit_3_naming_the_file(tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("1e308\n1e308\n")

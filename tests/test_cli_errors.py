@@ -384,6 +384,19 @@ def test_report_finds_each_fitted_stratum(tmp_path):
                           "no cataloged model to compare with\n")
 
 
+def test_report_compares_no_model_fitted_at_another_anchor(tmp_path):
+    path = tmp_path / "fits.csv"
+    path.write_text(f"{FIT_CSV_HEADER}\n28.0,NLOS,VV,omni,2.892,9.67,2.0\n"
+                    f"{FITTED_ROW.format(1.25, 2.0, 1.0)}\n")
+    res = _invoke(["report", "--fit-csv", str(path)])
+    assert res.exit_code == 0, res.output
+    # An exponent relative to d0 = 2 m has no delta against the 1 m catalog model.
+    assert "     NLOS   VV          omni    2.7    9.6" + " " * 34 + "\n" in res.stdout
+    assert "      LOS   VV          omni    1.1    1.7    1.250    2.000  +0.150  +0.300\n" in res.stdout
+    assert res.stderr == ("warning: skipping stratum (28 GHz, NLOS, VV, omni): "
+                          "fitted at d0_m 2.0, cataloged at d0_m 1.0\n")
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("nm.csv", f"{DELAY_STATS_CSV_HEADER}\n0,no-multipath,,,,,,,\n",
      "no delay-spread values found"),

@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
+from mmwindoor.cli import EXIT_EMPTY, EXIT_PARSE, EXIT_VALIDATION, main
 from mmwindoor.core import (
     BAND_28GHZ,
     CampaignRecord,
@@ -16,6 +18,7 @@ from mmwindoor.core import (
     Directionality,
     DuplicateAngleWarning,
     Environment,
+    FrequencyBand,
     Pdp,
     Polarization,
     SweepEntry,
@@ -23,8 +26,9 @@ from mmwindoor.core import (
     sounder_lookup,
 )
 from mmwindoor.estimation import summarize_spreads
-from mmwindoor.fileio import ParseError, parse_campaign_records
+from mmwindoor.fileio import PATHLOSS_CSV_HEADER, ParseError, parse_campaign_records
 from mmwindoor.omni import omni_received_power_mw
+from mmwindoor.pathloss import free_space_pl_db
 from mmwindoor.simulate import CampaignConfig, PdpSynthesisConfig, generate_synthetic_pdp
 
 
@@ -143,6 +147,60 @@ def test_overflowing_tap_power_names_the_config_field():
     with pytest.raises(ValueError, match=r"^pdp_synthesis\.tap_power_sigma_db: 1000000\.0 dB"):
         for seed in range(20):
             generate_synthetic_pdp(config, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("hi", [2**63, 10**23])
+def test_tap_count_past_int64_names_the_config_field(hi):
+    with pytest.raises(ValueError, match=r"^tap_count_range: max must be <= 2\*\*63 - 1, got "):
+        PdpSynthesisConfig(tap_count_range=(1, hi))
+    # The largest allowed count still draws.
+    largest = PdpSynthesisConfig(tap_count_range=(2**63 - 1, 2**63 - 1))
+    config = CampaignConfig(band=BAND_28GHZ, env=Environment.LOS, pol=Polarization.VV,
+                            dir=Directionality.OMNI, n_locations=1, pdp_synthesis=largest)
+    assert generate_synthetic_pdp(config, np.random.default_rng(0)).n_bins == 41
+
+
+@pytest.mark.parametrize("ghz", [1e300, 1.8e299, 5e-324, 1.6e-309])
+def test_a_band_without_a_finite_carrier_and_wavelength_is_rejected(ghz):
+    with pytest.raises(ValueError, match=r"^band_ghz must give a finite carrier and wavelength"):
+        FrequencyBand(ghz)
+
+
+@pytest.mark.parametrize("ghz, d0_m, ratio", [(73.5, 1e306, "inf"), (1e-300, 5e-324, "0.0")])
+def test_free_space_loss_outside_the_float_range_names_d0_and_band(ghz, d0_m, ratio):
+    with pytest.raises(ValueError) as info:
+        free_space_pl_db(FrequencyBand(ghz), d0_m)
+    assert str(info.value) == (f"d0_m {d0_m!r} at {FrequencyBand(ghz).label}: 4*pi*d0/wavelength "
+                               f"is {ratio}, outside the float range")
+
+
+#: Any positive float, the subnormals and the largest included.
+positive = st.floats(min_value=5e-324, allow_infinity=False, allow_nan=False)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(band_ghz=positive, d0_m=positive)
+@example(band_ghz=1e300, d0_m=1.0)
+@example(band_ghz=5e-324, d0_m=1.0)
+@example(band_ghz=1e-300, d0_m=5e-324)
+@example(band_ghz=73.5, d0_m=1e306)
+def test_fit_and_simulate_at_float_limits_end_in_an_exit_code(band_ghz, d0_m):
+    runner = CliRunner()
+    lo = max(d0_m, 1.0)
+    config = {"band_ghz": band_ghz, "env": "LOS", "pol": "VV", "dir": "omni", "n_locations": 5,
+              "distance_range_m": [lo, lo * 10.0],
+              "params_override": {"ple": 2.0, "sigma_db": 3.0, "d0_m": d0_m}}
+    with runner.isolated_filesystem():
+        with open("pathloss.csv", "w") as fh:
+            fh.write(f"{PATHLOSS_CSV_HEADER}\na,{band_ghz!r},LOS,VV,omni,{lo!r},70.0\n"
+                     f"b,{band_ghz!r},LOS,VV,omni,{lo * 10.0!r},90.0\n")
+        with open("config.json", "w") as fh:
+            json.dump(config, fh)
+        for argv in (["--d0-m", repr(d0_m), "fit", "pathloss.csv"],
+                     ["simulate", "config.json", "-o", "out"]):
+            res = runner.invoke(main, argv)
+            assert res.exit_code in (0, EXIT_PARSE, EXIT_VALIDATION, EXIT_EMPTY), (argv, res.exception)
+            assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("key, literal, shown", [("theta_tx_deg", "Infinity", "inf"),
