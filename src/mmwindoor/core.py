@@ -236,25 +236,29 @@ class Pdp:
     noise_floor_mw: float = 0.0
 
     def __init__(self, bin_spacing_ns: float, powers_mw: tuple[float, ...],
-                 noise_floor_mw: float = 0.0) -> None:
-        powers = tuple(map(float, powers_mw))
-        if bin_spacing_ns <= 0.0 or not math.isfinite(bin_spacing_ns):
-            raise ValueError(f"bin_spacing_ns must be finite and > 0, got {bin_spacing_ns!r}")
-        if len(powers) < 1:
-            raise ValueError("a Pdp needs at least one delay bin")
-        # A C-level screen: nan and +inf make the sum non-finite, negatives and
-        # -inf fail the min. A valid profile whose sum overflows takes the loop,
-        # which alone judges and names the first offender.
-        if not (min(powers) >= 0.0 and math.isfinite(sum(powers))):
-            for k, p in enumerate(powers):
-                if not (math.isfinite(p) and p >= 0.0):
-                    raise ValueError(f"powers_mw[{k}] must be finite and >= 0, got {p!r}")
-        if not (math.isfinite(noise_floor_mw) and noise_floor_mw >= 0.0):
-            raise ValueError(f"noise_floor_mw must be finite and >= 0, got {noise_floor_mw!r}")
+                 noise_floor_mw: float = 0.0, *, _checked: bool = False) -> None:
+        # ``_checked``: a profile derived from a checked one, with its spacing and floor
+        # and a tuple of its floats (bins zeroed or sliced away), is stored as given.
+        if not _checked:
+            powers_mw = tuple(map(float, powers_mw))
+            if bin_spacing_ns <= 0.0 or not math.isfinite(bin_spacing_ns):
+                raise ValueError(f"bin_spacing_ns must be finite and > 0, got {bin_spacing_ns!r}")
+            if len(powers_mw) < 1:
+                raise ValueError("a Pdp needs at least one delay bin")
+            # A C-level screen: nan and +inf make the sum non-finite, negatives and
+            # -inf fail the min. A valid profile whose sum overflows takes the loop,
+            # which alone judges and names the first offender.
+            if not (min(powers_mw) >= 0.0 and math.isfinite(sum(powers_mw))):
+                for k, p in enumerate(powers_mw):
+                    if not (math.isfinite(p) and p >= 0.0):
+                        raise ValueError(f"powers_mw[{k}] must be finite and >= 0, got {p!r}")
+            if not (math.isfinite(noise_floor_mw) and noise_floor_mw >= 0.0):
+                raise ValueError(f"noise_floor_mw must be finite and >= 0, got {noise_floor_mw!r}")
+            bin_spacing_ns, noise_floor_mw = float(bin_spacing_ns), float(noise_floor_mw)
         set_bin_spacing_ns, set_powers_mw, set_noise_floor_mw = _PDP_SETTERS
-        set_bin_spacing_ns(self, float(bin_spacing_ns))
-        set_powers_mw(self, powers)
-        set_noise_floor_mw(self, float(noise_floor_mw))
+        set_bin_spacing_ns(self, bin_spacing_ns)
+        set_powers_mw(self, powers_mw)
+        set_noise_floor_mw(self, noise_floor_mw)
 
     @property
     def n_bins(self) -> int:
@@ -282,9 +286,11 @@ class SweepEntry:
 
     def __init__(self, theta_tx_deg: float, phi_tx_deg: float, theta_rx_deg: float,
                  phi_rx_deg: float, pdp: Pdp) -> None:
+        # The last % maps the 360.0 that rounding gives (359.9999999999, or -1e-20 % 360.0)
+        # onto 0.
         try:
-            angle = (_azimuth_key(theta_tx_deg), phi_tx_deg,
-                     _azimuth_key(theta_rx_deg), phi_rx_deg)
+            angle = (round(theta_tx_deg % 360.0 * 1e9) / 1e9 % 360.0, phi_tx_deg,
+                     round(theta_rx_deg % 360.0 * 1e9) / 1e9 % 360.0, phi_rx_deg)
         except ValueError:  # round() of the NaN that a non-finite azimuth folds to
             raise ValueError(f"azimuths must be finite, got {theta_tx_deg!r} and "
                              f"{theta_rx_deg!r}") from None
@@ -323,12 +329,6 @@ _STATS_NAMES = tuple(f.name for f in fields(DelayStats))
 _STATS_SETTERS = _slot_setters(DelayStats)
 
 
-def _azimuth_key(deg: float) -> float:
-    """``deg`` folded into [0, 360), to the nearest 1e-9 deg. The last % maps the 360.0
-    that rounding gives (359.9999999999, or -1e-20 % 360.0) onto 0."""
-    return round(deg % 360.0 * 1e9) / 1e9 % 360.0
-
-
 @dataclass(frozen=True)
 class DirectionalSweep:
     """One azimuth sweep (M1..M8) at a fixed elevation plane and polarization."""
@@ -341,11 +341,17 @@ class DirectionalSweep:
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.sweep_id not in VALID_SWEEP_IDS:
             raise ValueError(f"sweep_id must be one of M1..M8, got {self.sweep_id!r}")
-        seen = set()
-        for e in self.entries:
-            if e.angle in seen:
-                raise ValueError(f"duplicate pointing angle {e.angle} within sweep {self.sweep_id}")
-            seen.add(e.angle)
+        seen: dict[tuple, int] = {}  # pointing -> index of its first entry
+        for j, e in enumerate(self.entries):
+            first = seen.setdefault(e.angle, j)
+            if first != j:
+                raise ValueError(f"duplicate pointing angle within sweep {self.sweep_id}: "
+                                 f"entries[{j}] ({_azimuths(e)}) repeats "
+                                 f"entries[{first}] ({_azimuths(self.entries[first])})")
+
+
+def _azimuths(entry: SweepEntry) -> str:
+    return f"theta_tx_deg {entry.theta_tx_deg!r}, theta_rx_deg {entry.theta_rx_deg!r}"
 
 
 @dataclass(frozen=True)

@@ -792,13 +792,28 @@ def emit_campaign_records(records: Sequence[CampaignRecord]) -> str:
     return json.dumps([_to_obj(r, _RECORD) for r in records], indent=2) + "\n"
 
 
+#: The types of a float-typed entry's angles, its profile's spacing and floor and its powers.
+_FLOAT_ENTRY = (float, float, float, float, float, float, list)
+
+
 def _entry_from_obj(obj, sweep: str, j: int) -> SweepEntry:
-    """Entry ``j`` of the sweep at path ``sweep``. The entry's path is formatted only for
-    a message: an entry that fails is read again under its path, and fails the same way."""
-    try:
-        return _read_entry(obj, "")
-    except ParseError:
-        pass
+    """Entry ``j`` of the sweep at path ``sweep``. A float-typed entry passes C-level
+    screens only: both objects' sizes, one lookup per key, one on the value types, one
+    on the angles' sum (nan and infinities make it non-finite) and one on the powers'
+    element types. Any other entry, or one its ``Pdp`` rejects, is read key by key."""
+    if type(obj) is dict and len(obj) == 5:
+        try:
+            theta_tx, phi_tx, theta_rx, phi_rx, pdp = _ENTRY.get(obj)
+            if type(pdp) is dict and len(pdp) == 3:
+                spacing, floor, powers = _PDP.get(pdp)
+                if ((type(theta_tx), type(phi_tx), type(theta_rx), type(phi_rx), type(spacing),
+                     type(floor), type(powers)) == _FLOAT_ENTRY
+                        and math.isfinite(theta_tx + phi_tx + theta_rx + phi_rx)
+                        and _NUMBER.types.issuperset(map(type, powers))):
+                    return SweepEntry(theta_tx, phi_tx, theta_rx, phi_rx,
+                                      Pdp(spacing, powers, floor))
+        except (KeyError, ValueError, OverflowError):
+            pass
     return _read_entry(obj, f"{sweep}.entries[{j}]")
 
 

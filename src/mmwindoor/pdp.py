@@ -38,8 +38,8 @@ def threshold_pdp(pdp: Pdp, threshold_db_above_noise: float = THRESHOLD_DB_ABOVE
     )
     # Every bin is <= peak, so "reaches the cutoff or is the positive peak" is one cut.
     lo = min(cutoff, peak) if peak > 0.0 else cutoff
-    return Pdp(pdp.bin_spacing_ns, [p if p >= lo else 0.0 for p in pdp.powers_mw],
-               pdp.noise_floor_mw)
+    return Pdp(pdp.bin_spacing_ns, tuple([p if p >= lo else 0.0 for p in pdp.powers_mw]),
+               pdp.noise_floor_mw, _checked=True)
 
 
 def _noise_cut_mw(floor_mw: float, threshold_db: float) -> float:
@@ -69,7 +69,7 @@ def _first_positive_bin(pdp: Pdp) -> int:
 def excess_delay_rebase(pdp: Pdp) -> Pdp:
     """Shift the profile so its first positive bin sits at delay 0."""
     k0 = _first_positive_bin(pdp)
-    return Pdp(pdp.bin_spacing_ns, pdp.powers_mw[k0:], pdp.noise_floor_mw)
+    return Pdp(pdp.bin_spacing_ns, pdp.powers_mw[k0:], pdp.noise_floor_mw, _checked=True)
 
 
 def delay_stats(pdp: Pdp) -> DelayStats:

@@ -472,3 +472,13 @@ def test_report_reads_every_table_fit_writes(rows):
         if fit.exit_code == 0:
             res = runner.invoke(main, ["report", "--fit-csv", "fits.csv"])
             assert res.exit_code == 0, res.output
+
+
+def test_a_pointing_repeated_across_the_wrap_names_both_entries(tmp_path):
+    entries = [ENTRY, {**ENTRY, "theta_rx_deg": 360.0}]
+    res = _invoke(["synthesize-omni", _records(tmp_path, sweeps=[
+        {"sweep_id": "M1", "pol": "VV", "entries": entries}])])
+    assert res.exit_code == EXIT_PARSE
+    assert ("error: record[0].sweeps[0]: duplicate pointing angle within sweep M1: entries[1] "
+            "(theta_tx_deg 0.0, theta_rx_deg 360.0) repeats entries[0] "
+            "(theta_tx_deg 0.0, theta_rx_deg 0.0)\n") in res.output

@@ -10,7 +10,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmwindoor.core import (
     BAND_28GHZ,
@@ -270,3 +270,71 @@ def configs(draw):
 @given(configs())
 def test_config_round_trip(config):
     assert parse_campaign_config(emit_campaign_config(config)) == config
+
+
+# The float-typed entry screen against the key-by-key reader it stands in for.
+
+#: What a JSON number key may hold: floats of every kind, integers past the float
+#: range, and the non-numbers a file may put there.
+number_like = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 360.0, 1e308]),
+    st.integers(-10, 10),
+    st.sampled_from([2**1024, -(2**1100)]),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+#: Mostly what the screen takes, so that both of its outcomes are drawn often.
+numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False), number_like)
+ANGLE_KEYS = ("theta_tx_deg", "phi_tx_deg", "theta_rx_deg", "phi_rx_deg")
+
+
+@st.composite
+def entry_objects(draw):
+    pdp = {"bin_spacing_ns": draw(numbers), "noise_floor_mw": draw(numbers),
+           "powers_mw": draw(st.one_of(st.lists(numbers, max_size=4), number_like))}
+    entry = {key: draw(numbers) for key in ANGLE_KEYS}
+    entry["pdp"] = draw(st.one_of(st.just(pdp), number_like, st.just([pdp])))
+    for obj in (entry, pdp):
+        edit = draw(st.sampled_from(["keep", "keep", "keep", "drop", "add"]))
+        if edit == "drop":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        elif edit == "add":
+            obj["extra"] = 1.0
+    return entry
+
+
+def _entry(**edits):
+    pdp = {"bin_spacing_ns": 2.5, "noise_floor_mw": 1e-9, "powers_mw": [1e-6, 2e-6],
+           **edits.pop("pdp", {})}
+    return {"theta_tx_deg": 0.0, "phi_tx_deg": 0.0, "theta_rx_deg": 30.0, "phi_rx_deg": 0.0,
+            "pdp": pdp, **edits}
+
+
+def _built(read):
+    """An entry's fields with every float as its bits, or the text of the error it raised."""
+    try:
+        e = read()
+    except Exception as exc:  # the screen's error must be the reader's, whatever its type
+        return "error", type(exc), str(exc)
+    p = e.pdp
+    floats = (e.theta_tx_deg, e.phi_tx_deg, e.theta_rx_deg, e.phi_rx_deg, *e.angle,
+              p.bin_spacing_ns, p.noise_floor_mw, *p.powers_mw)
+    return ("entry", type(p.powers_mw), len(p.powers_mw), tuple(map(type, floats)),
+            tuple(float(v).hex() for v in floats))
+
+
+@SETTINGS
+@given(entry_objects())
+@example(_entry(theta_tx_deg=30))
+@example(_entry(pdp={"powers_mw": [1, 2e-6]}))
+@example(_entry(pdp={"powers_mw": [True]}))
+@example(_entry(phi_rx_deg=math.nan))  # an elevation: SweepEntry folds only azimuths
+@example({**_entry(), "pdp": {"bin_spacing_ns": 2.5, "powers_mw": [1e-6]}})
+@example(_entry(extra=1.0))
+def test_entry_screen_builds_what_the_reader_builds(obj):
+    got = _built(lambda: fileio._entry_from_obj(obj, "s", 0))
+    want = _built(lambda: fileio._read_entry(obj, "s.entries[0]"))
+    assert got == want
+    assert got[0] == "entry" or got[1] is ParseError

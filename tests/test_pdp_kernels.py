@@ -5,19 +5,23 @@ element loop only to judge a profile the screen does not pass;
 ``threshold_pdp`` keeps bins with one cut and ``delay_stats`` sums positive
 bins only. All must behave exactly as the loops below: the same
 ``DelayStats`` and thresholded powers bit for bit, and the same
-``ValueError`` text for bad powers. The JSON loaders must build the same
-objects as the loaders kept below, and fail with the same text wherever the
-old ones did, except for the type, finite-angle and unknown-key checks added
-since, the one wording for a bad object shape, and the record path that an
-out-of-domain ``band_ghz`` now carries.
+``ValueError`` text for bad powers. The profiles ``threshold_pdp`` and
+``excess_delay_rebase`` derive skip the checks, and must be what the checks
+pass. The JSON loaders must build the same objects as the loaders kept
+below, and fail with the same text wherever the old ones did, except for
+the type, finite-angle and unknown-key checks added since, the one wording
+for a bad object shape, and the record path that an out-of-domain
+``band_ghz`` now carries.
 """
 
+import ast
 import copy
 import json
 import math
 import re
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -45,7 +49,7 @@ from mmwindoor.fileio import (
     parse_campaign_records,
     parse_pdp_batch,
 )
-from mmwindoor.pdp import delay_stats, threshold_pdp
+from mmwindoor.pdp import delay_stats, excess_delay_rebase, threshold_pdp
 
 SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
@@ -119,6 +123,32 @@ def test_delay_stats_bit_identical(pdp, threshold_db, dynamic_range_db):
 def test_silent_profile_keeps_the_loops_signed_zeros(powers, noise_floor_mw):
     pdp = Pdp(2.5, powers, noise_floor_mw)
     assert _bits(threshold_pdp(pdp).powers_mw) == _bits(reference_threshold(pdp, 5.0, 30.0))
+
+
+@SETTINGS
+@given(profiles)
+def test_derived_profiles_equal_checked_ones(pdp):
+    """``threshold_pdp`` and ``excess_delay_rebase`` build their profiles unchecked;
+    each must equal, bit for bit, the profile its powers make through the checks."""
+    derived = [(threshold_pdp(pdp), reference_threshold(pdp, 5.0, 30.0))]
+    k0 = next((k for k, p in enumerate(pdp.powers_mw) if p > 0.0), None)
+    if k0 is not None:
+        derived.append((excess_delay_rebase(pdp), list(pdp.powers_mw)[k0:]))
+    for got, powers in derived:
+        want = Pdp(pdp.bin_spacing_ns, list(powers), pdp.noise_floor_mw)
+        assert type(got.powers_mw) is tuple
+        assert all(type(p) is float for p in got.powers_mw)
+        assert _bits((got.bin_spacing_ns, got.noise_floor_mw, *got.powers_mw)) == _bits(
+            (want.bin_spacing_ns, want.noise_floor_mw, *want.powers_mw))
+
+
+def test_only_core_and_pdp_pass_checked():
+    """Unchecked construction is for profiles derived from a checked one, in ``pdp``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "mmwindoor"
+    naming = {path.name for path in package.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, (ast.keyword, ast.arg)) and node.arg == "_checked"}
+    assert naming == {"core.py", "pdp.py"}
 
 
 #: Any float: nan, infinities and negatives must be rejected like the loop did.

@@ -1,0 +1,128 @@
+"""Run the benchmark on two checkouts in alternating pairs and compare their end-to-end metrics.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload NAME [--pairs 10] [--seed 1]
+                                 [--seconds S]
+
+Pair ``i`` runs each checkout's own ``perfbench/run.py --trace 0`` once, at seed
+``--seed + i``; the parent runs first in even pairs and the change in odd ones. The
+run length defaults to ``run_seconds`` of the change's ``BENCHMARK.json``, and the
+metrics and their directions come from its ``end_to_end`` list.
+
+For each metric it prints each side's median and quartiles, the pairs the change
+won (ties count for neither side) and the gap between the medians beside the
+parent's quartile distance: a gain is claimable when the change wins at least
+nine pairs in ten and the gap exceeds that distance. It writes no file; each
+benchmark run cleans up its own work directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one ``perfbench/run.py --trace 0`` run in ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile) of ``values``."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def value(result: dict, name: str) -> float | None:
+    """Metric ``name`` of a result line, or None where the run did not report it."""
+    metric = result["metrics"].get(name)
+    return None if metric is None else metric["value"]
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+    """One summary per metric over ``pairs`` of (parent, change) result lines.
+
+    A metric is ``{"name", "better"}`` as BENCHMARK.json declares it; ``better`` is
+    ``"lower"`` or ``"higher"``. A pair whose run lacks the metric is left out of it.
+    """
+    summaries = []
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = [(value(p, name), value(c, name)) for p, c in pairs]
+        values = [(p, c) for p, c in values if p is not None and c is not None]
+        if not values:
+            continue
+        parent = quartiles([p for p, _ in values])
+        change = quartiles([c for _, c in values])
+        gap = change[1] - parent[1]
+        summaries.append({
+            "name": name,
+            "pairs": len(values),
+            "parent": parent,
+            "change": change,
+            "wins": sum(c < p if lower else c > p for p, c in values),
+            "gap": gap,
+            "parent_iqr": parent[2] - parent[0],
+            "relative": gap / parent[1] if parent[1] else None,
+        })
+    return summaries
+
+
+def _format(summary: dict) -> str:
+    q1, m, q3 = summary["parent"]
+    c1, cm, c3 = summary["change"]
+    relative = "" if summary["relative"] is None else f" ({summary['relative']:+.1%})"
+    beyond = "beyond" if abs(summary["gap"]) > summary["parent_iqr"] else "within"
+    return (f"{summary['name']}: {m:.6g} [{q1:.6g}, {q3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]"
+            f"{relative}, {summary['wins']}/{summary['pairs']} won; gap {summary['gap']:+.4g} "
+            f"{beyond} the parent's quartile distance {summary['parent_iqr']:.4g}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = args.seconds or benchmark["run_seconds"]
+
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        sides = {}
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            sides[side] = run_once(getattr(args, side), args.workload, seed, seconds)
+        parent, change = sides["parent"], sides["change"]
+        pairs.append((parent, change))
+        values = ", ".join(f"{m['name']} {value(parent, m['name'])} -> {value(change, m['name'])}"
+                           for m in benchmark["end_to_end"])
+        print(f"pair {i + 1} seed {seed} ({next(iter(sides))} first): {values}; failed "
+              f"{parent['failed']}/{parent['attempted']} -> {change['failed']}/{change['attempted']}",
+              flush=True)
+    print(f"{args.workload}, {len(pairs)} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
+          f"{seconds:g} s runs")
+    for summary in summarize(pairs, benchmark["end_to_end"]):
+        print(_format(summary))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
