@@ -285,29 +285,18 @@ def _omni_rows(ctx: click.Context):
         found: list[core.PathLossSample | fileio.OutageRow] = []
         pols = sorted({s.pol for s in record.sweeps}, key=lambda p: p.value)
         for pol in pols or [None]:  # no sweeps: the library raises EmptyInputError naming it
+            cells = (record.location_id, record.spec.band, record.env, pol,
+                     Directionality.OMNI, record.distance_m)
             try:
                 pl_db = omni.omni_path_loss_db(record, pol, threshold, dyn_range)
             except core.NoMultipathError as exc:
                 warnings.warn(f"{exc}; emitting outage row", core.OutageWarning)
-                found.append(
-                    fileio.OutageRow(record.location_id, record.spec.band, record.env,
-                                     pol, Directionality.OMNI, record.distance_m)
-                )
+                found.append(fileio.OutageRow(*cells))
                 continue
             except OverflowError as exc:  # finite powers whose sums are not
                 raise OverflowError(
                     f"record {record.location_id!r} ({pol.value}): {exc}") from None
-            found.append(
-                core.PathLossSample(
-                    location_id=record.location_id,
-                    band=record.spec.band,
-                    env=record.env,
-                    pol=pol,
-                    dir=Directionality.OMNI,
-                    distance_m=record.distance_m,
-                    path_loss_db=pl_db,
-                )
-            )
+            found.append(core.PathLossSample(*cells, pl_db))
         return found
 
     return rows
@@ -466,11 +455,8 @@ def _spread_target_for_stem(stem: str):
             env = Environment(part.upper())
         elif part in ("vv", "vh"):
             pol = Polarization(part.upper())
-    if band and env and pol:
-        try:
-            return core.delay_spread_lookup(band, env, pol)
-        except core.UnknownCombinationError:
-            return None
+    if band and env and pol:  # every (band, env, pol) named here is cataloged
+        return core.delay_spread_lookup(band, env, pol)
     return None
 
 

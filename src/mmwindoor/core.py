@@ -2,8 +2,10 @@
 
 All linear powers are milliwatts; dB-valued powers are dBm, gains are dBi,
 losses are dB. Every type is an immutable value object, safe to share across
-threads or processes. The types built once per sample, profile, pointing or set of
-delay moments are slotted, and their ``__init__`` stores each field once through its slot.
+threads or processes. The types built once per sample, profile or pointing are
+slotted, and their ``__init__`` stores each field once through its slot. The delay
+moments (``DelayStats``) are a plain slotted dataclass with a ``__post_init__`` check:
+at their traffic a hand-written ``__init__`` saves too little to keep.
 """
 
 from __future__ import annotations
@@ -307,7 +309,7 @@ class SweepEntry:
 _ENTRY_SETTERS = _slot_setters(SweepEntry)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class DelayStats:
     """Power-weighted delay moments of one PDP."""
 
@@ -316,17 +318,11 @@ class DelayStats:
     rms_delay_spread_ns: float
     total_power_mw: float
 
-    def __init__(self, mean_excess_delay_ns: float, second_moment_ns2: float,
-                 rms_delay_spread_ns: float, total_power_mw: float) -> None:
-        values = (mean_excess_delay_ns, second_moment_ns2, rms_delay_spread_ns, total_power_mw)
-        for name, v, store in zip(_STATS_NAMES, values, _STATS_SETTERS):
+    def __post_init__(self) -> None:
+        for name in self.__slots__:
+            v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            store(self, v)
-
-
-_STATS_NAMES = tuple(f.name for f in fields(DelayStats))
-_STATS_SETTERS = _slot_setters(DelayStats)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import re
-import tempfile
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -165,14 +164,15 @@ def _utf8_slices(text: str, errors: str = "strict"):
 def atomic_write(path: str | Path, text: str) -> None:
     """Write via a temp file in the target directory, then rename into place.
 
-    The file gets the mode a plain ``open`` would create, ``0o666 & ~umask``,
-    not the owner-only mode of the temp file. The temp file is synced before
-    the rename and its directory after it, so a crash leaves the old file or
-    the whole new one.
+    The temp file is created with mode ``0o666``, which the kernel narrows by the
+    umask, so the file gets the mode a plain ``open`` would create. It is synced
+    before the rename and its directory after it, so a crash leaves the old file
+    or the whole new one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             try:
@@ -182,9 +182,6 @@ def atomic_write(path: str | Path, text: str) -> None:
                 raise
             fh.flush()
             os.fsync(fh.fileno())
-        umask = os.umask(0)  # reading the mask means setting it; restore it at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -338,11 +335,6 @@ def _lines(text: str):
                             newline="")
 
 
-def _csv_reader(text: str):
-    """csv rows of ``_lines(text)``; the lines are split, and their fields read, in C."""
-    return csv.reader(_lines(text))
-
-
 @contextlib.contextmanager
 def _csv_rows(text: str, table: _Csv):
     """Give the rows past the header as (record, fields), counting CSV records from 1.
@@ -354,7 +346,7 @@ def _csv_rows(text: str, table: _Csv):
     except ParseError as exc:
         if exc.line is None:
             raise
-        reader = _csv_reader(text)
+        reader = csv.reader(_lines(text))
         end = 0  # the last line of the record before
         for _ in itertools.islice(reader, exc.line - 1):
             end = reader.line_num
@@ -365,7 +357,7 @@ def _records(text: str, table: _Csv):
     """Yield (record, fields) for each row past the header; a leading BOM and blank
     rows before the header are skipped. No header is an EmptyInputError; a wrong
     header or a record the csv module rejects is a ParseError naming its record."""
-    reader = _csv_reader(text)
+    reader = csv.reader(_lines(text))  # the lines are split, and their fields read, in C
     records = itertools.count(1)
     rows = zip(records, reader)  # zip draws from ``records`` first: it counts a rejected record too
     try:
@@ -466,7 +458,9 @@ class _Shape:
         self.keys = frozenset(types)
         self.get = itemgetter(*types)
         self.attrs = attrgetter(*attrs)
-        self.defaults = tuple(declared.get(a, dataclasses.MISSING) for a in attrs)
+        #: Each key with its default, or MISSING where it has none: ``template | obj``
+        #: holds every key of the shape, and an unknown key makes it longer.
+        self.template = {k: declared.get(a, dataclasses.MISSING) for k, a in zip(types, attrs)}
         self.accepted = frozenset(itertools.product(*(t.types for t in types.values())))
         #: (index, length, element type screen) of each array of numbers.
         self.arrays = tuple((i, t.length, t.items.types.issuperset)
@@ -477,35 +471,28 @@ def _read(obj, where: str, shape: _Shape) -> tuple:
     """The values of JSON object ``obj`` in ``shape``'s key order, defaults filled in.
 
     A non-object, a missing or unknown key, or a value of the wrong JSON type
-    is a ParseError naming ``where``. An object with every key passes C-level
-    screens only: its size and one lookup per key, one on its value types and
-    one per array of numbers. Any other object is read key by key.
+    is a ParseError naming ``where``. The values pass C-level screens: one on
+    their types and one per array of numbers. Only an object the screens reject
+    is read key by key, to name its first bad value or to let through a default
+    that JSON cannot hold.
     """
-    if type(obj) is dict and len(obj) == len(shape.names):
-        try:
-            values = shape.get(obj)  # every key is there, so no other key can be
-        except KeyError:
-            return _read_by_key(obj, where, shape)
-        if tuple(map(type, values)) in shape.accepted:
-            for i, length, fits in shape.arrays:
-                value = values[i]
-                if value is not None and not (
-                        (length is None or len(value) == length) and fits(map(type, value))):
-                    break
-            else:
-                return values
-    return _read_by_key(obj, where, shape)
-
-
-def _read_by_key(obj, where: str, shape: _Shape) -> tuple:
     if type(obj) is not dict:
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    missing = [k for k, d in zip(shape.names, shape.defaults)
-               if d is dataclasses.MISSING and k not in obj]
-    if missing:
+    filled = shape.template | obj
+    values = shape.get(filled)
+    if dataclasses.MISSING in values:
+        missing = [k for k, v in zip(shape.names, values) if v is dataclasses.MISSING]
         raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
-    if not obj.keys() <= shape.keys:
+    if len(filled) > len(shape.names):
         raise ParseError(f"{where}: unknown key(s) {sorted(obj.keys() - shape.keys)}")
+    if tuple(map(type, values)) in shape.accepted:
+        for i, length, fits in shape.arrays:
+            value = values[i]
+            if value is not None and not (
+                    (length is None or len(value) == length) and fits(map(type, value))):
+                break
+        else:
+            return values
     for key, t in shape.types.items():
         if key not in obj:
             continue
@@ -515,7 +502,7 @@ def _read_by_key(obj, where: str, shape: _Shape) -> tuple:
         if t.items and value is not None and not t.items.types.issuperset(map(type, value)):
             k = next(k for k, v in enumerate(value) if type(v) not in t.items.types)
             raise ParseError(f"{where}: {key}[{k}] must be {t.items.name}, got {value[k]!r}")
-    return tuple(map(obj.get, shape.names, shape.defaults))
+    return values
 
 
 def _floats(where: str, values) -> tuple[float, ...]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from importlib import resources
 from pathlib import Path
@@ -5,7 +6,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mmwindoor.cli import EXIT_EMPTY, EXIT_PARSE, EXIT_VALIDATION, main
+from mmwindoor import core
+from mmwindoor.cli import EXIT_EMPTY, EXIT_PARSE, EXIT_VALIDATION, _spread_target_for_stem, main
+from mmwindoor.fileio import DELAY_STATS_CSV_HEADER
 
 
 @pytest.fixture
@@ -126,6 +129,16 @@ class TestPdpStats:
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[1] == "no-multipath"
         assert lines[2].split(",")[1] == "ok"
+
+    def test_a_batch_with_no_multipath_has_no_summary(self, runner, tmp_path):
+        f = tmp_path / "zeros.json"
+        f.write_text(json.dumps([{"bin_spacing_ns": 2.5, "powers_mw": [0.0, 0.0]}] * 2))
+        out = tmp_path / "stats.csv"
+        res = runner.invoke(main, ["pdp-stats", str(f), "--csv-out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.stdout.endswith(f"summary: no PDP had detectable multipath\nwrote {out}\n")
+        assert out.read_text() == (f"{DELAY_STATS_CSV_HEADER}\n0,no-multipath,,,,,,,\n"
+                                   "1,no-multipath,,,,,,,\n")
 
     def test_empty_batch(self, runner, tmp_path):
         f = tmp_path / "empty.json"
@@ -340,6 +353,26 @@ class TestReport:
         assert res.exit_code == 0
         assert "catalog target: mean 4.1 ns" in res.output
 
+    @pytest.mark.parametrize("name", ["73ghz_nlos_vh.csv", "73.5ghz_nlos_vh.csv"])
+    def test_73ghz_stems_compared_to_the_73_5ghz_catalog(self, runner, tmp_path, name):
+        f = tmp_path / name
+        f.write_text("10.0\n12.0\n")
+        res = runner.invoke(main, ["report", "--spreads", str(f), "-o", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert ("  catalog target: mean 10.3 ns (delta +0.700), std 10.3 ns, max 143.8 ns, "
+                "p90 26.0 ns\n") in res.stdout
+
+    @pytest.mark.parametrize("token, band", [
+        ("28", core.BAND_28GHZ), ("28ghz", core.BAND_28GHZ),
+        ("73", core.BAND_73GHZ), ("73ghz", core.BAND_73GHZ),
+        ("73.5", core.BAND_73GHZ), ("73.5ghz", core.BAND_73GHZ),
+    ])
+    def test_every_stratum_a_stem_can_name_is_cataloged(self, token, band):
+        # The stem lookup has no fallback for a stratum the catalog lacks.
+        for env, pol in itertools.product(("los", "nlos"), ("vv", "vh")):
+            assert _spread_target_for_stem(f"{token}_{env}_{pol}") == core.delay_spread_lookup(
+                band, core.Environment(env.upper()), core.Polarization(pol.upper()))
+
     @pytest.mark.parametrize("twice", [False, True], ids=["same-stem", "same-path"])
     def test_spreads_files_sharing_a_cdf_name_exit_2_before_writing(self, runner, tmp_path,
                                                                    twice):
@@ -382,6 +415,39 @@ class TestReport:
             if line.strip().startswith("LOS") and " VV " in line and "omni" in line
         )
         assert los_line.rstrip().endswith("1.7")  # catalog cells only, no fitted cells
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("command, written", [
+        ("simulate", ["campaign.csv", "fitback.json"]),
+        ("report", ["cdf_spreads.csv"]),
+    ])
+    def test_o_then_output_dir_then_the_environment(self, runner, tmp_path, monkeypatch,
+                                                    command, written):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        if command == "simulate":
+            cfg = inputs / "cfg.json"
+            cfg.write_text(json.dumps({"band_ghz": 28.0, "env": "NLOS", "pol": "VV",
+                                       "dir": "omni", "n_locations": 20, "seed": 1}))
+            args = ["simulate", str(cfg)]
+        else:
+            spreads = inputs / "spreads.txt"
+            spreads.write_text("1.0\n2.0\n")
+            args = ["report", "--spreads", str(spreads)]
+        monkeypatch.chdir(tmp_path)  # where the default "." would write
+        env = {"MMWINDOOR_OUTPUT_DIR": str(tmp_path / "env")}
+        used = ["in"]
+        for options, out_dir, where in [
+            ([], [], "env"),
+            (["--output-dir", str(tmp_path / "opt")], [], "opt"),
+            (["--output-dir", str(tmp_path / "opt")], ["-o", str(tmp_path / "o")], "o"),
+        ]:
+            res = runner.invoke(main, [*options, *args, *out_dir], env=env)
+            assert res.exit_code == 0, res.output
+            used.append(where)
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(used)
+            assert sorted(p.name for p in (tmp_path / where).iterdir()) == sorted(written)
 
 
 class TestGlobalOptionValidation:

@@ -78,6 +78,7 @@ def test_pdp_stats_string_powers_exit_2(tmp_path):
         ({"band_ghz": "28"}, "record[0]: band_ghz must be a number, got '28'"),
         ({"band_ghz": -28.0}, "record[0]: band_ghz must be finite and > 0, got -28.0"),
         ({"distance_m": True}, "record[0]: distance_m must be a number, got True"),
+        ({"distance_m": 0}, "record[0]: distance_m must be finite and > 0, got 0.0"),
     ],
 )
 def test_synthesize_omni_bad_record_number_exits_2(tmp_path, edits, message):
@@ -240,6 +241,13 @@ def test_synthesize_omni_non_finite_height_exits_2_naming_the_record(tmp_path):
     res = _invoke(["synthesize-omni", str(path)])
     assert res.exit_code == EXIT_PARSE
     assert res.stderr == "error: record[0]: rx_height_m must be finite and > 0, got nan\n"
+
+
+def test_synthesize_omni_unknown_sweep_polarization_exits_2(tmp_path):
+    sweeps = [{"sweep_id": "M1", "pol": "HH", "entries": [ENTRY]}]
+    res = _invoke(["synthesize-omni", _records(tmp_path, sweeps=sweeps)])
+    assert res.exit_code == EXIT_PARSE
+    assert res.stderr == "error: record[0].sweeps[0].pol: unknown value 'HH' (valid: VV, VH)\n"
 
 
 def test_synthesize_omni_record_without_sweeps_exits_4(tmp_path):

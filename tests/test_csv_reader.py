@@ -197,7 +197,7 @@ def _stringio_reader(text):
 def _reads_as_stringio(limit, text):
     old = csv.field_size_limit(limit)  # a small limit makes csv.Error common
     try:
-        assert _read_all(fileio._csv_reader(text)) == _read_all(_stringio_reader(text))
+        assert _read_all(csv.reader(fileio._lines(text))) == _read_all(_stringio_reader(text))
     finally:
         csv.field_size_limit(old)
 
@@ -234,7 +234,7 @@ def test_line_source_across_the_chunk_edge(piece, offset):
     # The text is decoded 8192 bytes at a time, and encoded 2^16 characters at a time;
     # ``piece`` sits on either side of, or straddles, one of those edges.
     text = "a" * offset + piece + 'b,"c\r\nd"\r\ne'
-    got = _read_all(fileio._csv_reader(text))
+    got = _read_all(csv.reader(fileio._lines(text)))
     assert got == _read_all(_stringio_reader(text))
     assert got[-2][0][-1] == "c\r\nd" and got[-1][0] == ["e"]
 

@@ -180,6 +180,13 @@ class TestPercentile:
     def test_constant_values(self):
         assert percentile([3.0, 3.0, 3.0], 0.5) == 3.0
 
+    def test_p_just_past_a_rank_rounds_up(self):
+        # p * n rounds down to exactly 1.0, yet rank 1 covers only 1/3 < p: the next
+        # rank is the smallest whose share reaches p.
+        p = math.nextafter(1 / 3, 1)
+        assert math.ceil(p * 3) == 1
+        assert percentile([1.0, 2.0, 3.0], p) == 2.0
+
     def test_out_of_range_p(self):
         with pytest.raises(ValueError):
             percentile([1.0], 0.0)

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import stat
 import sys
 from importlib import resources
@@ -573,3 +574,27 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask):
     finally:
         os.umask(old)
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # Setting the umask, even to read it, changes it for every thread of the process;
+    # the kernel narrows the temp file's mode by it instead.
+    umask = os.umask(0o022)
+    os.umask(umask)
+    names = []
+    replace = os.replace
+
+    def no_umask(mask):
+        raise AssertionError("atomic_write set the umask")
+
+    def traced_replace(src, dst):
+        names.append(Path(src).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    monkeypatch.setattr(os, "replace", traced_replace)
+    target = tmp_path / "file.txt"
+    atomic_write(target, "text")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    assert re.fullmatch(r"\.file\.txt\.[0-9a-f]{16}\.tmp", names[0])
+    assert list(tmp_path.iterdir()) == [target]

@@ -115,6 +115,7 @@ def test_model_parameters(numbers, message):
     ("params_override", "sigma_db", "NaN", "sigma_db must be finite and >= 0, got nan"),
     ("params_override", "d0_m", "NaN", "d0_m must be finite and > 0, got nan"),
     ("pdp_synthesis", "tap_power_sigma_db", "NaN", "tap_power_sigma_db: must be >= 0, got nan"),
+    ("pdp_synthesis", "span_ns", "NaN", "span_ns: must be finite and >= 0, got nan"),
     ("pdp_synthesis", "noise_floor_mw", "Infinity",
      "noise_floor_mw: must be finite and >= 0, got inf"),
     ("pdp_synthesis", "fixed_tap_delays_ns", "[0, NaN]",
