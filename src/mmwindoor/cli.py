@@ -10,6 +10,7 @@ default output directory comes from ``MMWINDOOR_OUTPUT_DIR`` when set.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import dataclasses
 import itertools
@@ -66,10 +67,28 @@ class _Boundary(click.Group):
 
 
 def _read_text(path: str) -> str:
-    """The text of ``path``, line endings kept: a CR inside a quoted CSV field stays a CR."""
+    """The text of ``path``, line endings and a BOM kept, as ``open(path, encoding="utf-8",
+    newline="").read()`` gives it: a CR inside a quoted CSV field stays a CR. The file is
+    decoded ``fileio._SLICE_CHARS`` bytes at a time onto one text, so its whole bytes are
+    never held beside it."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    text = ""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+        try:
+            with open(path, "rb") as fh:
+                # `while True`, not `while block := ...`: on CPython 3.11 only an
+                # unconditional backward jump warms the loop up, and only then is `+=`
+                # specialized to grow the text in place rather than copy it.
+                while True:
+                    block = fh.read(fileio._SLICE_CHARS)
+                    text += decoder.decode(block, final=not block)
+                    if not block:
+                        return text
+        except UnicodeDecodeError:
+            # Its position counts within the block that failed; a whole read counts it
+            # from the start of the file.
+            with open(path, encoding="utf-8", newline="") as fh:
+                return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise fileio.ParseError(f"cannot read {path}: {exc}") from None
 

@@ -149,8 +149,11 @@ def _csv_field(value) -> str:
     return text
 
 
-#: How many characters of a text are encoded at a time, in both directions: a CSV
-#: input's bytes and an output's are held one slice at a time, never whole.
+#: How much text crosses the file boundary at a time, in both directions: an input
+#: file is read and decoded this many bytes at a time (``cli._read_text``), a CSV
+#: input's text is encoded back this many characters at a time, and an output is
+#: encoded and written this many characters at a time. So no input's or output's
+#: bytes are ever held whole.
 _SLICE_CHARS = 1 << 16
 
 
@@ -338,14 +341,13 @@ def _lines(text: str):
 @contextlib.contextmanager
 def _csv_rows(text: str, table: _Csv):
     """Give the rows past the header as (record, fields), counting CSV records from 1.
-    A ParseError raised in the block that names a record names the physical line the
-    record starts on instead (LF, CRLF and CR each end a line). A quoted field may hold
-    line breaks, so the records are read again for that, and only then."""
+    Every ParseError raised in the block names its record; it is raised again naming
+    the physical line the record starts on instead (LF, CRLF and CR each end a line).
+    A quoted field may hold line breaks, so the records are read again for that, and
+    only then."""
     try:
         yield _records(text, table)
     except ParseError as exc:
-        if exc.line is None:
-            raise
         reader = csv.reader(_lines(text))
         end = 0  # the last line of the record before
         for _ in itertools.islice(reader, exc.line - 1):

@@ -1,6 +1,7 @@
 """The pairs runner's summary on canned benchmark result lines."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,49 @@ def test_the_summary_line_says_whether_the_gap_is_beyond_the_parent_spread():
     line = bench_pairs._format(bench_pairs.summarize(pairs, METRICS[:1])[0])
     assert line.startswith("wall_s: 1.05 [1.025, 1.075] -> 0.55 [0.525, 0.575] (-47.6%), 2/2 won")
     assert "beyond the parent's quartile distance 0.05" in line
+
+
+def test_the_summary_line_prints_the_metric_bound_beside_the_relative_change():
+    pairs = [(_result(wall_s=p), _result(wall_s=c)) for p, c in [(1.0, 1.1), (1.0, 1.2)]]
+    metric = {"name": "wall_s", "better": "lower", "bound": 0.25}
+    line = bench_pairs._format(bench_pairs.summarize(pairs, [metric])[0])
+    assert line.startswith("wall_s: 1 [1, 1] -> 1.15 [1.125, 1.175] (+15.0%, bound 25%), 0/2 won")
+
+
+def test_each_workload_gets_its_own_pairs_and_summary_and_no_file_is_written(
+        tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3, "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}), encoding="utf-8")
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):  # canned result lines
+        runs.append((checkout.name, workload, seed, seconds))
+        rss = {"omni_sweeps": 90.0, "pdp_batch": 76.0}[workload]
+        return _result(wall_s=0.75 + seed / 100,
+                       peak_rss_mb=rss * (0.7 if checkout == change else 1))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "omni_sweeps",
+                             "--workload", "pdp_batch", "--pairs", "2", "--seed", "5"]) == 0
+    assert sorted(tmp_path.rglob("*")) == before
+
+    assert runs == [(side, workload, seed, 3)
+                    for workload in ("omni_sweeps", "pdp_batch")
+                    for seed, order in ((5, ("parent", "change")), (6, ("change", "parent")))
+                    for side in order]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "pair 1 seed 5 (parent first)", "pair 2 seed 6 (change first)",
+        "omni_sweeps, 2 pairs, seeds 5-6, 3 s runs", "wall_s", "peak_rss_mb",
+        "pair 1 seed 5 (parent first)", "pair 2 seed 6 (change first)",
+        "pdp_batch, 2 pairs, seeds 5-6, 3 s runs", "wall_s", "peak_rss_mb"]
+    assert lines[4].startswith(
+        "peak_rss_mb: 90 [90, 90] -> 63 [63, 63] (-30.0%, bound 10%), 2/2 won")
+    assert lines[9].startswith("peak_rss_mb: 76 [76, 76] -> 53.2 [53.2, 53.2] (-30.0%, bound 10%)")
+    assert "(+0.0%, bound 25%), 0/2 won" in lines[3]

@@ -1,7 +1,7 @@
 """Transient memory at the I/O boundary, by tracemalloc: reading a CSV and writing a
 file each hold one bounded slice of the text's bytes at a time, never a whole copy, and
-a JSON batch read item by item holds one chunk of its items at a time. One guard runs a
-command in a child process and bounds its peak resident memory."""
+a JSON batch read item by item holds one chunk of its items at a time. The guards at
+the end run a command in a child process and bound its peak resident memory."""
 
 import json
 import os
@@ -140,8 +140,8 @@ def _has_vmhwm() -> bool:
 
 @pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM line in /proc/self/status")
 def test_synthesize_omni_peak_rss_stays_under_two_and_a_half_inputs(tmp_path):
-    """Reading the file holds its bytes and its text together, about two copies; the
-    records are synthesized as they are built, so no decoded batch adds a third."""
+    """Reading the file holds its text and one block of its bytes, and the records are
+    synthesized as they are built, so no decoded batch adds a second copy."""
     path = tmp_path / "records.json"
     path.write_text(_records_text(300), encoding="utf-8")
     size_kib = path.stat().st_size / 1024
@@ -153,3 +153,24 @@ def test_synthesize_omni_peak_rss_stays_under_two_and_a_half_inputs(tmp_path):
         " prog_name='mmwindoor', standalone_mode=False)", tmp_path)
     assert (tmp_path / "omni.csv").exists()
     assert run - bare < 2.5 * size_kib, (run - bare) / size_kib
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM line in /proc/self/status")
+@pytest.mark.parametrize("command, text", [
+    ("synthesize-omni", lambda: _records_text(300)),
+    ("pdp-stats", lambda: _pdp_batch_text(1200)),
+], ids=["synthesize-omni", "pdp-stats"])
+def test_a_json_command_holds_its_text_and_no_bytes_copy(tmp_path, command, text):
+    """The file is read a block at a time into its one text, so the peak is that text
+    and the parse's working set, well under the text plus the file's whole bytes."""
+    path = tmp_path / "input.json"
+    path.write_text(text(), encoding="utf-8")
+    size_kib = path.stat().st_size / 1024
+    assert size_kib > 7 * 1024
+    bare = _peak_rss_kib("import mmwindoor.cli", tmp_path)
+    run = _peak_rss_kib(
+        "import mmwindoor.cli\n"
+        f"mmwindoor.cli.main.main(args=[{command!r}, 'input.json', '--csv-out', 'out.csv'],"
+        " prog_name='mmwindoor', standalone_mode=False)", tmp_path)
+    assert (tmp_path / "out.csv").exists()
+    assert run - bare < 1.4 * size_kib, (run - bare) / size_kib

@@ -1,14 +1,17 @@
 """Run the benchmark on two checkouts in alternating pairs and compare their end-to-end metrics.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload NAME [--pairs 10] [--seed 1]
-                                 [--seconds S]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload NAME [--workload NAME ...]
+                                 [--pairs 10] [--seed 1] [--seconds S]
 
 Pair ``i`` runs each checkout's own ``perfbench/run.py --trace 0`` once, at seed
 ``--seed + i``; the parent runs first in even pairs and the change in odd ones. The
 run length defaults to ``run_seconds`` of the change's ``BENCHMARK.json``, and the
-metrics and their directions come from its ``end_to_end`` list.
+metrics, their directions and their bounds come from its ``end_to_end`` list. Each
+workload named runs its own pairs, at the same seeds, and gets its own pair list and
+summary block, in the order given.
 
-For each metric it prints each side's median and quartiles, the pairs the change
+For each metric it prints each side's median and quartiles, the relative change of
+the median beside the metric's bound (how much it may worsen), the pairs the change
 won (ties count for neither side) and the gap between the medians beside the
 parent's quartile distance: a gain is claimable when the change wins at least
 nine pairs in ten and the gap exceeds that distance. It writes no file; each
@@ -54,8 +57,9 @@ def value(result: dict, name: str) -> float | None:
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One summary per metric over ``pairs`` of (parent, change) result lines.
 
-    A metric is ``{"name", "better"}`` as BENCHMARK.json declares it; ``better`` is
-    ``"lower"`` or ``"higher"``. A pair whose run lacks the metric is left out of it.
+    A metric is ``{"name", "better"}``, with an optional relative ``"bound"``, as
+    BENCHMARK.json declares it; ``better`` is ``"lower"`` or ``"higher"``. A pair whose
+    run lacks the metric is left out of it.
     """
     summaries = []
     for metric in metrics:
@@ -76,6 +80,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             "gap": gap,
             "parent_iqr": parent[2] - parent[0],
             "relative": gap / parent[1] if parent[1] else None,
+            "bound": metric.get("bound"),
         })
     return summaries
 
@@ -83,18 +88,39 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
 def _format(summary: dict) -> str:
     q1, m, q3 = summary["parent"]
     c1, cm, c3 = summary["change"]
-    relative = "" if summary["relative"] is None else f" ({summary['relative']:+.1%})"
+    notes = [] if summary["relative"] is None else [f"{summary['relative']:+.1%}"]
+    if summary["bound"] is not None:
+        notes.append(f"bound {summary['bound']:.0%}")
+    relative = f" ({', '.join(notes)})" if notes else ""
     beyond = "beyond" if abs(summary["gap"]) > summary["parent_iqr"] else "within"
     return (f"{summary['name']}: {m:.6g} [{q1:.6g}, {q3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]"
             f"{relative}, {summary['wins']}/{summary['pairs']} won; gap {summary['gap']:+.4g} "
             f"{beyond} the parent's quartile distance {summary['parent_iqr']:.4g}")
 
 
+def run_pairs(parent: Path, change: Path, workload: str, seeds: range, seconds: float,
+              metrics: list[dict]) -> list[tuple[dict, dict]]:
+    """(parent, change) result lines of one pair per seed, each printed as it ends."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        sides = {}
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            sides[side] = run_once(parent if side == "parent" else change, workload, seed, seconds)
+        p, c = sides["parent"], sides["change"]
+        pairs.append((p, c))
+        values = ", ".join(f"{m['name']} {value(p, m['name'])} -> {value(c, m['name'])}"
+                           for m in metrics)
+        print(f"pair {i + 1} seed {seed} ({next(iter(sides))} first): {values}; failed "
+              f"{p['failed']}/{p['attempted']} -> {c['failed']}/{c['attempted']}", flush=True)
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload to run; give it once per workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
@@ -103,24 +129,14 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds or benchmark["run_seconds"]
+    seeds = range(args.seed, args.seed + args.pairs)
 
-    pairs = []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        sides = {}
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            sides[side] = run_once(getattr(args, side), args.workload, seed, seconds)
-        parent, change = sides["parent"], sides["change"]
-        pairs.append((parent, change))
-        values = ", ".join(f"{m['name']} {value(parent, m['name'])} -> {value(change, m['name'])}"
-                           for m in benchmark["end_to_end"])
-        print(f"pair {i + 1} seed {seed} ({next(iter(sides))} first): {values}; failed "
-              f"{parent['failed']}/{parent['attempted']} -> {change['failed']}/{change['attempted']}",
-              flush=True)
-    print(f"{args.workload}, {len(pairs)} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
-          f"{seconds:g} s runs")
-    for summary in summarize(pairs, benchmark["end_to_end"]):
-        print(_format(summary))
+    for workload in args.workload:
+        pairs = run_pairs(args.parent, args.change, workload, seeds, seconds,
+                          benchmark["end_to_end"])
+        print(f"{workload}, {len(pairs)} pairs, seeds {seeds[0]}-{seeds[-1]}, {seconds:g} s runs")
+        for summary in summarize(pairs, benchmark["end_to_end"]):
+            print(_format(summary), flush=True)
     return 0
 
 
