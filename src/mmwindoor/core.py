@@ -262,10 +262,6 @@ class Pdp:
         set_powers_mw(self, powers_mw)
         set_noise_floor_mw(self, noise_floor_mw)
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.powers_mw)
-
     def peak_power_mw(self) -> float:
         return max(self.powers_mw)
 

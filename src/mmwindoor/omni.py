@@ -18,7 +18,6 @@ from .core import (
     DuplicateAngleWarning,
     EmptyInputError,
     NoMultipathError,
-    Pdp,
     Polarization,
     SounderSpec,
     SweepSpacingWarning,
@@ -128,11 +127,3 @@ def omni_path_loss_db(record: CampaignRecord, pol: Polarization | None = None,
     pr_omni = omni_received_power_mw(record, pol, threshold_db_above_noise, dynamic_range_db)
     return _link_budget_pl_db(record.spec, pr_omni, f"record {record.location_id!r} "
                               f"({pol.value}): no detectable multipath at any pointing angle")
-
-
-def directional_path_loss_db(record: CampaignRecord, pdp: Pdp,
-                             threshold_db_above_noise: float = THRESHOLD_DB_ABOVE_NOISE,
-                             dynamic_range_db: float = DYNAMIC_RANGE_DB) -> float:
-    """Path loss of a single pointing's PDP under the record's link budget."""
-    p = integrate_power_mw(threshold_pdp(pdp, threshold_db_above_noise, dynamic_range_db))
-    return _link_budget_pl_db(record.spec, p, "no detectable multipath in this PDP")

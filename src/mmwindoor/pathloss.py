@@ -16,14 +16,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _as_rng(rng_seed_or_stream) -> np.random.Generator:
-    import numpy as np  # here, not at import: commands without draws never load numpy
-
-    if isinstance(rng_seed_or_stream, np.random.Generator):
-        return rng_seed_or_stream
-    return np.random.default_rng(rng_seed_or_stream)
-
-
 def free_space_pl_db(band: FrequencyBand, d0_m: float) -> float:
     """Free-space path loss 20*log10(4*pi*d0 / wavelength) in dB."""
     if not 0.0 < d0_m < math.inf:
@@ -46,24 +38,22 @@ def mean_path_loss_db(params: CiModelParams, distance_m: float) -> float:
     )
 
 
-def draw_shadowing(params: CiModelParams, rng_seed_or_stream=None) -> float:
+def draw_shadowing(params: CiModelParams, rng: np.random.Generator) -> float:
     """Draw one zero-mean shadowing realization, in dB, with the model's standard deviation."""
-    rng = _as_rng(rng_seed_or_stream)
     return float(rng.normal(0.0, params.shadow_sigma_db))
 
 
-def sample_path_loss_db(
-    params: CiModelParams, distance_m: float, rng_seed_or_stream=None
-) -> float:
+def sample_path_loss_db(params: CiModelParams, distance_m: float,
+                        rng: np.random.Generator) -> float:
     """One stochastic path loss draw: mean path loss plus shadowing.
 
-    Accepts either a seed or a ``numpy.random.Generator``; passing the same
-    generator state (or seed) always reproduces the same value.
+    The draw comes from the caller's generator, so the same generator state
+    always reproduces the same value; with zero shadowing nothing is drawn.
     """
     mean = mean_path_loss_db(params, distance_m)
     if params.shadow_sigma_db == 0.0:
         return mean
-    return mean + draw_shadowing(params, rng_seed_or_stream)
+    return mean + draw_shadowing(params, rng)
 
 
 def xpd_per_decade_db(co: CiModelParams, cross: CiModelParams) -> float:

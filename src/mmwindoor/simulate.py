@@ -21,6 +21,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .core import (
+    MEASURED_DISTANCE_RANGE_M,
     CiModelParams,
     Directionality,
     Environment,
@@ -31,7 +32,7 @@ from .core import (
     SounderSpec,
     catalog_lookup,
 )
-from .pathloss import free_space_pl_db, sample_path_loss_db
+from .pathloss import sample_path_loss_db
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,7 +93,7 @@ class CampaignConfig:
     pol: Polarization
     dir: Directionality
     n_locations: int
-    distance_range_m: tuple[float, float] = (3.9, 45.9)
+    distance_range_m: tuple[float, float] = MEASURED_DISTANCE_RANGE_M
     seed: int = 0
     params_override: CiModelParams | None = None
     pdp_synthesis: PdpSynthesisConfig | None = None
@@ -231,9 +232,3 @@ def check_link_budget(pl_db: float, spec: SounderSpec) -> LinkStatus:
     if not math.isfinite(pl_db):
         raise ValueError(f"pl_db must be finite, got {pl_db!r}")
     return LinkStatus.OUTAGE if pl_db > spec.max_measurable_pl_db else LinkStatus.MEASURABLE
-
-
-def max_range_m(params: CiModelParams, spec: SounderSpec) -> float:
-    """Distance at which the mean model hits the maximum measurable loss."""
-    plfs = free_space_pl_db(params.band, params.d0_m)
-    return params.d0_m * 10.0 ** ((spec.max_measurable_pl_db - plfs) / (10.0 * params.ple))

@@ -1,5 +1,6 @@
-"""Commands that draw or reduce no arrays never load numpy, and commands that
-decode no batch and write no column of floats never load orjson.
+"""Commands that draw or reduce no arrays never load numpy, commands that
+decode no batch and write no column of floats never load orjson, and a bare
+``import mmwindoor`` loads no submodule.
 
 ``catalog``, ``synthesize-omni``, ``report`` without ``--spreads``, ``--help``
 and every flag error use scalar math only, so importing numpy would be most
@@ -20,9 +21,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = resources.files("mmwindoor") / "data"
 
-#: The modules a child reports on, in the order it prints them.
+#: The modules a child reports on unless told others, in the order it prints them.
 _WATCHED = ("numpy", "orjson")
-#: Runs ``CODE``, then prints which of ``_WATCHED`` are loaded as the last line of stdout.
+#: Runs ``CODE``, then prints which of the watched modules are loaded as the last line of stdout.
 _CHILD = """
 import sys
 try:
@@ -36,17 +37,17 @@ print(*(name in sys.modules for name in {watched!r}), code)
 """
 
 
-def _run(code: str, cwd: Path) -> tuple[set[str], int]:
-    """Which of ``_WATCHED`` the child running ``code`` loaded, and its exit code."""
+def _run(code: str, cwd: Path, watched: tuple[str, ...] = _WATCHED) -> tuple[set[str], int]:
+    """Which of ``watched`` the child running ``code`` loaded, and its exit code."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     child = _CHILD.format(code="\n".join("    " + line for line in code.splitlines()),
-                          watched=_WATCHED)
+                          watched=watched)
     # -B: the child writes no byte code into the source tree.
     res = subprocess.run([sys.executable, "-B", "-c", child], env={"PYTHONPATH": path}, cwd=cwd,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     *loaded, exit_code = res.stdout.splitlines()[-1].split()
-    return {name for name, flag in zip(_WATCHED, loaded) if flag == "True"}, int(exit_code)
+    return {name for name, flag in zip(watched, loaded) if flag == "True"}, int(exit_code)
 
 
 def _cli(*args: str) -> str:
@@ -97,3 +98,9 @@ def test_a_command_that_writes_a_float_column_loads_orjson(tmp_path):
     """The check above can see orjson: ``report --spreads`` writes its CDF through it."""
     (tmp_path / "spreads.txt").write_text("1.0\n2.0\n")
     assert "orjson" in _run(_cli("report", "--spreads", "spreads.txt"), tmp_path)[0]
+
+
+def test_a_bare_import_loads_no_submodule(tmp_path):
+    """The package root holds only ``__version__``: each name is imported from its module."""
+    submodules = ("mmwindoor.core", "mmwindoor.fileio", "mmwindoor.simulate")
+    assert _run("import mmwindoor", tmp_path, submodules) == (set(), 0)

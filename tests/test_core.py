@@ -135,7 +135,7 @@ def test_catalog_dump_matches_golden_file():
 class TestPdpType:
     def test_bins_and_peak(self):
         p = Pdp(2.5, (1.0, 0.0, 0.5))
-        assert p.n_bins == 3
+        assert len(p.powers_mw) == 3
         assert p.peak_power_mw() == 1.0
 
     def test_validation(self):

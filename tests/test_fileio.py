@@ -564,6 +564,15 @@ def test_atomic_write_names_a_lone_surrogate_in_the_whole_text(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_atomic_write_names_a_lone_surrogate_past_the_first_slice(tmp_path):
+    # At the real slice size the surrogate sits in the second slice, at 4464 within it.
+    text = "a" * 70_000 + "\ud800" + "b" * 10
+    with pytest.raises(UnicodeEncodeError) as got:
+        atomic_write(tmp_path / "f", text)
+    assert got.value.start == 70_000 and 70_000 > fileio._SLICE_CHARS
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
 def test_atomic_write_mode_follows_umask(tmp_path, umask):
     # a plain open() creates 0o666 & ~umask; the temp file starts at 0o600

@@ -20,7 +20,6 @@ from mmwindoor.core import (
     sounder_lookup,
 )
 from mmwindoor.omni import (
-    directional_path_loss_db,
     omni_path_loss_db,
     omni_received_power_mw,
     unique_angle_powers_mw,
@@ -144,17 +143,14 @@ class TestPathLoss:
             assert omni_path_loss_db(grown) <= pl_base + 1e-12
 
     def test_omni_loss_bounded_by_best_directional(self):
+        # the omni power sums every pointing's, so it is at least the best pointing's
         rng = np.random.default_rng(22)
         for _ in range(200):
             entries = [
                 _entry(30.0 * k, _pdp(*rng.uniform(1e-4, 1.0, size=2))) for k in range(4)
             ]
             rec = _record([_sweep("M1", entries)])
-            omni_pl = omni_path_loss_db(rec)
-            best_directional = min(
-                directional_path_loss_db(rec, e.pdp) for e in entries
-            )
-            assert omni_pl <= best_directional + 1e-12
+            assert omni_received_power_mw(rec) >= max(unique_angle_powers_mw(rec).values())
 
     def test_antenna_gains_cancel_for_fixed_channel(self):
         # with received power synthesized from a fixed channel loss using the

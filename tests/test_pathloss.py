@@ -85,11 +85,13 @@ class TestSamplePathLoss:
     def test_zero_sigma_equals_mean(self):
         p = _params(2.7, sigma=0.0)
         for seed in (0, 1, 99):
-            assert sample_path_loss_db(p, 20.0, seed) == mean_path_loss_db(p, 20.0)
+            rng = np.random.default_rng(seed)
+            assert sample_path_loss_db(p, 20.0, rng) == mean_path_loss_db(p, 20.0)
 
     def test_fixed_seed_reproducible(self):
         p = _params(2.7, sigma=9.6)
-        assert sample_path_loss_db(p, 20.0, 1234) == sample_path_loss_db(p, 20.0, 1234)
+        assert (sample_path_loss_db(p, 20.0, np.random.default_rng(1234))
+                == sample_path_loss_db(p, 20.0, np.random.default_rng(1234)))
 
     def test_generator_state_owned_by_caller(self):
         p = _params(2.7, sigma=9.6)
@@ -117,7 +119,7 @@ class TestSamplePathLoss:
         assert abs(chi.std() - 4.0) <= 0.02 * 4.0
 
     def test_draw_shadowing_type(self):
-        d = draw_shadowing(_params(2.0, sigma=5.0), 0)
+        d = draw_shadowing(_params(2.0, sigma=5.0), np.random.default_rng(0))
         assert isinstance(d, float)
         for sigma in (math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma_db"):

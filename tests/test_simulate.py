@@ -9,14 +9,12 @@ from click.testing import CliRunner
 from mmwindoor.cli import main as cli_main
 from mmwindoor.core import (
     BAND_28GHZ,
-    BAND_73GHZ,
     CiModelParams,
     Directionality,
     Environment,
     Polarization,
     SOUNDER_28GHZ,
     SOUNDER_73GHZ,
-    catalog_lookup,
 )
 from mmwindoor.estimation import fit_ci_model
 from mmwindoor.pathloss import mean_path_loss_db
@@ -29,7 +27,6 @@ from mmwindoor.simulate import (
     generate_pathloss_campaign,
     generate_pdp_campaign,
     generate_synthetic_pdp,
-    max_range_m,
 )
 
 
@@ -147,7 +144,7 @@ class TestSyntheticPdp:
         rng = np.random.default_rng(1)
         for _ in range(50):
             pdp = generate_synthetic_pdp(cfg, rng)
-            assert (pdp.n_bins - 1) * pdp.bin_spacing_ns <= 25.0
+            assert (len(pdp.powers_mw) - 1) * pdp.bin_spacing_ns <= 25.0
 
     def test_missing_settings_rejected(self):
         with pytest.raises(ValueError, match="pdp_synthesis"):
@@ -206,48 +203,6 @@ class TestLinkBudget:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             check_link_budget(math.nan, SOUNDER_28GHZ)
-
-
-class TestMaxRange:
-    def test_one_decade_case(self):
-        from mmwindoor.pathloss import free_space_pl_db
-        from mmwindoor.core import SounderSpec
-
-        params = CiModelParams(
-            band=BAND_28GHZ, env=Environment.NLOS, pol=Polarization.VV,
-            dir=Directionality.OMNI, ple=2.0, shadow_sigma_db=0.0,
-        )
-        limit = free_space_pl_db(BAND_28GHZ, 1.0) + 20.0
-        spec = SounderSpec(
-            band=BAND_28GHZ, max_tx_power_dbm=24.0, tx_antenna_gain_dbi=15.0,
-            rx_antenna_gain_dbi=15.0, azimuth_hpbw_deg=30.0, elevation_hpbw_deg=28.8,
-            max_measurable_pl_db=limit,
-        )
-        assert max_range_m(params, spec) == pytest.approx(10.0, rel=1e-12)
-
-    def test_28ghz_nlos_vv_sanity_value(self):
-        params = catalog_lookup(BAND_28GHZ, Environment.NLOS, Polarization.VV, Directionality.OMNI)
-        assert max_range_m(params, SOUNDER_28GHZ) == pytest.approx(5.3e3, rel=0.01)
-
-    def test_limit_reached_exactly_at_max_range(self):
-        for band, spec in ((BAND_28GHZ, SOUNDER_28GHZ), (BAND_73GHZ, SOUNDER_73GHZ)):
-            for params in (
-                catalog_lookup(band, Environment.NLOS, Polarization.VV, Directionality.OMNI),
-                catalog_lookup(band, Environment.LOS, Polarization.VH, Directionality.OMNI),
-            ):
-                d = max_range_m(params, spec)
-                assert mean_path_loss_db(params, d) == pytest.approx(
-                    spec.max_measurable_pl_db, abs=1e-6
-                )
-
-    def test_doubling_ple_halves_decades(self):
-        p1 = CiModelParams(band=BAND_28GHZ, env=Environment.NLOS, pol=Polarization.VV,
-                           dir=Directionality.OMNI, ple=2.0, shadow_sigma_db=0.0)
-        p2 = CiModelParams(band=BAND_28GHZ, env=Environment.NLOS, pol=Polarization.VV,
-                           dir=Directionality.OMNI, ple=4.0, shadow_sigma_db=0.0)
-        decades1 = math.log10(max_range_m(p1, SOUNDER_28GHZ))
-        decades2 = math.log10(max_range_m(p2, SOUNDER_28GHZ))
-        assert decades2 == pytest.approx(decades1 / 2.0, rel=1e-12)
 
 
 class TestStreamLayout:
