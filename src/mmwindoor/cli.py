@@ -10,7 +10,6 @@ default output directory comes from ``MMWINDOOR_OUTPUT_DIR`` when set.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import dataclasses
 import itertools
@@ -38,23 +37,15 @@ _EXIT_CODES = (
 )
 
 
-class _IgnoredOptionWarning(UserWarning):
-    """An option that is accepted for compatibility and has no effect."""
-
-
-_WARNINGS = (core.DistanceRangeWarning, core.DuplicateAngleWarning, core.SweepSpacingWarning,
-             core.OutageWarning, core.SkippedStratumWarning, _IgnoredOptionWarning)
-
-
 class _Boundary(click.Group):
     """Runs every command under one exit-code table and one warning sink, with the
     cyclic collector paused: a command makes no cycles worth collecting, and each
-    collection would walk every object it has parsed."""
+    collection would walk every object it has parsed. The sink prints every UserWarning
+    each time it is raised."""
 
     def invoke(self, ctx: click.Context):
         with warnings.catch_warnings(), fileio._gc_paused():
-            for category in _WARNINGS:
-                warnings.simplefilter("always", category)
+            warnings.simplefilter("always", UserWarning)
             warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
             try:
                 return super().invoke(ctx)
@@ -64,33 +55,6 @@ class _Boundary(click.Group):
                         click.echo(f"error: {prefix}{exc}", err=True)
                         raise SystemExit(code) from None
                 raise
-
-
-def _read_text(path: str) -> str:
-    """The text of ``path``, line endings and a BOM kept, as ``open(path, encoding="utf-8",
-    newline="").read()`` gives it: a CR inside a quoted CSV field stays a CR. The file is
-    decoded ``fileio._SLICE_CHARS`` bytes at a time onto one text, so its whole bytes are
-    never held beside it."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    text = ""
-    try:
-        try:
-            with open(path, "rb") as fh:
-                # `while True`, not `while block := ...`: on CPython 3.11 only an
-                # unconditional backward jump warms the loop up, and only then is `+=`
-                # specialized to grow the text in place rather than copy it.
-                while True:
-                    block = fh.read(fileio._SLICE_CHARS)
-                    text += decoder.decode(block, final=not block)
-                    if not block:
-                        return text
-        except UnicodeDecodeError:
-            # Its position counts within the block that failed; a whole read counts it
-            # from the start of the file.
-            with open(path, encoding="utf-8", newline="") as fh:
-                return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise fileio.ParseError(f"cannot read {path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -173,7 +137,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     """Fit close-in models to path-loss samples, one fit per stratum."""
     if band_ghz is not None and not 0.0 < band_ghz < math.inf:  # a band's own rule
         raise ValueError(f"--band-ghz must be finite and > 0, got {band_ghz}")
-    samples = fileio.parse_pathloss_csv(_read_text(input_csv))
+    samples = fileio.parse_pathloss_csv(fileio.read_text(input_csv))
     strata = {
         (band, env, pol, dir_): group
         for (band, env, pol, dir_), group in _group_by_stratum(samples).items()
@@ -192,7 +156,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
     for (band, env, pol, dir_), group in sorted(
         strata.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2].value, kv[0][3].value)
     ):
-        stratum = _stratum_label(band, env, pol, dir_)
+        stratum = core.stratum_label(band, env, pol, dir_)
         try:  # a fit that is no model (ple <= 0, or NLOS_BEST omni) is skipped
             result = estimation.fit_ci_model(group, d0_m=d0_m)
             model = core.CiModelParams(band, env, pol, dir_, result.ple_hat,
@@ -213,11 +177,6 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
         _write(csv_out, fileio.emit_fit_csv(models))
 
 
-def _stratum_label(band: core.FrequencyBand, env: Environment, pol: Polarization,
-                   dir_: Directionality) -> str:
-    return f"({band.label}, {env.value}, {pol.value}, {dir_.value})"
-
-
 def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
     """Samples per stratum, each group in input order."""
     groups: dict = {}
@@ -233,7 +192,7 @@ def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
 @click.pass_context
 def pdp_stats(ctx, input_json, csv_out):
     """Delay statistics for a batch of PDPs: one row per PDP plus a summary."""
-    per_pdp = fileio.parse_pdp_batch(_read_text(input_json), each=_delay_row(ctx))
+    per_pdp = fileio.parse_pdp_batch(fileio.read_text(input_json), each=_delay_row(ctx))
     summary = _spread_summary(per_pdp)
     lines = [f"{'pdp':>5} {'status':>14} {'mean_ns':>10} {'rms_ns':>10} {'power_mw':>12}"]
     for i, status, stats in per_pdp:
@@ -287,7 +246,7 @@ def _spread_summary(per_pdp: list):
 @click.pass_context
 def synthesize_omni(ctx, record_json, csv_out):
     """Synthesize omnidirectional path loss from directional sweep records."""
-    per_record = fileio.parse_campaign_records(_read_text(record_json), each=_omni_rows(ctx))
+    per_record = fileio.parse_campaign_records(fileio.read_text(record_json), each=_omni_rows(ctx))
     text = fileio.emit_pathloss_csv(itertools.chain.from_iterable(per_record))
     if csv_out:
         _write(csv_out, text)
@@ -331,8 +290,8 @@ def _omni_rows(ctx: click.Context):
 def simulate_cmd(ctx, config_json, out_dir, workers):
     """Generate a synthetic campaign, then fit it back against its own parameters."""
     if workers is not None:
-        warnings.warn("--workers is ignored; generation is serial", _IgnoredOptionWarning)
-    config = fileio.parse_campaign_config(_read_text(config_json))
+        warnings.warn("--workers is ignored; generation is serial")
+    config = fileio.parse_campaign_config(fileio.read_text(config_json))
     if ctx.obj["seed"] is not None:
         config = dataclasses.replace(config, seed=ctx.obj["seed"])
 
@@ -391,7 +350,7 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         cdf_names[name] = path
     models = core.CI_MODEL_CATALOG  # with no fitted table, the catalog is compared with itself
     if fit_csv is not None:
-        text = _read_text(fit_csv)
+        text = fileio.read_text(fit_csv)
         with _naming(fit_csv):
             models = fileio.parse_fit_csv(text)
     # A fitted model is compared only with a cataloged model of its stratum and anchor:
@@ -407,7 +366,7 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         else:
             fitted[m.stratum] = m
             continue
-        warnings.warn(f"skipping stratum {_stratum_label(*m.stratum)}: {reason}",
+        warnings.warn(f"skipping stratum {core.stratum_label(*m.stratum)}: {reason}",
                       core.SkippedStratumWarning)
 
     click.echo("close-in model parameters (catalog vs fitted)")
@@ -439,7 +398,7 @@ def report(ctx, fit_csv, spreads_files, out_dir):
 
     spreads = []  # every file is read and summarized before any CDF file is written
     for path in spreads_files:
-        text = _read_text(path)
+        text = fileio.read_text(path)
         with _naming(path):
             values = fileio.parse_spread_values(text)
             spreads.append((path, values, estimation.summarize_spreads(values)))

@@ -477,9 +477,15 @@ def _lookup(index: dict, what: str, band: FrequencyBand | float, *rest: Enum):
     try:
         return index[key]
     except KeyError:
-        names = ", ".join([key[0].label, *(member.value for member in rest)])
-        raise UnknownCombinationError(
-            f"no cataloged {what} for {f'({names})' if rest else names}") from None
+        raise UnknownCombinationError(f"no cataloged {what} for {stratum_label(*key)}") from None
+
+
+def stratum_label(band: FrequencyBand, *members: Enum) -> str:
+    """A stratum as every message names it, ``(28 GHz, NLOS, VV, omni)``; a band alone
+    is its label, ``60 GHz``."""
+    if not members:
+        return band.label
+    return f"({', '.join([band.label, *(member.value for member in members)])})"
 
 
 def catalog_lookup(

@@ -365,7 +365,7 @@ FITTED_ROW = "28.0,LOS,VV,omni,{},{},{}"
         ([FITTED_ROW.format(1.1, "inf", 1.0)], "line 2: sigma_db must be finite and >= 0, got inf"),
         ([FITTED_ROW.format(1.1, 1.7, -1.0)], "line 2: d0_m must be finite and > 0, got -1.0"),
         ([FITTED_ROW.format(1.1, 1.7, 1.0), "28,LOS,VV,omni,1.2,1.8,1.0"],
-         "line 3: repeated stratum (28.0 GHz, LOS, VV, omni)"),
+         "line 3: repeated stratum (28 GHz, LOS, VV, omni)"),
     ],
     ids=["nan-ple", "inf-sigma", "negative-d0", "repeated-stratum"],
 )

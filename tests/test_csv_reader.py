@@ -23,6 +23,7 @@ from mmwindoor.core import (
     BAND_28GHZ,
     BAND_73GHZ,
     CiModelParams,
+    DelayStats,
     Directionality,
     EmptyInputError,
     Environment,
@@ -45,7 +46,6 @@ from mmwindoor.fileio import (
     parse_pathloss_csv,
     parse_spread_values,
 )
-from mmwindoor.pdp import DelayStats
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 

@@ -1,7 +1,7 @@
 """No dead names in the package: a simplification that removes the last use of
 an import, a private helper or a public name must remove it too.
 
-Three rules, read from the source with ``ast`` (no linter is needed):
+Four rules, read from the source with ``ast`` (no linter is needed):
 
 * every name a module imports is used in that module. ``from __future__``
   imports are exempt;
@@ -13,7 +13,9 @@ Three rules, read from the source with ``ast`` (no linter is needed):
   whole word) or by the benchmark's tracer (``<module>.<name>``). The click
   commands registered with ``@main.command`` are exempt. The library has one
   surface, reached by module path: ``__init__.py`` holds only its docstring
-  and ``__version__``.
+  and ``__version__``;
+* only ``fileio`` opens a file: it owns the file boundary both ways, so no other
+  module calls ``open``, ``io.open``, ``os.open`` or ``os.fdopen``.
 """
 
 import ast
@@ -125,3 +127,15 @@ def test_every_public_name_is_used():
               if not name.startswith("_") and not used(module, name)]
     assert not unused, ("public but used by no other module, the acceptance suite, README.md "
                         "or the benchmark:\n" + "\n".join(unused))
+
+
+#: The calls that open a file, as ``ast.unparse`` writes their callee.
+OPENERS = {"open", "io.open", "os.open", "os.fdopen"}
+
+
+def test_only_fileio_opens_a_file():
+    opened = [f"{module}:{node.lineno}: {ast.unparse(node.func)}"
+              for module, tree in TREES.items() if module != "fileio.py"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) in OPENERS]
+    assert not opened, "a file opened outside fileio:\n" + "\n".join(opened)

@@ -15,6 +15,7 @@ from mmwindoor.core import (
     delay_spread_lookup,
 )
 from mmwindoor.estimation import (
+    SpreadSummary,
     empirical_cdf,
     fit_ci_model,
     percentile,
@@ -256,3 +257,16 @@ class TestSummarizeSpreads:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             summarize_spreads([])
+
+    @pytest.mark.parametrize("mean, p90, message", [
+        (-0.5, 1.0, "mean_ns must lie in [0, max_ns]"),
+        (2.5, 1.0, "mean_ns must lie in [0, max_ns]"),
+        (math.nan, 1.0, "mean_ns must lie in [0, max_ns]"),
+        (1.0, 2.5, "p90_ns cannot exceed max_ns"),
+    ], ids=["negative-mean", "mean-above-max", "nan-mean", "p90-above-max"])
+    def test_summary_keeps_mean_and_p90_within_max(self, mean, p90, message):
+        for edge in ({"mean_ns": 0.0}, {"mean_ns": 2.0}, {"p90_ns": 2.0}):  # bounds are in
+            SpreadSummary(**{"mean_ns": 1.0, "std_ns": 0.5, "max_ns": 2.0, "p90_ns": 1.0, **edge})
+        with pytest.raises(ValueError) as exc:
+            SpreadSummary(mean_ns=mean, std_ns=0.5, max_ns=2.0, p90_ns=p90)
+        assert str(exc.value) == message

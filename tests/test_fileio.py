@@ -365,7 +365,7 @@ class TestSpreadValues:
 
     def test_delay_stats_csv_column(self):
         from mmwindoor.estimation import SpreadSummary
-        from mmwindoor.pdp import DelayStats
+        from mmwindoor.core import DelayStats
 
         stats = DelayStats(5.0, 50.0, 5.0, 2.0)
         text = emit_delay_stats_csv(
@@ -381,7 +381,7 @@ class TestSpreadValues:
     @staticmethod
     def _stats_csv(rms):
         from mmwindoor.estimation import SpreadSummary
-        from mmwindoor.pdp import DelayStats
+        from mmwindoor.core import DelayStats
 
         text = emit_delay_stats_csv([(0, "ok", DelayStats(5.0, 50.0, 5.0, 2.0))],
                                     SpreadSummary(5.0, 0.0, 5.0, 5.0))

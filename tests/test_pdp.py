@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mmwindoor.core import NoMultipathError, Pdp
+from mmwindoor.core import DelayStats, NoMultipathError, Pdp
 from mmwindoor.pdp import (
-    DelayStats,
     delay_stats,
     excess_delay_rebase,
     integrate_power_mw,

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwindoor import cli
-from mmwindoor.cli import _read_text
-from mmwindoor.fileio import _SLICE_CHARS, ParseError
+from mmwindoor import fileio
+from mmwindoor.fileio import _SLICE_CHARS, ParseError, read_text
 
 #: Any code point but a lone surrogate, which UTF-8 cannot hold.
 CHARS = st.characters(blacklist_categories=("Cs",))
@@ -37,8 +36,8 @@ def test_reads_what_a_whole_file_read_reads(tmp_path_factory, text):
     with open(path, encoding="utf-8", newline="") as fh:
         whole = fh.read()
     assert whole == text
-    with mock.patch.object(cli, "open", wraps=open, create=True) as opened:
-        assert _read_text(str(path)) == whole
+    with mock.patch.object(fileio, "open", wraps=open, create=True) as opened:
+        assert read_text(str(path)) == whole
     # Once, in binary: a valid file never falls back to a whole read.
     assert opened.call_args_list == [mock.call(str(path), "rb")]
 
@@ -53,5 +52,5 @@ def test_a_decode_error_names_its_byte_from_the_start_of_the_file(tmp_path, data
     path = tmp_path / "input.txt"
     path.write_bytes(data)
     with pytest.raises(ParseError) as got:
-        _read_text(str(path))
+        read_text(str(path))
     assert str(got.value) == f"cannot read {path}: 'utf-8' codec can't decode {reason}"

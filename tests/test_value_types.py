@@ -16,6 +16,7 @@ import pytest
 
 from mmwindoor.core import (
     BAND_28GHZ,
+    DelayStats,
     Directionality,
     Environment,
     FrequencyBand,
@@ -25,7 +26,6 @@ from mmwindoor.core import (
     SweepEntry,
 )
 from mmwindoor.fileio import OutageRow
-from mmwindoor.pdp import DelayStats
 
 NAN, INF = math.nan, math.inf
 STRATUM = (BAND_28GHZ, Environment.LOS, Polarization.VV, Directionality.OMNI)

@@ -19,6 +19,7 @@ from mmwindoor.core import (
     BAND_28GHZ,
     BAND_73GHZ,
     CiModelParams,
+    DelayStats,
     Directionality,
     Environment,
     PathLossSample,
@@ -41,7 +42,6 @@ from mmwindoor.fileio import (
     emit_pathloss_csv,
     emit_pdp_batch,
 )
-from mmwindoor.pdp import DelayStats
 from test_json_reader import configs, records
 
 SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
