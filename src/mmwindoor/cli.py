@@ -151,8 +151,7 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
 
     d0_m = ctx.obj["d0_m"]
     models = []
-    header = f"{'band':>9} {'env':>9} {'pol':>4} {'dir':>13} {'n':>6} {'ple':>7} {'sigma_db':>9}"
-    click.echo(header)
+    lines = [f"{'band':>9} {'env':>9} {'pol':>4} {'dir':>13} {'n':>6} {'ple':>7} {'sigma_db':>9}"]
     for (band, env, pol, dir_), group in sorted(
         strata.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2].value, kv[0][3].value)
     ):
@@ -167,12 +166,13 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
             warnings.warn(f"skipping stratum {stratum}: {exc}", core.SkippedStratumWarning)
             continue
         models.append(model)
-        click.echo(
+        lines.append(
             f"{band.label:>9} {env.value:>9} {pol.value:>4} {dir_.value:>13} "
             f"{len(group):>6d} {model.ple:>7.3f} {model.shadow_sigma_db:>9.3f}"
         )
     if not models:
         raise core.EmptyInputError("every stratum was empty or unfittable")
+    click.echo("\n".join(lines))  # once every stratum is fitted: a failed fit prints no table
     if csv_out:
         _write(csv_out, fileio.emit_fit_csv(models))
 
@@ -369,6 +369,13 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         warnings.warn(f"skipping stratum {core.stratum_label(*m.stratum)}: {reason}",
                       core.SkippedStratumWarning)
 
+    spreads = []  # every file is read and summarized before a line is printed or written
+    for path in spreads_files:
+        text = fileio.read_text(path)
+        with _naming(path):
+            values = fileio.parse_spread_values(text)
+            spreads.append((path, values, estimation.summarize_spreads(values)))
+
     click.echo("close-in model parameters (catalog vs fitted)")
     bands = sorted({p.band for p in core.CI_MODEL_CATALOG})
     for band in bands:
@@ -396,12 +403,6 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         "  at 73.5 GHz)."
     )
 
-    spreads = []  # every file is read and summarized before any CDF file is written
-    for path in spreads_files:
-        text = fileio.read_text(path)
-        with _naming(path):
-            values = fileio.parse_spread_values(text)
-            spreads.append((path, values, estimation.summarize_spreads(values)))
     for path, values, summary in spreads:
         stem = Path(path).stem
         click.echo(

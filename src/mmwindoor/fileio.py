@@ -6,7 +6,6 @@ reproduces a file exactly.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import dataclasses
@@ -153,42 +152,31 @@ def _csv_field(value) -> str:
     return text
 
 
-#: How much text crosses the file boundary at a time, in both directions: an input
-#: file is read and decoded this many bytes at a time (``read_text``), a CSV
-#: input's text is encoded back this many characters at a time, and an output is
-#: encoded and written this many characters at a time. So no input's or output's
-#: bytes are ever held whole.
+#: How much text crosses the file boundary at a time, in characters, in both
+#: directions: an input is read this many at a time through the io text layer
+#: (``read_text``), a CSV input's lines are cut from its text in slices of about this
+#: many (``_lines``), and an output is written this many at a time (``atomic_write``).
+#: So no input's or output's bytes are ever held whole.
 _SLICE_CHARS = 1 << 16
-
-
-def _utf8_slices(text: str, errors: str = "strict"):
-    """``text``'s UTF-8 bytes, ``_SLICE_CHARS`` characters at a time. A slice of a
-    ``str`` ends between code points, so no character's bytes are split. An encode
-    error is raised at its position in the whole text."""
-    for start in range(0, len(text), _SLICE_CHARS):
-        try:
-            yield text[start:start + _SLICE_CHARS].encode("utf-8", errors)
-        except UnicodeEncodeError as exc:
-            raise UnicodeEncodeError(exc.encoding, text, start + exc.start, start + exc.end,
-                                     exc.reason) from None
 
 
 def read_text(path: str) -> str:
     """The text of ``path``, line endings and a BOM kept, as ``open(path, encoding="utf-8",
     newline="").read()`` gives it: a CR inside a quoted CSV field stays a CR. The file is
-    decoded ``_SLICE_CHARS`` bytes at a time onto one text, so its whole bytes are never
-    held beside it. A file that cannot be read or decoded is a ParseError."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
+    read ``_SLICE_CHARS`` characters at a time onto one text, so its whole bytes are
+    never held beside it. A file that cannot be read or decoded is a ParseError."""
     text = ""
     try:
         try:
-            with open(path, "rb") as fh:
+            with open(path, encoding="utf-8", newline="") as fh:
                 # `while True`, not `while block := ...`: on CPython 3.11 only an
                 # unconditional backward jump warms the loop up, and only then is `+=`
-                # specialized to grow the text in place rather than copy it.
+                # specialized to grow the text in place rather than copy it. A tracer or
+                # profiler turns that growth off, so under one every block copies the
+                # text read so far: its read time is not the program's.
                 while True:
                     block = fh.read(_SLICE_CHARS)
-                    text += decoder.decode(block, final=not block)
+                    text += block
                     if not block:
                         return text
         except UnicodeDecodeError:
@@ -213,8 +201,13 @@ def atomic_write(path: str | Path, text: str) -> None:
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(_utf8_slices(text))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            for start in range(0, len(text), _SLICE_CHARS):
+                try:
+                    fh.write(text[start:start + _SLICE_CHARS])
+                except UnicodeEncodeError as exc:  # its position, counted in the whole text
+                    raise UnicodeEncodeError(exc.encoding, text, start + exc.start,
+                                             start + exc.end, exc.reason) from None
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -343,31 +336,28 @@ def _emit_csv(table: _Csv, rows: Iterable, getters: Sequence[Callable] = ()) -> 
     return "\n".join([",".join(table.columns), *map(",".join, zip(*cells)), ""])
 
 
-class _Utf8Source(io.RawIOBase):
-    """A binary stream of ``text``'s UTF-8 bytes, lone surrogates passed through,
-    that encodes the next slice only when the last one is read."""
-
-    def __init__(self, text: str):
-        self._slices = _utf8_slices(text, "surrogatepass")
-        self._rest = memoryview(b"")  # what is left of the slice being read
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        if not self._rest:  # no slice is empty, so an empty one is the end
-            self._rest = memoryview(next(self._slices, b""))
-        n = min(len(buffer), len(self._rest))
-        buffer[:n], self._rest = self._rest[:n], self._rest[n:]
-        return n
+#: A line break, as a file opened with ``newline=""`` ends a line: LF, CRLF or CR.
+_BREAK = re.compile(r"\r\n?|\n")
 
 
 def _lines(text: str):
     """The lines of ``text`` past one leading BOM, as from a file opened with
-    ``newline=""``: each ends at LF, CRLF or CR and keeps its line break. The text
-    is held as one encoded slice at a time, never as a whole second copy."""
-    return io.TextIOWrapper(_Utf8Source(text), encoding="utf-8-sig", errors="surrogatepass",
-                            newline="")
+    ``newline=""``: each ends at LF, CRLF or CR and keeps its line break. They are split,
+    in C, by one ``io.StringIO`` per slice of the text, so only one slice is held again
+    at a time, at 4 bytes a character; a line longer than a slice is held whole."""
+    return itertools.chain.from_iterable(map(functools.partial(io.StringIO, newline=""),
+                                             _slices(text)))
+
+
+def _slices(text: str):
+    """``text`` past one leading BOM, in slices that each end just past the first line
+    break at or after their ``_SLICE_CHARS``-th character, so no CRLF is split."""
+    start = text.startswith(_BOM)
+    while start < len(text):
+        found = _BREAK.search(text, start + _SLICE_CHARS - 1)
+        end = found.end() if found else len(text)
+        yield text[start:end]
+        start = end
 
 
 @contextlib.contextmanager

@@ -105,6 +105,7 @@ def test_report_non_finite_spread_exits_2(tmp_path):
     res = _invoke(["report", "--spreads", str(path), "-o", str(tmp_path)])
     assert res.exit_code == EXIT_PARSE
     assert f"error: {path}: line 2: value: not a finite number: 'nan'" in res.output
+    assert res.stdout == ""
 
 
 def test_report_reads_every_spreads_file_before_writing_any(tmp_path, monkeypatch):
@@ -438,6 +439,7 @@ def test_fit_overflowing_stratum_exits_3_naming_it(tmp_path):
     assert res.exit_code == EXIT_VALIDATION
     assert res.stderr == ("error: stratum (28 GHz, LOS, VV, omni): the samples overflow a float "
                           "(ple -20.061437304785386, sigma inf)\n")
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("stratum, rows, reason", [
@@ -456,6 +458,7 @@ def test_fit_skips_a_stratum_that_is_no_model(tmp_path, stratum, rows, reason):
     band, env, pol, dir_ = stratum.split(",")
     assert res.stderr == (f"warning: skipping stratum (28 GHz, {env}, {pol}, {dir_}): {reason}\n"
                           "error: no samples: every stratum was empty or unfittable\n")
+    assert res.stdout == ""
     assert not out.exists()
 
 

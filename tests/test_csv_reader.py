@@ -231,8 +231,8 @@ def test_line_source_in_small_slices_reads_as_stringio(slice_chars, limit, text)
                          ids=["CRLF", "4-byte", "2-byte-CRLF", "BOM", "lone-surrogate"])
 @pytest.mark.parametrize("offset", [*range(8188, 8193), *range(65534, 65537)])
 def test_line_source_across_the_chunk_edge(piece, offset):
-    # The text is decoded 8192 bytes at a time, and encoded 2^16 characters at a time;
-    # ``piece`` sits on either side of, or straddles, one of those edges.
+    # ``piece`` sits on either side of, or straddles, 8192 characters (an io text
+    # layer's chunk) or the 2^16-th character, past which a slice ends at a line break.
     text = "a" * offset + piece + 'b,"c\r\nd"\r\ne'
     got = _read_all(csv.reader(fileio._lines(text)))
     assert got == _read_all(_stringio_reader(text))

@@ -1,5 +1,6 @@
 """Reading an input a block at a time gives the text a whole-file read gives, and a
-decode error names its byte counted from the start of the file."""
+decode error names its byte counted from the start of the file. The io text layer
+decodes the file 8192 bytes at a time under each block read."""
 
 from unittest import mock
 
@@ -30,6 +31,8 @@ def _across_blocks(draw):
 @example("\ufeffa,b\r\nc\rd\n")  # a BOM is kept, and every line break
 @example("é" * _SLICE_CHARS)  # 2 bytes each: the first block ends on a whole character
 @example("a" + "€" * _SLICE_CHARS)  # 3 bytes each: every block cuts one
+@example("a" * 8191 + "€")  # a 3-byte character across the io layer's 8192-byte decode chunk
+@example("a" * (_SLICE_CHARS - 1) + "\r\nb")  # a CR ends one read, its LF starts the next
 def test_reads_what_a_whole_file_read_reads(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("read") / "input.txt"
     path.write_bytes(text.encode("utf-8"))
@@ -38,8 +41,8 @@ def test_reads_what_a_whole_file_read_reads(tmp_path_factory, text):
     assert whole == text
     with mock.patch.object(fileio, "open", wraps=open, create=True) as opened:
         assert read_text(str(path)) == whole
-    # Once, in binary: a valid file never falls back to a whole read.
-    assert opened.call_args_list == [mock.call(str(path), "rb")]
+    # Once, in text mode: a valid file never falls back to a whole read.
+    assert opened.call_args_list == [mock.call(str(path), encoding="utf-8", newline="")]
 
 
 @pytest.mark.parametrize("data, reason", [
