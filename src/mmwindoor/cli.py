@@ -67,13 +67,15 @@ def _naming(path: str):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _write(path: str | Path, text: str, done: str = "wrote {}") -> None:
-    """Write ``text`` atomically, then echo ``done`` with the path filled in."""
+def _write(path: str | Path, text: str, done: str = "wrote {}") -> str:
+    """Write ``text`` atomically and return ``done`` with the path filled in, the line
+    that reports the file. A command echoes it only once all its files are written, so
+    a failed write prints nothing of its table."""
     try:
         fileio.atomic_write(path, text)
     except OSError as exc:
         raise fileio.ParseError(f"cannot write {path}: {exc}") from None
-    click.echo(done.format(path))
+    return done.format(path)
 
 
 def _out_path(ctx: click.Context, name: str, explicit_dir: str | None) -> Path:
@@ -116,7 +118,7 @@ def catalog(full, output):
     payload = core.full_catalog_dump() if full else core.ci_model_rows()
     text = json.dumps(payload, indent=2) + "\n"
     if output:
-        _write(output, text)
+        click.echo(_write(output, text))
     else:
         click.echo(text, nl=False)
 
@@ -172,9 +174,9 @@ def fit(ctx, input_csv, band_ghz, env_filter, pol_filter, dir_filter, csv_out):
         )
     if not models:
         raise core.EmptyInputError("every stratum was empty or unfittable")
-    click.echo("\n".join(lines))  # once every stratum is fitted: a failed fit prints no table
     if csv_out:
-        _write(csv_out, fileio.emit_fit_csv(models))
+        lines.append(_write(csv_out, fileio.emit_fit_csv(models)))
+    click.echo("\n".join(lines))  # once every stratum is fitted and written: no partial table
 
 
 def _group_by_stratum(samples: list[core.PathLossSample]) -> dict:
@@ -210,9 +212,9 @@ def pdp_stats(ctx, input_json, csv_out):
         )
     else:
         lines.append("summary: no PDP had detectable multipath")
-    click.echo("\n".join(lines))  # one write, not one per profile
     if csv_out:
-        _write(csv_out, fileio.emit_delay_stats_csv(per_pdp, summary))
+        lines.append(_write(csv_out, fileio.emit_delay_stats_csv(per_pdp, summary)))
+    click.echo("\n".join(lines))  # one write, not one per profile
 
 
 def _delay_row(ctx: click.Context):
@@ -249,7 +251,7 @@ def synthesize_omni(ctx, record_json, csv_out):
     per_record = fileio.parse_campaign_records(fileio.read_text(record_json), each=_omni_rows(ctx))
     text = fileio.emit_pathloss_csv(itertools.chain.from_iterable(per_record))
     if csv_out:
-        _write(csv_out, text)
+        click.echo(_write(csv_out, text))
     else:
         click.echo(text, nl=False)
 
@@ -306,8 +308,8 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
     samples = simulate.generate_pathloss_campaign(config)
     fitres = estimation.fit_ci_model(samples, d0_m=params.d0_m)
 
-    _write(_out_path(ctx, "campaign.csv", out_dir), fileio.emit_pathloss_csv(samples),
-           f"wrote {{}} ({len(samples)} locations)")
+    click.echo(_write(_out_path(ctx, "campaign.csv", out_dir), fileio.emit_pathloss_csv(samples),
+                      f"wrote {{}} ({len(samples)} locations)"))
     fitback = {
         "stratum": {"band_ghz": config.band.ghz, "env": config.env.value,
                     "pol": config.pol.value, "dir": config.dir.value},
@@ -320,7 +322,8 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
             "sigma_db": fitres.sigma_hat_db - params.shadow_sigma_db,
         },
     }
-    _write(_out_path(ctx, "fitback.json", out_dir), json.dumps(fitback, indent=2) + "\n")
+    click.echo(_write(_out_path(ctx, "fitback.json", out_dir),
+                      json.dumps(fitback, indent=2) + "\n"))
     click.echo(
         f"fit-back: ple {fitres.ple_hat:.4f} vs {params.ple} "
         f"(delta {fitres.ple_hat - params.ple:+.4f}), "
@@ -328,8 +331,8 @@ def simulate_cmd(ctx, config_json, out_dir, workers):
         f"(delta {fitres.sigma_hat_db - params.shadow_sigma_db:+.4f})"
     )
     if config.pdp_synthesis is not None:
-        _write(_out_path(ctx, "pdps.json", out_dir), fileio.emit_pdp_batch(profiles))
-        _write(_out_path(ctx, "delay_stats.csv", out_dir), stats_text)
+        click.echo(_write(_out_path(ctx, "pdps.json", out_dir), fileio.emit_pdp_batch(profiles)))
+        click.echo(_write(_out_path(ctx, "delay_stats.csv", out_dir), stats_text))
 
 
 @main.command()
@@ -369,12 +372,16 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         warnings.warn(f"skipping stratum {core.stratum_label(*m.stratum)}: {reason}",
                       core.SkippedStratumWarning)
 
-    spreads = []  # every file is read and summarized before a line is printed or written
+    spreads = []  # every file is read and summarized before a file is written
     for path in spreads_files:
         text = fileio.read_text(path)
         with _naming(path):
             values = fileio.parse_spread_values(text)
             spreads.append((path, values, estimation.summarize_spreads(values)))
+    wrote = [  # and every CDF file is written before a line is printed
+        _write(_out_path(ctx, f"cdf_{Path(path).stem}.csv", out_dir),
+               fileio.emit_cdf_csv(estimation.empirical_cdf(values)), "  wrote {}")
+        for path, values, _ in spreads]
 
     click.echo("close-in model parameters (catalog vs fitted)")
     bands = sorted({p.band for p in core.CI_MODEL_CATALOG})
@@ -403,7 +410,7 @@ def report(ctx, fit_csv, spreads_files, out_dir):
         "  at 73.5 GHz)."
     )
 
-    for path, values, summary in spreads:
+    for (path, values, summary), done in zip(spreads, wrote):
         stem = Path(path).stem
         click.echo(
             f"\ndelay spreads [{stem}]: n={len(values)}, mean {summary.mean_ns:.3f} ns, "
@@ -417,8 +424,7 @@ def report(ctx, fit_csv, spreads_files, out_dir):
                 f"{summary.mean_ns - target.mean_ns:+.3f}), std {target.std_ns} ns, "
                 f"max {target.max_ns} ns, p90 {target.p90_ns} ns"
             )
-        _write(_out_path(ctx, f"cdf_{stem}.csv", out_dir),
-               fileio.emit_cdf_csv(estimation.empirical_cdf(values)), "  wrote {}")
+        click.echo(done)
 
 
 def _spread_target_for_stem(stem: str):

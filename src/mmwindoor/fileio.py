@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import errno
 import functools
 import gc
 import io
@@ -197,7 +198,10 @@ def atomic_write(path: str | Path, text: str) -> None:
     or the whole new one.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except FileExistsError as exc:  # the parent is there, as a file: name it no directory
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), exc.filename) from None
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
@@ -581,7 +585,7 @@ def _pdp_from_obj(obj, where: str) -> Pdp:
 
 
 #: About how many powers ``emit_pdp_batch`` formats with one ``orjson.dumps``: their
-#: text is held only until the chunk's profiles are laid out.
+#: text is held only until the chunk's profiles are laid out onto the batch's text.
 _EMIT_CHUNK_BINS = 1 << 13
 
 
@@ -591,26 +595,32 @@ def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
         return "[]\n"
     import orjson  # off the import path of the commands that write no batch
 
-    objs = []
-    start = 0
-    while start < len(pdps):
-        stop, bins = start, 0
-        while stop < len(pdps) and bins < _EMIT_CHUNK_BINS:
-            bins += len(pdps[stop].powers_mw)
-            stop += 1
+    # Each chunk is laid out and appended to the one text at once, so the batch is held
+    # once, with no list of its pieces beside it, while CPython grows the text in place.
+    # It does so only at a warmed-up `+=`. So both brackets ride on the loop's two
+    # appends (3.12 and 3.13 copy the whole text at a `+=` run once, after the loop),
+    # and the loop is a `for`, whose backward jump warms up even the one call
+    # `simulate` makes (3.11 copies under a conditional `while`). Under a tracer or
+    # profiler it copies, as in `read_text`.
+    text = ""
+    start = bins = 0
+    for stop, profile in enumerate(pdps, start=1):
+        bins += len(profile.powers_mw)
+        if bins < _EMIT_CHUNK_BINS and stop < len(pdps):
+            continue
         chunk = pdps[start:stop]
         # Pdp stores its numbers as finite floats, so float repr is their JSON form.
         # The chunk's powers go out as one array of arrays, "[[p, ...],[p, ...]]".
         arrays = _repr_layout(orjson.dumps([p.powers_mw for p in chunk]).decode())
-        for p, powers in zip(chunk, arrays[2:-2].split("],[")):
-            objs.append(
-                '  {\n    "bin_spacing_ns": %r,\n    "noise_floor_mw": %r,\n'
-                '    "powers_mw": [\n      %s\n    ]\n  }'
-                % (p.bin_spacing_ns, p.noise_floor_mw, powers.replace(",", ",\n      ")))
-        start = stop
-    objs[0] = "[\n" + objs[0]  # the brackets ride on the end parts: one join, no copy of the whole
-    objs[-1] += "\n]\n"
-    return ",\n".join(objs)
+        text += ",\n" if start else "[\n"
+        text += ",\n".join(
+            '  {\n    "bin_spacing_ns": %r,\n    "noise_floor_mw": %r,\n'
+            '    "powers_mw": [\n      %s\n    ]\n  }'
+            % (p.bin_spacing_ns, p.noise_floor_mw, powers.replace(",", ",\n      "))
+            for p, powers in zip(chunk, arrays[2:-2].split("],["))
+        ) + ("\n]\n" if stop == len(pdps) else "")
+        start, bins = stop, 0
+    return text
 
 
 def _load_json(text: str):

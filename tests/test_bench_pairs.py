@@ -62,6 +62,47 @@ def test_the_summary_line_prints_the_metric_bound_beside_the_relative_change():
     assert line.startswith("wall_s: 1 [1, 1] -> 1.15 [1.125, 1.175] (+15.0%, bound 25%), 0/2 won")
 
 
+SPREAD = [0.6, 0.8, 1.0, 1.2, 1.4] * 2  # inclusive quartiles 0.8 and 1.2: distance 0.4
+
+
+@pytest.mark.parametrize("walls, verdict", [
+    # 9/10 won, gap -0.2 beyond a zero quartile distance.
+    ([(1.0, 0.8)] * 9 + [(1.0, 1.1)], "gain"),
+    # The same gap on 8/10 won is no gain, and no worse than the bound.
+    ([(1.0, 0.8)] * 8 + [(1.0, 1.1)] * 2, "flat"),
+    # 10/10 won, but the gap of -0.01 is within the parent's quartile distance.
+    ([(p, p - 0.01) for p in [0.9, 0.95, 1.0, 1.05, 1.1] * 2], "flat"),
+    # +30 % against a bound of 25 %.
+    ([(1.0, 1.3)] * 10, "worse"),
+    # Worse than the bound outranks a parent spread wider than it.
+    ([(p, p + 0.3) for p in SPREAD], "worse"),
+    # The parent's quartile distance, 40 % of its median, exceeds the bound.
+    ([(p, p) for p in SPREAD], "unresolved"),
+    # A gain outranks a parent spread wider than the bound.
+    ([(p, p - 0.5) for p in SPREAD], "gain"),
+], ids=["gain", "too-few-wins", "gap-within-spread", "worse", "worse-and-wide",
+        "unresolved", "gain-and-wide"])
+def test_each_metric_gets_a_verdict(walls, verdict):
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "items_per_s", "better": "higher", "bound": 0.25}]
+    pairs = [(_result(wall_s=p, items_per_s=1 / p), _result(wall_s=c, items_per_s=1 / c))
+             for p, c in walls]
+    wall, items = bench_pairs.summarize(pairs, metrics)
+    assert wall["verdict"] == verdict
+    assert bench_pairs._format(wall).endswith(f"the parent's quartile distance "
+                                              f"{wall['parent_iqr']:.4g}: {verdict}")
+    if verdict == "gain":  # higher is better: the same pairs win, by a wide gap
+        assert items["verdict"] == "gain"
+
+
+def test_a_metric_without_a_bound_is_gain_or_flat():
+    pairs = [(_result(wall_s=p), _result(wall_s=c)) for p, c in [(1.0, 3.0)] * 10]
+    (wall,) = bench_pairs.summarize(pairs, METRICS[:1])
+    assert wall["verdict"] == "flat"
+    pairs = [(_result(wall_s=p), _result(wall_s=c)) for p, c in [(1.0, 0.5)] * 10]
+    assert bench_pairs.summarize(pairs, METRICS[:1])[0]["verdict"] == "gain"
+
+
 def test_each_workload_gets_its_own_pairs_and_summary_and_no_file_is_written(
         tmp_path, monkeypatch, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"

@@ -2,10 +2,13 @@
 single table, warnings print as they are raised, and anything outside the table
 still propagates."""
 
+import errno
 import gc
 import json
+import os
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -70,6 +73,10 @@ def test_unreadable_input_and_unwritable_output_exit_2(tmp_path, argv, message):
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"error: {message.format(**fields)}: " in res.stderr
     assert "Traceback" not in res.output
+    assert res.stdout == ""  # a failed write prints nothing of the command's table
+    if message.startswith("cannot write "):  # the parent that is no directory is named
+        parent = Path(message.format(**fields).removeprefix("cannot write ")).parent
+        assert f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{parent}'" in res.stderr
 
 
 def test_failing_simulate_writes_nothing(tmp_path):

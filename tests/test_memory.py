@@ -117,17 +117,21 @@ def test_items_used_as_they_are_built_hold_one_chunk_of_the_batch(parse, text, s
     assert held >= len(text), held / len(text)
 
 
-def _peak_rss_kib(code: str, cwd: Path) -> int:
-    """VmHWM of a child that runs ``code``, in KiB."""
-    child = code + (
-        "\nwith open('/proc/self/status', encoding='ascii') as fh:"
-        "\n    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))")
+def _child(code: str, cwd: Path) -> str:
+    """The last line a child that runs ``code`` prints."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     # -B: the child writes no byte code into the source tree.
-    res = subprocess.run([sys.executable, "-B", "-c", child], env={"PYTHONPATH": path},
+    res = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": path},
                          cwd=cwd, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    return int(res.stdout.splitlines()[-1])
+    return res.stdout.splitlines()[-1]
+
+
+def _peak_rss_kib(code: str, cwd: Path) -> int:
+    """VmHWM of a child that runs ``code``, in KiB."""
+    return int(_child(code + (
+        "\nwith open('/proc/self/status', encoding='ascii') as fh:"
+        "\n    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))"), cwd))
 
 
 def _has_vmhwm() -> bool:
@@ -174,3 +178,24 @@ def test_a_json_command_holds_its_text_and_no_bytes_copy(tmp_path, command, text
         " prog_name='mmwindoor', standalone_mode=False)", tmp_path)
     assert (tmp_path / "out.csv").exists()
     assert run - bare < 1.4 * size_kib, (run - bare) / size_kib
+
+
+def test_emitting_a_pdp_batch_holds_its_text_once(tmp_path):
+    """Each chunk of profiles is laid out and appended to the one text, so no list of
+    the whole batch's pieces is held beside it. The call runs cold, in a fresh
+    interpreter, as ``simulate`` makes it: CPython grows the text in place only where
+    the loop warms up. Below a few dozen chunks the chunk's own working set is most of
+    the transient, so the batch stays this large."""
+    transient, size = map(int, _child(
+        "import random, tracemalloc\n"
+        "from mmwindoor.core import Pdp\n"
+        "from mmwindoor.fileio import emit_pdp_batch\n"
+        "rng = random.Random(5)\n"
+        "pdps = [Pdp(2.5, [rng.expovariate(1e9) for _ in range(320)], 1e-9)"
+        " for _ in range(1000)]\n"
+        "tracemalloc.start()\n"
+        "text = emit_pdp_batch(pdps)\n"
+        "current, peak = tracemalloc.get_traced_memory()\n"
+        "print(peak - current, len(text))", tmp_path).split())
+    assert size > 6_000_000
+    assert transient < 0.25 * size, transient / size

@@ -13,9 +13,17 @@ summary block, in the order given.
 For each metric it prints each side's median and quartiles, the relative change of
 the median beside the metric's bound (how much it may worsen), the pairs the change
 won (ties count for neither side) and the gap between the medians beside the
-parent's quartile distance: a gain is claimable when the change wins at least
-nine pairs in ten and the gap exceeds that distance. It writes no file; each
-benchmark run cleans up its own work directory.
+parent's quartile distance. Then its verdict, the first that holds of:
+
+- ``gain``: the change won at least nine pairs in ten, and the gap is beyond the
+  parent's quartile distance in the better direction;
+- ``worse``: the median is worse than the parent's by more than the bound;
+- ``unresolved``: the parent's quartile distance exceeds the bound, so a move
+  within it cannot be told from the run-to-run spread;
+- ``flat``: anything else.
+
+A metric without a bound is ``gain`` or ``flat``. It writes no file; each benchmark
+run cleans up its own work directory.
 """
 
 from __future__ import annotations
@@ -71,16 +79,30 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         parent = quartiles([p for p, _ in values])
         change = quartiles([c for _, c in values])
         gap = change[1] - parent[1]
+        wins = sum(c < p if lower else c > p for p, c in values)
+        parent_iqr = parent[2] - parent[0]
+        bound = metric.get("bound")
+        gain = -gap if lower else gap  # the gap in the better direction: > 0 is a gain
+        allowed = None if bound is None else bound * abs(parent[1])  # the worsening allowed
+        if 10 * wins >= 9 * len(values) and gain > parent_iqr:
+            verdict = "gain"
+        elif allowed is not None and -gain > allowed:
+            verdict = "worse"
+        elif allowed is not None and parent_iqr > allowed:
+            verdict = "unresolved"
+        else:
+            verdict = "flat"
         summaries.append({
             "name": name,
             "pairs": len(values),
             "parent": parent,
             "change": change,
-            "wins": sum(c < p if lower else c > p for p, c in values),
+            "wins": wins,
             "gap": gap,
-            "parent_iqr": parent[2] - parent[0],
+            "parent_iqr": parent_iqr,
             "relative": gap / parent[1] if parent[1] else None,
-            "bound": metric.get("bound"),
+            "bound": bound,
+            "verdict": verdict,
         })
     return summaries
 
@@ -95,7 +117,8 @@ def _format(summary: dict) -> str:
     beyond = "beyond" if abs(summary["gap"]) > summary["parent_iqr"] else "within"
     return (f"{summary['name']}: {m:.6g} [{q1:.6g}, {q3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]"
             f"{relative}, {summary['wins']}/{summary['pairs']} won; gap {summary['gap']:+.4g} "
-            f"{beyond} the parent's quartile distance {summary['parent_iqr']:.4g}")
+            f"{beyond} the parent's quartile distance {summary['parent_iqr']:.4g}: "
+            f"{summary['verdict']}")
 
 
 def run_pairs(parent: Path, change: Path, workload: str, seeds: range, seconds: float,

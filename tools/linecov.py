@@ -14,12 +14,15 @@ Three limits:
   listed as never run.
 - Tracing changes what some tests measure, so they can fail without any defect.
   The four tests of ``tests/test_memory.py`` that bound a parse's transient memory
-  fail under it. Acceptance test 03 bounds a run at 5 s: traced, it took 4.6 s on
+  fail under it; the one that bounds ``emit_pdp_batch``'s runs it in an untraced
+  child, as ``simulate`` runs it, and passes. Acceptance test 03 bounds a run at 5 s: traced, it took 4.6 s on
   a 2-core host, and failed on a busier one (1 failed and 869 passed, in 186 s).
 - On CPython 3.11 tracing turns off the in-place growth of ``fileio.read_text``'s
   ``text += block``, so every block copies the text read so far. On the 30.3 MB
   ``omni_sweeps`` input the read took 0.016 s untraced and 0.74 s under
-  ``sys.settrace`` (2-core host), so a traced read time is not the program's.
+  ``sys.settrace`` (2-core host), so a traced read time is not the program's. A
+  traced ``fileio.emit_pdp_batch`` likewise copies the batch laid out so far at
+  every chunk.
 """
 
 from __future__ import annotations
