@@ -364,39 +364,29 @@ def _slices(text: str):
         start = end
 
 
-@contextlib.contextmanager
-def _csv_rows(text: str, table: _Csv):
-    """Give the rows past the header as (record, fields), counting CSV records from 1.
-    Every ParseError raised in the block names its record; it is raised again naming
-    the physical line the record starts on instead (LF, CRLF and CR each end a line).
-    A quoted field may hold line breaks, so the records are read again for that, and
-    only then."""
-    try:
-        yield _records(text, table)
-    except ParseError as exc:
-        reader = csv.reader(_lines(text))
-        end = 0  # the last line of the record before
-        for _ in itertools.islice(reader, exc.line - 1):
-            end = reader.line_num
-        raise ParseError(exc.message, end + 1) from None
-
-
-def _records(text: str, table: _Csv):
-    """Yield (record, fields) for each row past the header; a leading BOM and blank
-    rows before the header are skipped. No header is an EmptyInputError; a wrong
-    header or a record the csv module rejects is a ParseError naming its record."""
+def _rows(text: str, table: _Csv):
+    """Yield (line, fields) for each row past the header, ``line`` the physical line its
+    record starts on: LF, CRLF and CR each end a line, and a quoted field may hold line
+    breaks. A leading BOM and blank rows before the header are skipped. No header is an
+    EmptyInputError; a wrong header or a record the csv module rejects is a ParseError
+    naming the line it starts on."""
     reader = csv.reader(_lines(text))  # the lines are split, and their fields read, in C
-    records = itertools.count(1)
-    rows = zip(records, reader)  # zip draws from ``records`` first: it counts a rejected record too
+    line = 1
     try:
-        record, header = next(itertools.dropwhile(lambda row: _is_blank(row[1]), rows), (1, None))
-        if header is None:
+        for header in reader:
+            if not _is_blank(header):
+                break
+            line = reader.line_num + 1
+        else:
             raise EmptyInputError(table.empty)
         if [h.strip() for h in header] != list(table.columns):
-            raise ParseError(f"unexpected header {','.join(header)!r}", record)
-        yield from rows
+            raise ParseError(f"unexpected header {','.join(header)!r}", line)
+        line = reader.line_num + 1
+        for fields in reader:
+            yield line, fields
+            line = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(str(exc), next(records) - 1) from None
+        raise ParseError(str(exc), line) from None
 
 
 def _is_blank(fields: list[str]) -> bool:
@@ -406,7 +396,7 @@ def _is_blank(fields: list[str]) -> bool:
 def _row(table: _Csv, fields: list[str], line: int):
     """What ``table`` builds from one row, or None for a blank row. A wrong field
     count, a bad token or an out-of-domain value is a ParseError naming ``line``
-    (a CSV record, or a line of a one-column file)."""
+    (the line a CSV record starts on, or a line of a one-column file)."""
     if _is_blank(fields):
         return None
     if len(fields) != len(table.columns):
@@ -430,8 +420,8 @@ def parse_pathloss_csv(text: str) -> list[PathLossSample]:
     bands: dict[str, FrequencyBand] = {}  # band token -> band, filled by the row reader
     samples: list[PathLossSample] = []
     append = samples.append
-    with _gc_paused(), _csv_rows(text, _PATHLOSS) as rows:
-        for record, fields in rows:
+    with _gc_paused():
+        for line, fields in _rows(text, _PATHLOSS):
             try:
                 loc, band_s, env_s, pol_s, dir_s, dist_s, pl_s = fields
                 append(PathLossSample(loc, bands[band_s], envs[env_s], pols[pol_s],
@@ -439,7 +429,7 @@ def parse_pathloss_csv(text: str) -> list[PathLossSample]:
                 continue
             except (KeyError, ValueError):
                 pass
-            sample = _row(_PATHLOSS, fields, record)
+            sample = _row(_PATHLOSS, fields, line)
             if type(sample) is PathLossSample:
                 bands[fields[1]] = sample.band
                 append(sample)
@@ -584,8 +574,8 @@ def _pdp_from_obj(obj, where: str) -> Pdp:
         raise ParseError(f"{where}: {exc}") from None
 
 
-#: About how many powers ``emit_pdp_batch`` formats with one ``orjson.dumps``: their
-#: text is held only until the chunk's profiles are laid out onto the batch's text.
+#: About how many powers ``emit_pdp_batch`` lays out with one ``orjson.dumps``: their
+#: text is held only until it is appended to the batch's text.
 _EMIT_CHUNK_BINS = 1 << 13
 
 
@@ -595,8 +585,11 @@ def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
         return "[]\n"
     import orjson  # off the import path of the commands that write no batch
 
-    # Each chunk is laid out and appended to the one text at once, so the batch is held
-    # once, with no list of its pieces beside it, while CPython grows the text in place.
+    # A chunk's objects take their keys, in order, from ``_PDP``, the table that reads
+    # them. One orjson.dumps lays them out in json.dumps(indent=2)'s layout, and Pdp
+    # stores its numbers as finite floats, so ``_repr_layout`` makes each float its repr.
+    # Each chunk is appended to the one text at once, so the batch is held once, with no
+    # list of its pieces beside it, while CPython grows the text in place.
     # It does so only at a warmed-up `+=`. So both brackets ride on the loop's two
     # appends (3.12 and 3.13 copy the whole text at a `+=` run once, after the loop),
     # and the loop is a `for`, whose backward jump warms up even the one call
@@ -608,17 +601,10 @@ def emit_pdp_batch(pdps: Sequence[Pdp]) -> str:
         bins += len(profile.powers_mw)
         if bins < _EMIT_CHUNK_BINS and stop < len(pdps):
             continue
-        chunk = pdps[start:stop]
-        # Pdp stores its numbers as finite floats, so float repr is their JSON form.
-        # The chunk's powers go out as one array of arrays, "[[p, ...],[p, ...]]".
-        arrays = _repr_layout(orjson.dumps([p.powers_mw for p in chunk]).decode())
+        objs = [dict(zip(_PDP.names, _PDP.attrs(p))) for p in pdps[start:stop]]
+        laid = _repr_layout(orjson.dumps(objs, option=orjson.OPT_INDENT_2).decode())
         text += ",\n" if start else "[\n"
-        text += ",\n".join(
-            '  {\n    "bin_spacing_ns": %r,\n    "noise_floor_mw": %r,\n'
-            '    "powers_mw": [\n      %s\n    ]\n  }'
-            % (p.bin_spacing_ns, p.noise_floor_mw, powers.replace(",", ",\n      "))
-            for p, powers in zip(chunk, arrays[2:-2].split("],["))
-        ) + ("\n]\n" if stop == len(pdps) else "")
+        text += laid[2:-2] + ("\n]\n" if stop == len(pdps) else "")  # the objects, unbracketed
         start, bins = stop, 0
     return text
 
@@ -669,15 +655,15 @@ def _orjson_chunks(text: str):
     Element 0 is json's; orjson decodes the rest in chunks of about ``_CHUNK_CHARS``,
     cut where the text between elements 0 and 1 (element 0's closing brackets, the
     comma, element 1's opening up to its first key) occurs again. The cut is only a
-    hint: one inside a string or a nested value leaves a chunk that is no array.
+    hint: one inside a string or a nested value leaves a chunk that is no array. Each
+    chunk but the last is closed with a ``]``; the last runs to the end of the text and
+    brings the array's own closing bracket, so orjson rejects an unclosed array or
+    trailing data there, and the text is read front to back once.
     """
     import orjson  # off the import path of the commands that read no batch
 
     start = _SPACE.match(text).end()
-    stop = len(text)
-    while stop > start and text[stop - 1] in " \t\n\r":
-        stop -= 1
-    if not text.startswith("[", start) or not text.endswith("]", 0, stop):
+    if not text.startswith("[", start):
         raise _JsonOnly
     element = _SPACE.match(text, start + 1).end()
     try:
@@ -693,15 +679,14 @@ def _orjson_chunks(text: str):
     cut, resume = end - closing, pos - closing  # offsets into the separator
     elements = [first]
     del first  # the list alone holds element 0, which it drops when element 0 is built
-    close = stop - 1  # the array's closing bracket
     while True:
         yield elements
-        found = text.find(separator, pos + _CHUNK_CHARS, close)
-        chunk = text[pos:close if found < 0 else found + cut]
+        found = text.find(separator, pos + _CHUNK_CHARS)
+        chunk = text[pos:] if found < 0 else text[pos:found + cut] + "]"
         if chunk.count("[") + chunk.count("{") > _MAX_OPENERS:
             raise _JsonOnly
         try:
-            elements = orjson.loads("[" + chunk + "]")
+            elements = orjson.loads("[" + chunk)
         except orjson.JSONDecodeError:  # a bad cut, NaN, 1e400, a lone surrogate, invalid JSON
             raise _JsonOnly from None
         del chunk
@@ -942,13 +927,12 @@ def emit_fit_csv(models: Iterable[CiModelParams]) -> str:
 def parse_fit_csv(text: str) -> list[CiModelParams]:
     """The models of a fitted table, in file order; a stratum may appear once."""
     models = {}  # stratum -> model
-    with _csv_rows(text, _FITTED) as rows:
-        for record, fields in rows:
-            model = _row(_FITTED, fields, record)
-            if model is not None:
-                if model.stratum in models:
-                    raise ParseError(f"repeated stratum {stratum_label(*model.stratum)}", record)
-                models[model.stratum] = model
+    for line, fields in _rows(text, _FITTED):
+        model = _row(_FITTED, fields, line)
+        if model is not None:
+            if model.stratum in models:
+                raise ParseError(f"repeated stratum {stratum_label(*model.stratum)}", line)
+            models[model.stratum] = model
     if not models:
         raise EmptyInputError("fitted-table CSV has no rows")
     return list(models.values())
@@ -983,9 +967,8 @@ def parse_spread_values(text: str) -> list[float]:
     break at LF, CRLF and CR only, as the csv module breaks them."""
     first = _FIRST_LINE.match(text, text.startswith(_BOM))[1]
     if not first or "," in first:  # a blank file: an empty CSV
-        with _csv_rows(text, _DELAY_STATS) as rows:
-            values = [value for record, fields in rows
-                      if (value := _row(_DELAY_STATS, fields, record)) is not None]
+        values = [value for line, fields in _rows(text, _DELAY_STATS)
+                  if (value := _row(_DELAY_STATS, fields, line)) is not None]
     else:
         values = [_row(_SPREAD_LINES, [token.strip()], line)
                   for line, token in enumerate(_lines(text), start=1) if token.strip()]

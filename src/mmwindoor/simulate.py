@@ -148,20 +148,24 @@ def generate_pathloss_campaign(config: CampaignConfig) -> list[PathLossSample]:
     width = len(str(max(config.n_locations - 1, 1)))
     samples = []
     blocks = zip(_block_streams(config, _DISTANCE), _block_streams(config, _SHADOWING))
-    for (indices, distance_rng), (_, shadow_rng) in blocks:
-        distances = distance_rng.uniform(lo, hi, size=len(indices)).tolist()
-        for i, d in zip(indices, distances):
-            samples.append(
-                PathLossSample(
-                    location_id=f"loc{i:0{width}d}",
-                    band=config.band,
-                    env=config.env,
-                    pol=config.pol,
-                    dir=config.dir,
-                    distance_m=d,
-                    path_loss_db=sample_path_loss_db(params, d, shadow_rng),
+    try:
+        for (indices, distance_rng), (_, shadow_rng) in blocks:
+            distances = distance_rng.uniform(lo, hi, size=len(indices)).tolist()
+            for i, d in zip(indices, distances):
+                samples.append(
+                    PathLossSample(
+                        location_id=f"loc{i:0{width}d}",
+                        band=config.band,
+                        env=config.env,
+                        pol=config.pol,
+                        dir=config.dir,
+                        distance_m=d,
+                        path_loss_db=sample_path_loss_db(params, d, shadow_rng),
+                    )
                 )
-            )
+    except ValueError as exc:  # a shadowing draw that takes the loss to 0 dB or below
+        raise ValueError(f"location loc{i:0{width}d} at {d!r} m, sigma_db "
+                         f"{params.shadow_sigma_db!r}: {exc}") from None
     return samples
 
 

@@ -140,3 +140,59 @@ def test_each_workload_gets_its_own_pairs_and_summary_and_no_file_is_written(
         "peak_rss_mb: 90 [90, 90] -> 63 [63, 63] (-30.0%, bound 10%), 2/2 won")
     assert lines[9].startswith("peak_rss_mb: 76 [76, 76] -> 53.2 [53.2, 53.2] (-30.0%, bound 10%)")
     assert "(+0.0%, bound 25%), 0/2 won" in lines[3]
+
+
+def test_out_writes_every_pair_in_run_order_with_provenance_and_the_summaries(
+        tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3, "end_to_end": metrics}),
+                                           encoding="utf-8")
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):  # canned provenance and result lines
+        side = "change" if checkout == change else "parent"
+        result = _result(wall_s=seed / (20 if side == "change" else 10))
+        result["provenance"] = {"git_sha": f"{side}-sha", "src_sha256": f"{side}-tree",
+                                "python": "3.11.7", "numpy": "2.4.6", "click": "8.4.0",
+                                "nproc": 2, "workload": workload, "seed": seed}
+        runs.append((side, result))
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_0.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "fit_strata",
+                             "--pairs", "3", "--seed", "7", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert bench_pairs.main([str(parent), str(change), "--workload", "fit_strata",
+                             "--pairs", "3", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == printed  # --out prints nothing more
+
+    bench = json.loads(out.read_text(encoding="utf-8"))
+    for side in ("parent", "change"):
+        assert bench[side] == {"git_sha": f"{side}-sha", "src_sha256": f"{side}-tree",
+                               "python": "3.11.7", "numpy": "2.4.6", "click": "8.4.0",
+                               "nproc": 2}
+    assert bench["seconds"] == 3
+    (workload,) = bench["workloads"]
+    assert workload["name"] == "fit_strata"
+    assert [(p["seed"], p["first"]) for p in workload["pairs"]] == [
+        (7, "parent"), (8, "change"), (9, "parent")]
+    assert [p["parent"]["metrics"]["wall_s"] for p in workload["pairs"]] == [0.7, 0.8, 0.9]
+    assert workload["pairs"][0]["change"] == {"metrics": {"wall_s": 0.35}, "failed": 0,
+                                              "attempted": 5}
+    sides = [dict(runs[k:k + 2]) for k in range(0, 6, 2)]  # the first main's pairs
+    pairs = [(side["parent"], side["change"]) for side in sides]
+    assert workload["summaries"] == json.loads(json.dumps(bench_pairs.summarize(pairs, metrics)))
+
+
+def test_every_committed_bench_file_loads_and_names_both_shas():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted(root.glob("BENCH_*.json")):
+        bench = json.loads(path.read_text(encoding="utf-8"))
+        for side in ("parent", "change"):
+            sha = bench[side]["git_sha"]
+            assert isinstance(sha, str) and len(sha) == 40 and int(sha, 16) >= 0, (path, side)
+        assert bench["workloads"], path

@@ -314,6 +314,20 @@ def test_simulate_negative_seed_flag_exits_3_naming_the_key(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_names_the_location_whose_drawn_path_loss_is_not_positive(tmp_path):
+    """A shadowing spread of 25 dB at 1-2 m draws a loss below 0 dB: the error names the
+    location and its distance and the sigma_db that drew it, and nothing is written."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"band_ghz": 28.0, "env": "LOS", "pol": "VV", "dir": "omni",
+                                  "n_locations": 2000, "distance_range_m": [1, 2],
+                                  "params_override": {"ple": 2.0, "sigma_db": 25}}))
+    res = _invoke(["simulate", str(config), "-o", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_VALIDATION
+    assert res.stderr == ("error: location loc0264 at 1.8878034452914807 m, sigma_db 25.0: "
+                          "path_loss_db must be finite and > 0, got -0.7899585777199007\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _report_spreads(tmp_path, monkeypatch, text):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spreads.csv").write_text(text)

@@ -169,6 +169,29 @@ def test_a_rejected_record_names_its_first_line(tmp_path):
     assert res.stderr == "error: line 4: field larger than field limit (131072)\n"
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("parse, header, spanning, bad, message", [
+    (parse_pathloss_csv, PATHLOSS_CSV_HEADER, '"a{nl}b{nl}c",28.0,LOS,VV,omni,10.0,70.0',
+     "d,28.0,LOS,VV", "expected 7 fields, found 4"),
+    (parse_fit_csv, FIT_CSV_HEADER, '28.0,LOS,VV,omni,"2.0{nl}{nl}",3.0,1.0',
+     "28.0,LOS,VV,omni,2.0,3.0,1.0", "repeated stratum (28 GHz, LOS, VV, omni)"),
+    (parse_spread_values, DELAY_STATS_CSV_HEADER, '0,"o{nl}{nl}k",1.0,2.0,3.0,,,,',
+     "1,ok,1.0,-2.0,3.0,,,,", "rms_delay_spread_ns: must be >= 0, got -2.0"),
+], ids=["pathloss", "fitted", "delay-stats"])
+def test_a_parse_reads_its_text_once_even_with_a_bad_row(monkeypatch, parse, header, spanning,
+                                                          bad, message, newline):
+    """Each record carries the line it starts on, so naming a bad row's line reads no
+    line of the text a second time."""
+    calls = []
+    lines = fileio._lines
+    monkeypatch.setattr(fileio, "_lines", lambda text: calls.append(text) or lines(text))
+    text = newline.join([header, "", spanning.format(nl=newline), bad])  # lines 1, 2, 3-5, 6
+    with pytest.raises(ParseError) as got:
+        parse(text)
+    assert str(got.value) == f"line 6: {message}"
+    assert calls == [text]
+
+
 # --------------------------------------------------------------------------- line source
 
 #: What a line source may get wrong: each break csv or ``str.splitlines`` knows, NUL,
@@ -252,9 +275,8 @@ def _spread_values_by_split(text):
     LF, CRLF and CR, and its form told from the first non-blank one."""
     lines = re.split(r"\r\n?|\n", text.removeprefix("\ufeff"))
     if "," in next((line for line in lines if line.strip()), ","):
-        with fileio._csv_rows(text, fileio._DELAY_STATS) as rows:
-            values = [value for record, fields in rows
-                      if (value := fileio._row(fileio._DELAY_STATS, fields, record)) is not None]
+        values = [value for line, fields in fileio._rows(text, fileio._DELAY_STATS)
+                  if (value := fileio._row(fileio._DELAY_STATS, fields, line)) is not None]
     else:
         values = [fileio._row(fileio._SPREAD_LINES, [token.strip()], line)
                   for line, token in enumerate(lines, start=1) if token.strip()]

@@ -1,7 +1,7 @@
 """Run the benchmark on two checkouts in alternating pairs and compare their end-to-end metrics.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload NAME [--workload NAME ...]
-                                 [--pairs 10] [--seed 1] [--seconds S]
+                                 [--pairs 10] [--seed 1] [--seconds S] [--out BENCH.json]
 
 Pair ``i`` runs each checkout's own ``perfbench/run.py --trace 0`` once, at seed
 ``--seed + i``; the parent runs first in even pairs and the change in odd ones. The
@@ -22,8 +22,12 @@ parent's quartile distance. Then its verdict, the first that holds of:
   within it cannot be told from the run-to-run spread;
 - ``flat``: anything else.
 
-A metric without a bound is ``gain`` or ``flat``. It writes no file; each benchmark
-run cleans up its own work directory.
+A metric without a bound is ``gain`` or ``flat``. Each benchmark run cleans up its
+own work directory, and the tool writes no file but the one ``--out`` names. That
+file, a ``BENCH_<pr>.json``, holds each side's git SHA, source tree hash, Python,
+numpy and click versions and ``nproc``, from the provenance line before each result
+line; per workload every pair in run order, with its seed, the side that ran first
+and each side's metrics and failures; and the summaries printed.
 """
 
 from __future__ import annotations
@@ -36,8 +40,13 @@ import sys
 from pathlib import Path
 
 
+#: The provenance fields that a BENCH file keeps of each side's runs.
+PROVENANCE = ("git_sha", "src_sha256", "python", "numpy", "click", "nproc")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``perfbench/run.py --trace 0`` run in ``checkout``."""
+    """The result line of one ``perfbench/run.py --trace 0`` run in ``checkout``, with the
+    provenance line before it under ``"provenance"``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -45,7 +54,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if len(lines) > 1:
+        result["provenance"] = json.loads(lines[-2])["provenance"]
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -121,13 +133,18 @@ def _format(summary: dict) -> str:
             f"{summary['verdict']}")
 
 
+def first_side(i: int) -> str:
+    """The side that runs first in pair ``i``: the parent in even pairs, the change in odd."""
+    return "change" if i % 2 else "parent"
+
+
 def run_pairs(parent: Path, change: Path, workload: str, seeds: range, seconds: float,
               metrics: list[dict]) -> list[tuple[dict, dict]]:
     """(parent, change) result lines of one pair per seed, each printed as it ends."""
     pairs = []
     for i, seed in enumerate(seeds):
         sides = {}
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+        for side in (("parent", "change") if first_side(i) == "parent" else ("change", "parent")):
             sides[side] = run_once(parent if side == "parent" else change, workload, seed, seconds)
         p, c = sides["parent"], sides["change"]
         pairs.append((p, c))
@@ -136,6 +153,35 @@ def run_pairs(parent: Path, change: Path, workload: str, seeds: range, seconds: 
         print(f"pair {i + 1} seed {seed} ({next(iter(sides))} first): {values}; failed "
               f"{p['failed']}/{p['attempted']} -> {c['failed']}/{c['attempted']}", flush=True)
     return pairs
+
+
+def _provenance(results: list[dict]) -> dict:
+    """Each ``PROVENANCE`` field of ``results``' provenance: its value where every run
+    agrees, else the distinct values in the order seen."""
+    side = {}
+    for key in PROVENANCE:
+        seen = list(dict.fromkeys(r.get("provenance", {}).get(key) for r in results))
+        side[key] = seen[0] if len(seen) == 1 else seen
+    return side
+
+
+def bench_record(seconds: float, workloads: list[tuple[str, range, list, list]]) -> dict:
+    """The BENCH file of ``workloads``, each (name, seeds, (parent, change) result lines
+    in run order, summaries)."""
+    def run(result):
+        return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+                "failed": result["failed"], "attempted": result["attempted"]}
+
+    every = [pair for _, _, pairs, _ in workloads for pair in pairs]
+    return {
+        "parent": _provenance([p for p, _ in every]),
+        "change": _provenance([c for _, c in every]),
+        "seconds": seconds,
+        "workloads": [{"name": name, "pairs": [
+            {"seed": seed, "first": first_side(i), "parent": run(p), "change": run(c)}
+            for i, (seed, (p, c)) in enumerate(zip(seeds, pairs))], "summaries": summaries}
+            for name, seeds, pairs, summaries in workloads],
+    }
 
 
 def main(argv=None) -> int:
@@ -147,6 +193,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
+    parser.add_argument("--out", type=Path, help="write the pairs and summaries to this BENCH file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -154,12 +201,18 @@ def main(argv=None) -> int:
     seconds = args.seconds or benchmark["run_seconds"]
     seeds = range(args.seed, args.seed + args.pairs)
 
+    workloads = []
     for workload in args.workload:
         pairs = run_pairs(args.parent, args.change, workload, seeds, seconds,
                           benchmark["end_to_end"])
         print(f"{workload}, {len(pairs)} pairs, seeds {seeds[0]}-{seeds[-1]}, {seconds:g} s runs")
-        for summary in summarize(pairs, benchmark["end_to_end"]):
+        summaries = summarize(pairs, benchmark["end_to_end"])
+        for summary in summaries:
             print(_format(summary), flush=True)
+        workloads.append((workload, seeds, pairs, summaries))
+    if args.out:
+        record = bench_record(seconds, workloads)
+        args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
