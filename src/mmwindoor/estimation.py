@@ -4,14 +4,16 @@ empirical CDF / percentile / summary statistics for delay-spread data.
 The fit has a single free parameter: with A_i the measured loss in excess of
 the free-space anchor and B_i = 10*log10(d_i/d0), the least-squares exponent
 is sum(A_i*B_i) / sum(B_i^2). The shadow factor is the RMS of the residuals
-(population normalization, so sigma_hat equals RMS(residuals) exactly).
+(population normalization, so sigma_hat equals RMS(residuals) exactly). Sums are
+``math.fsum`` of correctly rounded terms: no digit follows term order, BLAS or SIMD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .core import EmptyInputError, PathLossSample, StratumMismatchError
 from .pathloss import free_space_pl_db
@@ -60,23 +62,17 @@ def fit_ci_model(samples: Sequence[PathLossSample], d0_m: float = 1.0) -> FitRes
             f"samples span {len(strata)} strata; fit one (band, env, pol, dir) at a time"
         )
     anchor_db = free_space_pl_db(samples[0].band, d0_m)  # checks d0_m
-
-    import numpy as np  # here, not at import: commands without arrays never load numpy
-
-    d = np.array([s.distance_m for s in samples], dtype=float)
-    pl = np.array([s.path_loss_db for s in samples], dtype=float)
-    if np.any(d < d0_m):
+    d = [s.distance_m for s in samples]
+    if min(d) < d0_m:
         raise ValueError(f"all sample distances must be >= d0 = {d0_m} m")
-
-    with np.errstate(over="ignore", invalid="ignore"):  # finite inputs, non-finite sums
-        a = pl - anchor_db
-        b = 10.0 * np.log10(d / d0_m)
-        denom = float(np.dot(b, b))
-        if denom == 0.0:
-            raise ValueError("all distances equal d0; the exponent is unidentifiable")
-        ple_hat = float(np.dot(a, b)) / denom
-        residuals = a - ple_hat * b
-        sigma_hat = math.sqrt(float(np.mean(residuals**2)))
+    a = [s.path_loss_db - anchor_db for s in samples]
+    b = [10.0 * math.log10(x / d0_m) for x in d]
+    denom = _fsum(map(mul, b, b))
+    if denom == 0.0:
+        raise ValueError("all distances equal d0; the exponent is unidentifiable")
+    ple_hat = _fsum(map(mul, a, b)) / denom
+    residuals = [x - ple_hat * y for x, y in zip(a, b)]
+    sigma_hat = math.sqrt(_fsum(map(mul, residuals, residuals)) / len(residuals))
     if not (math.isfinite(ple_hat) and math.isfinite(sigma_hat)):
         raise OverflowError(f"the samples overflow a float (ple {ple_hat}, sigma {sigma_hat})")
     return FitResult(ple_hat, sigma_hat)
@@ -110,19 +106,23 @@ def percentile(values: Sequence[float], p: float) -> float:
 
 def summarize_spreads(values: Sequence[float]) -> SpreadSummary:
     """Mean, population standard deviation, max and p90 of delay-spread values."""
-    if len(values) == 0:
+    n = len(values)
+    if n == 0:
         raise EmptyInputError("cannot summarize zero delay-spread values")
-    import numpy as np
-
-    arr = np.asarray(list(values), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_ns, lo, hi = float(arr.mean()), float(arr.min()), float(arr.max())
-        # numpy's mean of equal values can round one ulp past them; the mean lies
-        # between, and the std is taken about that mean, so equal values give 0.
-        centre = min(max(mean_ns, lo), hi)
-        std_ns = math.sqrt(float(np.mean((arr - centre) ** 2)))
+    mean_ns = _fsum(values) / n
+    mean_ns += _fsum([x - mean_ns for x in values]) / n  # what the first pass rounded off
+    std_ns = math.sqrt(_fsum([(x - mean_ns) * (x - mean_ns) for x in values]) / n)
     if not (math.isfinite(mean_ns) and math.isfinite(std_ns)):
         raise OverflowError(f"the spread values overflow a float (mean {mean_ns}, std {std_ns})")
-    return SpreadSummary(
-        mean_ns=centre, std_ns=std_ns, max_ns=hi, p90_ns=percentile(values, 0.9)
-    )
+    return SpreadSummary(mean_ns, std_ns, float(max(values)), percentile(values, 0.9))
+
+
+def _fsum(terms: Iterable[float]) -> float:
+    """``math.fsum``, but a sum with no float value is inf (past the largest float: each
+    sum here has terms bounded below) or nan (inf + -inf), for the caller to name."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+    except ValueError:  # inf + -inf
+        return math.nan

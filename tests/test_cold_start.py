@@ -1,11 +1,11 @@
-"""Commands that draw or reduce no arrays never load numpy, commands that
-decode no batch and write no column of floats never load orjson, and a bare
-``import mmwindoor`` loads no submodule.
+"""Only ``simulate``, which draws from numpy's generators, loads numpy;
+commands that decode no batch and write no column of floats never load
+orjson; and a bare ``import mmwindoor`` loads no submodule.
 
-``catalog``, ``synthesize-omni``, ``report`` without ``--spreads``, ``--help``
-and every flag error use scalar math only, so importing numpy would be most
-of their start-up time. The test process has both loaded already, so each
-case runs in a child process whose environment holds only ``PYTHONPATH``.
+Every other command, ``--help`` and every flag error reduce with ``math``
+only, so importing numpy would be most of their start-up time. The test
+process has both loaded already, so each case runs in a child process whose
+environment holds only ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -61,22 +61,23 @@ def _cli(*args: str) -> str:
     (_cli("catalog", "--full"), 0),
     (_cli("synthesize-omni", str(DATA / "sweep_records_28ghz.json")), 0),
     (_cli("report"), 0),
+    (_cli("report", "--spreads", "spreads.txt"), 0),
+    (_cli("fit", str(DATA / "campaign_28ghz_nlos_vv_omni.csv")), 0),
+    (_cli("pdp-stats", str(DATA / "pdp_examples.json")), 0),
     (_cli("--help"), 0),
     (_cli("catalog", "--no-such-flag"), 2),
     (_cli("--d0-m", "0", "catalog"), 3),
 ], ids=["import", "import-cli", "catalog", "catalog-full", "synthesize-omni", "report",
-        "help", "bad-flag", "bad-flag-value"])
+        "report-spreads", "fit", "pdp-stats", "help", "bad-flag", "bad-flag-value"])
 def test_numpy_is_not_loaded(code, exit_code, tmp_path):
+    (tmp_path / "spreads.txt").write_text("1.0\n2.0\n")
     loaded, got = _run(code, tmp_path)
     assert "numpy" not in loaded and got == exit_code
 
 
-@pytest.mark.parametrize("code", [
-    _cli("fit", str(DATA / "campaign_28ghz_nlos_vv_omni.csv")),
-    _cli("pdp-stats", str(DATA / "pdp_examples.json")),
-], ids=["fit", "pdp-stats"])
-def test_commands_that_reduce_arrays_load_numpy(code, tmp_path):
-    """The check above can see numpy: a command that needs it loads it."""
+def test_a_command_that_draws_loads_numpy(tmp_path):
+    """The check above can see numpy: ``simulate`` draws from its generators."""
+    code = _cli("simulate", str(DATA / "config_28ghz_nlos_vv_omni.json"), "-o", "sim")
     loaded, got = _run(code, tmp_path)
     assert "numpy" in loaded and got == 0
 
@@ -86,8 +87,7 @@ def test_commands_that_reduce_arrays_load_numpy(code, tmp_path):
     (_cli("catalog"), set()),
     (_cli("--help"), set()),
     (_cli("report"), set()),
-    (_cli("fit", str(DATA / "campaign_28ghz_nlos_vv_omni.csv"), "--csv-out", "fit.csv"),
-     {"numpy"}),
+    (_cli("fit", str(DATA / "campaign_28ghz_nlos_vv_omni.csv"), "--csv-out", "fit.csv"), set()),
 ], ids=["import-cli", "catalog", "help", "report", "fit"])
 def test_orjson_is_not_loaded(code, loaded, tmp_path):
     """These commands decode no PDP batch or sweep record and write floats one at a time."""

@@ -1,7 +1,7 @@
 """No dead names in the package: a simplification that removes the last use of
 an import, a private helper or a public name must remove it too.
 
-Four rules, read from the source with ``ast`` (no linter is needed):
+Five rules, read from the source with ``ast`` (no linter is needed):
 
 * every name a module imports is used in that module. ``from __future__``
   imports are exempt;
@@ -15,7 +15,9 @@ Four rules, read from the source with ``ast`` (no linter is needed):
   surface, reached by module path: ``__init__.py`` holds only its docstring
   and ``__version__``;
 * only ``fileio`` opens a file: it owns the file boundary both ways, so no other
-  module calls ``open``, ``io.open``, ``os.open`` or ``os.fdopen``.
+  module calls ``open``, ``io.open``, ``os.open`` or ``os.fdopen``;
+* only ``simulate`` imports numpy, outside ``if TYPE_CHECKING:`` blocks: numpy
+  only draws, and every sum is ``math.fsum``.
 """
 
 import ast
@@ -139,3 +141,26 @@ def test_only_fileio_opens_a_file():
               for node in ast.walk(tree)
               if isinstance(node, ast.Call) and ast.unparse(node.func) in OPENERS]
     assert not opened, "a file opened outside fileio:\n" + "\n".join(opened)
+
+
+def _run_time_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(module, line) of every import the module runs, ``if TYPE_CHECKING:`` blocks aside."""
+    checking_only = {id(node) for block in ast.walk(tree)
+                     if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+                     for stmt in block.body for node in ast.walk(stmt)}
+    imported = []
+    for node in ast.walk(tree):
+        if id(node) in checking_only:
+            continue
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.module, node.lineno))
+    return imported
+
+
+def test_only_simulate_imports_numpy():
+    imports = [f"{module}:{line}: {name}"
+               for module, tree in TREES.items() if module != "simulate.py"
+               for name, line in _run_time_imports(tree) if name.split(".")[0] == "numpy"]
+    assert not imports, "numpy imported outside simulate:\n" + "\n".join(imports)

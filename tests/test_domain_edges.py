@@ -30,6 +30,7 @@ from mmwindoor.fileio import PATHLOSS_CSV_HEADER, ParseError, parse_campaign_rec
 from mmwindoor.omni import omni_received_power_mw
 from mmwindoor.pathloss import free_space_pl_db
 from mmwindoor.simulate import CampaignConfig, PdpSynthesisConfig, generate_synthetic_pdp
+from test_estimation import assert_summary_is_exact
 
 
 def _record(*sweeps):
@@ -133,11 +134,20 @@ def test_summary_of_overflowing_spreads_raises_without_a_numpy_warning(values):
             summarize_spreads(values)
 
 
-def test_summary_digits_are_numpys():
+def test_fit_whose_distances_over_d0_pass_the_float_range_exits_3_naming_it(tmp_path):
+    """Each B_i = 10*log10(d_i/d0) is inf, so the products A_i*B_i are -inf and inf."""
+    path = tmp_path / "pathloss.csv"
+    path.write_text(f"{PATHLOSS_CSV_HEADER}\na,28.0,LOS,VV,omni,1.7e308,1.0\n"
+                    "b,28.0,LOS,VV,omni,1.7e308,200.0\n")
+    res = CliRunner().invoke(main, ["--d0-m", "0.5", "fit", str(path)])
+    assert res.exit_code == EXIT_VALIDATION
+    assert res.stderr == ("error: stratum (28 GHz, LOS, VV, omni): the samples overflow a float "
+                          "(ple nan, sigma nan)\n")
+
+
+def test_summary_digits_are_exact():
     values = [4.1, 5.5, 3.3, 12.8, 0.7]
-    summary = summarize_spreads(values)
-    assert summary.mean_ns == float(np.mean(values))
-    assert summary.std_ns == float(np.std(values))
+    assert_summary_is_exact(values, summarize_spreads(values))
 
 
 def test_overflowing_tap_power_names_the_config_field():

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmwindoor.core import (
     BAND_28GHZ,
@@ -203,6 +205,39 @@ class TestPercentile:
             assert percentile(values, p) <= v
 
 
+#: Delay spreads from 0 to a value whose square, summed 200 times, is still a float.
+SPREAD = st.floats(min_value=0.0, max_value=1e150)
+
+#: summarize_spreads' error bounds for values >= 0, in ulps of the value bounded. The
+#: mean is within 2.5 ulps of the exact mean: each deviation x - m from the first pass's
+#: mean m is rounded by at most 2**-53 * max(x, m), so the second pass is off by under
+#: 2 ulps, and the last addition by half an ulp (at most 0.86 over 3000 random lists).
+#: The std is within 3.5 ulps of the exact RMS deviation about that mean: rounded
+#: deviations, their squares, an fsum, a division by n and a square root (at most 1.30
+#: over the same lists).
+MEAN_ULPS, STD_ULPS = Fraction(5, 2), Fraction(7, 2)
+
+
+def assert_within_ulps(got: float, exact: Fraction, ulps) -> None:
+    assert abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(got)), (got, float(exact))
+
+
+def assert_root_within_ulps(got: float, square: Fraction, ulps) -> None:
+    """``got`` is within ``ulps`` ulps of the square root of ``square``, checked on squares."""
+    step = ulps * Fraction(math.ulp(got))
+    assert max(Fraction(got) - step, 0) ** 2 <= square <= (Fraction(got) + step) ** 2, got
+
+
+def assert_summary_is_exact(values, summary) -> None:
+    """The summary's mean and std are those of exact ``Fraction`` arithmetic on the
+    values, within MEAN_ULPS and STD_ULPS."""
+    n = len(values)
+    assert_within_ulps(summary.mean_ns, sum(map(Fraction, values)) / n, MEAN_ULPS)
+    mean = Fraction(summary.mean_ns)
+    assert_root_within_ulps(summary.std_ns, sum((Fraction(x) - mean) ** 2 for x in values) / n,
+                            STD_ULPS)
+
+
 class TestSummarizeSpreads:
     def test_constant(self):
         s = summarize_spreads([5.0, 5.0, 5.0])
@@ -236,17 +271,32 @@ class TestSummarizeSpreads:
 
     @pytest.mark.parametrize("value", [0.1, 0.7, 1.3, 2.5, 3.3, 5.9, 7.1, 9.9, 288.0])
     def test_equal_values_summarize_to_that_value(self, value):
-        # numpy's mean of n equal values can round one ulp past them (3 x 0.1, 6 x 0.7),
-        # and its std about that mean is then not 0.
+        # The sum of n equal values over n can round one ulp past them (3 x 0.1, 6 x 0.7),
+        # and a std about that mean is then not 0; the mean's second pass takes it back.
         for n in range(1, 64):
             s = summarize_spreads([value] * n)
             assert (s.mean_ns, s.std_ns, s.max_ns, s.p90_ns) == (value, 0.0, value, value), n
 
-    def test_std_of_distinct_values_is_numpys(self):
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(
+        st.lists(SPREAD, min_size=1, max_size=60),
+        st.builds(lambda x, steps: [x + k * math.ulp(x) for k in steps],
+                  SPREAD, st.lists(st.integers(0, 3), min_size=1, max_size=60)),
+    ))
+    def test_mean_lies_between_min_and_max(self, values):
+        assert min(values) <= summarize_spreads(values).mean_ns <= max(values)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(SPREAD, st.integers(1, 200))
+    def test_equal_values_have_that_mean_and_no_spread(self, value, n):
+        s = summarize_spreads([value] * n)
+        assert (s.mean_ns, s.std_ns) == (value, 0.0)
+
+    def test_mean_and_std_of_distinct_values_are_exact(self):
         rng = np.random.default_rng(12)
         for n in range(1, 200):
             values = (rng.uniform(0.0, 50.0, size=n) * 10.0 ** rng.uniform(-3, 3)).tolist()
-            assert summarize_spreads(values).std_ns == float(np.std(values)), n
+            assert_summary_is_exact(values, summarize_spreads(values))
 
     def test_population_std(self):
         s = summarize_spreads([0.0, 10.0])

@@ -2,15 +2,17 @@
 
 Each test runs a command on an input and on a transformed copy of it that
 describes the same measurements: records, sweeps and entries in another order,
-azimuths a full turn away, a profile padded with empty bins, a batch cut in two,
-or a path-loss file holding a second band that a filter drops. The two outputs
-must match byte for byte. The order of path-loss rows for ``fit`` and of spreads
-for the summary is not among them: those reductions depend on input order.
+path-loss rows or profiles in another order, azimuths a full turn away, a
+profile padded with empty bins, a batch cut in two, or a path-loss file holding
+a second band that a filter drops. The two outputs must match byte for byte.
+The fit and the spread summary reduce with ``math.fsum``, which is correctly
+rounded, so the order of their terms changes no digit.
 """
 
 import json
 import tempfile
 from pathlib import Path
+from random import Random
 
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,23 @@ def _profile_rows(table: str, offset: int = 0) -> list[str]:
     return [f"{int(i) + offset},{rest}" for i, rest in rows if i != "summary"]
 
 
+def _summary(output: str) -> list[str]:
+    """The summary lines of a ``pdp-stats`` run: the printed one and the table's row."""
+    return [line for line in output.splitlines() if line.startswith("summary")]
+
+
+@SETTINGS
+@given(st.lists(profiles, min_size=20, max_size=60), st.integers(0, 2**32 - 1))
+def test_a_batch_in_any_order_gives_the_same_summary_and_rows_permuted_alike(batch, seed):
+    order = Random(seed).sample(range(len(batch)), len(batch))
+    stdout, table = _run(["pdp-stats"], json.dumps(batch))
+    shuffled_stdout, shuffled = _run(["pdp-stats"], json.dumps([batch[k] for k in order]))
+    assert _summary(shuffled_stdout + shuffled) == _summary(stdout + table)
+    rows = _profile_rows(table)
+    assert _profile_rows(shuffled) == [f"{j},{rows[k].split(',', 1)[1]}"
+                                       for j, k in enumerate(order)]
+
+
 @SETTINGS
 @given(st.lists(profiles, min_size=2, max_size=8), st.data())
 def test_a_batch_cut_in_two_gives_the_same_per_profile_rows_renumbered(batch, data):
@@ -143,3 +162,12 @@ def test_fit_of_one_band_in_a_two_band_file_gives_the_bytes_of_its_rows_alone(in
     one = "\n".join([header, *rows, ""])
     two = "\n".join([header, *mixed, ""])
     assert _run(["fit"], two, "--band-ghz", "28") == _run(["fit"], one)
+
+
+@settings(SETTINGS, max_examples=10)
+@given(st.integers(0, 2**32 - 1))
+def test_path_loss_rows_in_any_order_give_the_same_fit_bytes(seed):
+    header, *rows = read_text(str(DATA / "campaign_28ghz_nlos_vv_omni.csv")).splitlines()
+    shuffled = Random(seed).sample(rows, len(rows))
+    assert (_run(["fit"], "\n".join([header, *shuffled, ""]))
+            == _run(["fit"], "\n".join([header, *rows, ""])))
